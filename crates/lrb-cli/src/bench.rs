@@ -19,7 +19,7 @@ use lrb_engine::{solve_batch_recorded, BatchItem, BatchSolver, EngineConfig};
 use lrb_harness::bench::{smoke_ladder, standard_ladder, BenchBatch};
 use lrb_harness::stats::percentile_sorted;
 use lrb_obs::AtomicRecorder;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`BenchReport`]; bump on breaking field changes.
 /// v4: thread-curve points carry `oversubscribed` (threads beyond the
@@ -28,7 +28,8 @@ use serde::Serialize;
 pub const BENCH_SCHEMA_VERSION: u32 = 4;
 
 /// Metadata for one ladder rung.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RungInfo {
     /// Rung name (`n…_m…`).
     pub name: String,
@@ -41,7 +42,8 @@ pub struct RungInfo {
 }
 
 /// One point of the thread-scaling curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ThreadPoint {
     /// Engine worker threads.
     pub threads: usize,
@@ -70,7 +72,8 @@ pub struct ThreadPoint {
 }
 
 /// The full bench output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BenchReport {
     /// Schema version ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,

@@ -14,13 +14,14 @@ use lrb_obs::Recorder;
 use lrb_sim::{
     run_farm_faulty_recorded, FallbackPolicy, FarmConfig, MPartitionPolicy, Policy, SimReport,
 };
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`ChaosReport`]; bump on breaking field changes.
 pub const CHAOS_SCHEMA_VERSION: u32 = 1;
 
 /// One (scenario, policy) cell of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChaosPoint {
     /// Scenario name (see [`lrb_harness::scenarios`]).
     pub scenario: String,
@@ -69,7 +70,8 @@ impl ChaosPoint {
 }
 
 /// The full sweep output: degradation curves over the crash-rate ladder.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChaosReport {
     /// Schema version ([`CHAOS_SCHEMA_VERSION`]).
     pub schema_version: u32,

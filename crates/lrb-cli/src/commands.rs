@@ -482,7 +482,7 @@ pub fn chaos_cmd(args: &Args) -> CmdResult {
         ]);
     }
 
-    let json = crate::report::to_validated_json(&report, crate::report::validate_chaos)?;
+    let json = serde_json::to_string_pretty(&report).map_err(|e| format!("encode error: {e}"))?;
     let mut out = table.render();
     out.push('\n');
     out.push_str(&json);
@@ -602,7 +602,7 @@ pub fn hetero_cmd(args: &Args) -> CmdResult {
         p.max_ratio_x1000 as f64 / 1000.0
     ));
 
-    let json = crate::report::to_validated_json(&report, crate::report::validate_hetero)?;
+    let json = serde_json::to_string_pretty(&report).map_err(|e| format!("encode error: {e}"))?;
     out.push('\n');
     out.push_str(&json);
     if let Some(path) = &out_path {
@@ -686,7 +686,7 @@ pub fn compete_cmd(args: &Args) -> CmdResult {
         ]);
     }
 
-    let json = crate::report::to_validated_json(&report, crate::report::validate_compete)?;
+    let json = serde_json::to_string_pretty(&report).map_err(|e| format!("encode error: {e}"))?;
     let mut out = table.render();
     out.push('\n');
     out.push_str(&json);
@@ -845,10 +845,10 @@ COSTS (--costs): unit | uniform | size"
         .to_string()
 }
 
-/// Read and parse a JSON report file.
-fn read_json(path: &str) -> Result<serde_json::Value, String> {
+/// Read a bench report file's thread curve.
+fn read_curve(path: &str) -> Result<crate::compare::Curve, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
+    crate::compare::Curve::parse(&text, path)
 }
 
 /// `lrb bench [--threads 1,2,4,8] [--seed S] [--repeat R] [--smoke]
@@ -878,7 +878,7 @@ pub fn bench_cmd(args: &Args) -> CmdResult {
 
     // Pure-file mode: compare two existing reports, no live run.
     if let (Some(base), Some(cur)) = (&baseline_path, &compare_path) {
-        let cmp = crate::compare::compare(&read_json(base)?, &read_json(cur)?, threshold)?;
+        let cmp = crate::compare::compare(&read_curve(base)?, &read_curve(cur)?, threshold)?;
         let table = crate::compare::render(&cmp);
         return if cmp.regressed() {
             Err(format!("{table}bench regression against {base}"))
@@ -912,15 +912,14 @@ pub fn bench_cmd(args: &Args) -> CmdResult {
     let report = crate::bench::run(&threads, seed, repeats, smoke);
     let mut out = crate::bench::render(&report);
     if let Some(p) = out_path {
-        let json = crate::report::to_validated_json(&report, crate::report::validate_bench)?;
+        let json =
+            serde_json::to_string_pretty(&report).map_err(|e| format!("encode error: {e}"))?;
         std::fs::write(&p, json).map_err(|e| format!("writing {p}: {e}"))?;
         out.push_str(&format!("\nreport written to {p}"));
     }
     if let Some(base) = &baseline_path {
-        let json = crate::report::to_validated_json(&report, crate::report::validate_bench)?;
-        let current: serde_json::Value =
-            serde_json::from_str(&json).map_err(|e| format!("self-parse error: {e}"))?;
-        let cmp = crate::compare::compare(&read_json(base)?, &current, threshold)?;
+        let current = crate::compare::Curve::of(&report)?;
+        let cmp = crate::compare::compare(&read_curve(base)?, &current, threshold)?;
         out.push('\n');
         out.push_str(&crate::compare::render(&cmp));
         if cmp.regressed() {
@@ -948,10 +947,8 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
     let run = crate::trace::run(&scenario, threads, seed)?;
     let mut out = crate::trace::render(&run);
     if let Some(p) = out_path {
-        let doc = crate::trace::chrome_json(&run);
-        crate::report::validate_trace(&doc)
-            .map_err(|e| format!("trace failed its own schema: {e}"))?;
-        let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("encode error: {e}"))?;
+        let json = serde_json::to_string_pretty(&crate::trace::chrome_json(&run))
+            .map_err(|e| format!("encode error: {e}"))?;
         std::fs::write(&p, json).map_err(|e| format!("writing {p}: {e}"))?;
         out.push_str(&format!("trace written to {p}"));
     }
@@ -1032,7 +1029,7 @@ pub fn online_cmd(args: &Args) -> CmdResult {
 
     let rec = AtomicRecorder::new();
     let report = crate::online::run(&cfg, &rec);
-    let json = crate::report::to_validated_json(&report, crate::report::validate_online)?;
+    let json = serde_json::to_string_pretty(&report).map_err(|e| format!("encode error: {e}"))?;
     let mut out = crate::online::render(&report);
     out.push('\n');
     out.push_str(&json);
@@ -1301,9 +1298,9 @@ mod tests {
         .unwrap();
         assert!(out.contains("attributed wall time"), "{out}");
         assert!(out.contains("trace written"), "{out}");
-        let v: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        crate::report::validate_trace(&v).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        serde_json::from_str::<crate::trace::ChromeTrace>(&text).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(v["schema_version"], 1u64);
         assert_eq!(v["otherData"]["scenario"], "smoke_ladder");
         assert!(!v["traceEvents"].as_array().unwrap().is_empty());
@@ -1367,9 +1364,9 @@ mod tests {
         let out = run(&format!("compete --smoke --seed 7 --out {path}")).unwrap();
         assert!(out.contains("compete:"), "{out}");
         assert!(out.contains("compete report written"), "{out}");
-        let v: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        crate::report::validate_compete(&v).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        serde_json::from_str::<crate::compete::CompeteReport>(&text).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(v["schema_version"], 1u64);
         let grid = v["grid"].as_array().unwrap();
         // 3 policies x 3 adversaries.
@@ -1414,13 +1411,12 @@ mod tests {
         .unwrap();
         assert!(out.contains("online farm"), "{out}");
         assert!(out.contains("online report written"), "{out}");
-        let v: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(v["schema_version"], 1u64);
-        assert_eq!(v["servers"], 4u64);
-        assert_eq!(v["budget_kind"], "moves");
-        assert_eq!(v["epoch_curve"].as_array().unwrap().len(), 12);
-        crate::report::validate_online(&v).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let report: crate::online::OnlineReport = serde_json::from_str(&text).unwrap();
+        assert_eq!(report.schema_version, 1);
+        assert_eq!(report.servers, 4);
+        assert_eq!(report.budget_kind, "moves");
+        assert_eq!(report.epoch_curve.len(), 12);
         std::fs::remove_file(&path).ok();
     }
 

@@ -11,33 +11,67 @@
 //! either side are shown but never gate — wall-clock noise from scheduler
 //! contention is not a regression signal.
 
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
+
+use crate::bench::BenchReport;
 
 /// Default allowed relative change before a point counts as regressed.
 pub const DEFAULT_THRESHOLD: f64 = 0.2;
 
-/// One thread-curve point extracted from a bench report document.
-#[derive(Debug, Clone)]
-struct Point {
-    threads: u64,
-    throughput: f64,
-    p99: f64,
-    oversubscribed: bool,
+/// The part of a bench report the comparator reads: its scenario and
+/// thread curve. Lenient on purpose (unknown fields pass, `oversubscribed`
+/// defaults to `false`) so that v3 baselines, which predate
+/// `oversubscribed`, still load; the full v4 schema is [`BenchReport`].
+#[derive(Debug, Clone, Deserialize)]
+pub struct Curve {
+    /// 3 or 4.
+    pub schema_version: u32,
+    /// Ladder the report ran.
+    pub scenario: String,
+    /// One point per thread count.
+    pub thread_curve: Vec<CurvePoint>,
 }
 
-/// The delta between a baseline point and its current counterpart.
+/// One thread-curve point as the comparator reads it.
+#[derive(Debug, Clone, Deserialize)]
+pub struct CurvePoint {
+    /// Engine worker threads.
+    pub threads: usize,
+    /// Solves per second.
+    pub throughput_per_sec: f64,
+    /// p99 solve latency, nanoseconds.
+    pub p99_solve_nanos: f64,
+    /// Absent (hence `false`) in v3 reports.
+    #[serde(default)]
+    pub oversubscribed: bool,
+}
+
+impl Curve {
+    /// Decode a bench report file's text, accepting schema v3 or v4.
+    pub fn parse(text: &str, ctx: &str) -> Result<Self, String> {
+        let curve: Curve = serde_json::from_str(text).map_err(|e| format!("{ctx}: {e}"))?;
+        if !matches!(curve.schema_version, 3 | 4) {
+            return Err(format!(
+                "{ctx}: schema_version {}, expected 3 or 4",
+                curve.schema_version
+            ));
+        }
+        Ok(curve)
+    }
+
+    /// A live report, read exactly as its written file would be.
+    pub fn of(report: &BenchReport) -> Result<Self, String> {
+        Curve::from_value(&report.to_value()).map_err(|e| e.to_string())
+    }
+}
+
+/// A baseline point and its current counterpart.
 #[derive(Debug, Clone)]
 pub struct PointDelta {
-    /// Thread count the two points share.
-    pub threads: u64,
-    /// Baseline / current throughput, solves per second.
-    pub base_throughput: f64,
-    /// Current throughput.
-    pub new_throughput: f64,
-    /// Baseline / current p99 solve latency, nanoseconds.
-    pub base_p99: f64,
-    /// Current p99 solve latency.
-    pub new_p99: f64,
+    /// The baseline point.
+    pub base: CurvePoint,
+    /// The current point at the same thread count.
+    pub current: CurvePoint,
     /// Whether either side marked the point oversubscribed (non-gating).
     pub oversubscribed: bool,
     /// Whether this point regressed beyond the threshold (always `false`
@@ -63,69 +97,27 @@ impl Comparison {
     }
 }
 
-/// Read a bench document's scenario and thread curve, accepting schema
-/// v3 (no `oversubscribed`) or v4.
-fn extract(doc: &Value, ctx: &str) -> Result<(String, Vec<Point>), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{ctx}: schema_version missing or not an integer"))?;
-    if version != 3 && version != 4 {
-        return Err(format!("{ctx}: schema_version {version}, expected 3 or 4"));
-    }
-    let scenario = doc
-        .get("scenario")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{ctx}: missing scenario"))?
-        .to_string();
-    let curve = doc
-        .get("thread_curve")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: thread_curve is not an array"))?;
-    let mut points = Vec::with_capacity(curve.len());
-    for (i, p) in curve.iter().enumerate() {
-        let field = |key: &str| {
-            p.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{ctx}: thread_curve[{i}].{key} missing or not a number"))
-        };
-        points.push(Point {
-            threads: p
-                .get("threads")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{ctx}: thread_curve[{i}].threads missing"))?,
-            throughput: field("throughput_per_sec")?,
-            p99: field("p99_solve_nanos")?,
-            oversubscribed: p
-                .get("oversubscribed")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
-        });
-    }
-    Ok((scenario, points))
-}
-
 /// Compare `current` against `baseline` at `threshold`.
 ///
 /// Points are matched by thread count; a baseline point with no current
 /// counterpart is an error (the curve shrank), extra current points are
 /// ignored (the curve may grow).
-pub fn compare(baseline: &Value, current: &Value, threshold: f64) -> Result<Comparison, String> {
+pub fn compare(baseline: &Curve, current: &Curve, threshold: f64) -> Result<Comparison, String> {
     if !(0.0..1.0).contains(&threshold) {
         return Err(format!(
             "--threshold {threshold}: expected a fraction in [0, 1)"
         ));
     }
-    let (base_scenario, base_points) = extract(baseline, "baseline")?;
-    let (cur_scenario, cur_points) = extract(current, "current")?;
-    if base_scenario != cur_scenario {
+    if baseline.scenario != current.scenario {
         return Err(format!(
-            "scenario mismatch: baseline ran {base_scenario}, current ran {cur_scenario}"
+            "scenario mismatch: baseline ran {}, current ran {}",
+            baseline.scenario, current.scenario
         ));
     }
-    let mut rows = Vec::with_capacity(base_points.len());
-    for b in &base_points {
-        let c = cur_points
+    let mut rows = Vec::with_capacity(baseline.thread_curve.len());
+    for b in &baseline.thread_curve {
+        let c = current
+            .thread_curve
             .iter()
             .find(|c| c.threads == b.threads)
             .ok_or_else(|| {
@@ -135,20 +127,17 @@ pub fn compare(baseline: &Value, current: &Value, threshold: f64) -> Result<Comp
                 )
             })?;
         let oversubscribed = b.oversubscribed || c.oversubscribed;
-        let tp_regressed = c.throughput < b.throughput * (1.0 - threshold);
-        let p99_regressed = c.p99 > b.p99 * (1.0 + threshold);
+        let tp_regressed = c.throughput_per_sec < b.throughput_per_sec * (1.0 - threshold);
+        let p99_regressed = c.p99_solve_nanos > b.p99_solve_nanos * (1.0 + threshold);
         rows.push(PointDelta {
-            threads: b.threads,
-            base_throughput: b.throughput,
-            new_throughput: c.throughput,
-            base_p99: b.p99,
-            new_p99: c.p99,
+            base: b.clone(),
+            current: c.clone(),
             oversubscribed,
             regressed: !oversubscribed && (tp_regressed || p99_regressed),
         });
     }
     Ok(Comparison {
-        scenario: base_scenario,
+        scenario: baseline.scenario.clone(),
         threshold,
         rows,
     })
@@ -174,14 +163,14 @@ pub fn render(cmp: &Comparison) -> String {
         };
         out.push_str(&format!(
             "{:>6}{}  {:>7.0}  {:>7.0}  {:>+7.1}%  {:>11.1}  {:>10.1}  {:>+8.1}%  {}\n",
-            r.threads,
+            r.base.threads,
             if r.oversubscribed { '*' } else { ' ' },
-            r.base_throughput,
-            r.new_throughput,
-            pct(r.new_throughput, r.base_throughput),
-            r.base_p99 / 1e3,
-            r.new_p99 / 1e3,
-            pct(r.new_p99, r.base_p99),
+            r.base.throughput_per_sec,
+            r.current.throughput_per_sec,
+            pct(r.current.throughput_per_sec, r.base.throughput_per_sec),
+            r.base.p99_solve_nanos / 1e3,
+            r.current.p99_solve_nanos / 1e3,
+            pct(r.current.p99_solve_nanos, r.base.p99_solve_nanos),
             if r.regressed {
                 "REGRESSED"
             } else if r.oversubscribed {
@@ -203,7 +192,7 @@ pub fn render(cmp: &Comparison) -> String {
 mod tests {
     use super::*;
 
-    fn doc(version: u64, scenario: &str, points: &[(u64, f64, f64, bool)]) -> Value {
+    fn doc(version: u64, scenario: &str, points: &[(u64, f64, f64, bool)]) -> Curve {
         let body: Vec<String> = points
             .iter()
             .map(|(t, tp, p99, over)| {
@@ -218,12 +207,12 @@ mod tests {
                 )
             })
             .collect();
-        serde_json::from_str(&format!(
+        let text = format!(
             r#"{{"schema_version": {version}, "scenario": "{scenario}",
                 "thread_curve": [{}]}}"#,
             body.join(",")
-        ))
-        .unwrap()
+        );
+        Curve::parse(&text, "test").unwrap()
     }
 
     #[test]
@@ -260,8 +249,9 @@ mod tests {
         let old = doc(3, "smoke_ladder", &[(1, 1000.0, 5000.0, false)]);
         let new = doc(4, "smoke_ladder", &[(1, 950.0, 5100.0, false)]);
         assert!(!compare(&old, &new, 0.2).unwrap().regressed());
-        let v99 = doc(99, "smoke_ladder", &[(1, 1.0, 1.0, false)]);
-        assert!(compare(&v99, &new, 0.2).is_err());
+        let v99 = r#"{"schema_version": 99, "scenario": "smoke_ladder", "thread_curve": []}"#;
+        let err = Curve::parse(v99, "baseline").unwrap_err();
+        assert!(err.contains("schema_version 99"), "{err}");
     }
 
     #[test]

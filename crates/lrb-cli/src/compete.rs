@@ -33,7 +33,7 @@ use lrb_exact::IncrementalOracle;
 use lrb_instances::generators::SizeDistribution;
 use lrb_obs::{names, Recorder};
 use lrb_sim::adversary::{AdaptiveAdversary, Adversary, GreedyPunisher, RandomOrderAdversary};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`CompeteReport`]; bump on breaking changes.
 pub const COMPETE_SCHEMA_VERSION: u32 = 1;
@@ -63,7 +63,8 @@ pub struct CompeteRunConfig {
 }
 
 /// One policy × adversary cell of the grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CompeteCell {
     /// Policy name ([`MigrationPolicy::name`]).
     pub policy: String,
@@ -88,7 +89,8 @@ pub struct CompeteCell {
 }
 
 /// The full `COMPETE_1.json` document.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CompeteReport {
     /// Schema version ([`COMPETE_SCHEMA_VERSION`]).
     pub schema_version: u32,

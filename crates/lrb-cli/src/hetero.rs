@@ -23,7 +23,7 @@ use lrb_faults::pathind;
 use lrb_instances::generators::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
 use lrb_obs::Recorder;
 use lrb_sim::stochastic::{self, StochasticConfig, StochasticWorkload};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`HeteroReport`]; bump on breaking field changes.
 pub const HETERO_SCHEMA_VERSION: u32 = 1;
@@ -64,7 +64,8 @@ impl HeteroRunConfig {
 }
 
 /// One solver's aggregate over the seeded instance batch.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HeteroSolverPoint {
     /// `"greedy"` or `"mpartition"`.
     pub solver: String,
@@ -83,7 +84,8 @@ pub struct HeteroSolverPoint {
 }
 
 /// The stochastic section (mirrors [`lrb_sim::EffectiveSizeReport`]).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HeteroStochasticPoint {
     /// Realizations scored.
     pub trials: usize,
@@ -104,7 +106,8 @@ pub struct HeteroStochasticPoint {
 }
 
 /// The path-independence section (mirrors [`lrb_faults::PathDrillStats`]).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HeteroPathPoint {
     /// Seeds drilled.
     pub seeds: u64,
@@ -121,7 +124,8 @@ pub struct HeteroPathPoint {
 }
 
 /// The full `HETERO_1.json` document.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HeteroReport {
     /// Schema version ([`HETERO_SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -260,7 +264,7 @@ pub fn run<R: Recorder + Sync>(cfg: &HeteroRunConfig, rec: &R) -> Result<HeteroR
         max_ratio_x1000: p.max_ratio_x1000,
     };
 
-    Ok(HeteroReport {
+    let report = HeteroReport {
         schema_version: HETERO_SCHEMA_VERSION,
         jobs: cfg.jobs,
         procs: cfg.procs,
@@ -270,5 +274,68 @@ pub fn run<R: Recorder + Sync>(cfg: &HeteroRunConfig, rec: &R) -> Result<HeteroR
         solvers,
         stochastic,
         path_independence,
-    })
+    };
+    check(&report)?;
+    Ok(report)
+}
+
+/// Budget discipline is a hard invariant, not a statistic: a solver row
+/// with any instance over its move budget fails the run.
+pub fn check(report: &HeteroReport) -> Result<(), String> {
+    match report.solvers.iter().find(|p| p.budget_violations > 0) {
+        Some(p) => Err(format!(
+            "{}: {} instance(s) exceeded the {}-move budget",
+            p.solver, p.budget_violations, report.moves
+        )),
+        None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_budget_violation_fails_the_run() {
+        let row = |solver: &str, budget_violations| HeteroSolverPoint {
+            solver: solver.to_string(),
+            instances: 4,
+            total_scaled_makespan: 40,
+            total_lower_bound: 36,
+            max_ratio_x1000: 1200,
+            total_moves: 8,
+            budget_violations,
+        };
+        let mut report = HeteroReport {
+            schema_version: HETERO_SCHEMA_VERSION,
+            jobs: 8,
+            procs: 2,
+            moves: 2,
+            seed: 0,
+            speeds: vec![1, 2],
+            solvers: vec![row("greedy", 0), row("mpartition", 0)],
+            stochastic: HeteroStochasticPoint {
+                trials: 1,
+                theta_pct: 50,
+                total_effective: 10,
+                total_mean_based: 10,
+                improved_trials: 0,
+                regressed_trials: 0,
+                moves_effective: 1,
+                moves_mean_based: 1,
+            },
+            path_independence: HeteroPathPoint {
+                seeds: 1,
+                exact_matches: 1,
+                fault_free: 1,
+                total_hamming: 0,
+                max_hamming: 0,
+                max_ratio_x1000: 1000,
+            },
+        };
+        check(&report).unwrap();
+        report.solvers[1].budget_violations = 3;
+        let err = check(&report).unwrap_err();
+        assert!(err.contains("mpartition: 3 instance(s)"), "{err}");
+    }
 }

@@ -2,8 +2,8 @@
 //!
 //! The binary in `main.rs` is a thin shell over [`commands::dispatch`];
 //! exposing the modules as a library lets the integration tests (see
-//! `tests/golden.rs`) drive full command lines and pin the JSON report
-//! schemas ([`report`]) without spawning a subprocess.
+//! `tests/golden.rs`) drive full command lines and decode the JSON reports
+//! into their types without spawning a subprocess.
 
 pub mod args;
 pub mod bench;
@@ -13,6 +13,5 @@ pub mod compare;
 pub mod compete;
 pub mod hetero;
 pub mod online;
-pub mod report;
 pub mod serve_cmd;
 pub mod trace;

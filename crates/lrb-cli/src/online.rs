@@ -12,13 +12,14 @@
 use lrb_core::model::Budget;
 use lrb_obs::Recorder;
 use lrb_sim::{run_farm_online_recorded, OnlineRunReport, OnlineWorkloadConfig};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`OnlineReport`]; bump on breaking field changes.
 pub const ONLINE_SCHEMA_VERSION: u32 = 1;
 
 /// One epoch of the online trace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct OnlineEpochPoint {
     /// Epoch index (contiguous from 0).
     pub epoch: usize,
@@ -39,7 +40,8 @@ pub struct OnlineEpochPoint {
 }
 
 /// The full online-run output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct OnlineReport {
     /// Schema version ([`ONLINE_SCHEMA_VERSION`]).
     pub schema_version: u32,

@@ -100,15 +100,8 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
     args.reject_unknown().map_err(|e| e.to_string())?;
 
     if digest_only {
-        // Offline: recover exactly as the daemon would, and hold any
-        // on-disk snapshot to the consumer-side pinned schema too.
-        let snap_path = data.join("snapshot.json");
-        if let Ok(text) = std::fs::read_to_string(&snap_path) {
-            let doc: serde_json::Value =
-                serde_json::from_str(&text).map_err(|e| format!("{}: {e}", snap_path.display()))?;
-            crate::report::validate_serve(&doc)
-                .map_err(|e| format!("{}: {e}", snap_path.display()))?;
-        }
+        // Offline: recover exactly as the daemon would; the snapshot load
+        // refuses any document that does not decode into `SnapshotDoc`.
         let (state, _wal, recovery) = recover(&data, cfg).map_err(|e| e.to_string())?;
         return Ok(digest_json(
             &state,

@@ -6,10 +6,11 @@
 //! load directly): `"X"` complete events for spans, `"i"` instant events
 //! for point occurrences, timestamps in microseconds on a shared timebase.
 //!
-//! The export goes through the same pinned-report machinery as the other
-//! subcommands (`TRACE_1.json` by convention): the exact key set of the top
-//! level, the metadata block, and both event shapes are pinned in
-//! [`crate::report`] and self-validated before the JSON leaves the process.
+//! The export (`TRACE_1.json` by convention) is the typed [`ChromeTrace`]
+//! document: the top level, the metadata block and both event shapes are
+//! structs that reject unknown fields on decode, so the schema is stated
+//! once, by these types, and pinned by the committed golden under
+//! `tests/golden/`.
 //!
 //! Wall-clock timestamps vary run to run, but the span *structure* does
 //! not: the trace carries [`Trace::determinism_hash`], which digests names,
@@ -23,7 +24,7 @@ use lrb_sim::{
     run_farm_faulty_traced, run_farm_online_recorded, FarmConfig, MPartitionPolicy,
     OnlineWorkloadConfig,
 };
-use serde_json::{Number, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The scenarios `lrb trace` can run.
 pub const SCENARIOS: &[&str] = &["smoke_ladder", "standard_ladder", "chaos", "online", "lint"];
@@ -39,28 +40,41 @@ pub struct TraceRun {
 }
 
 /// Run `scenario` under a live collector and return the finished trace.
+/// A trace without a single span of the scenario's container (the engine
+/// worker, the simulator run, the lint run) attributes nothing, and is an
+/// error rather than an empty timeline.
 pub fn run(scenario: &str, threads: usize, seed: u64) -> Result<TraceRun, String> {
-    match scenario {
-        "smoke_ladder" => Ok(ladder_trace(
-            smoke_ladder(seed),
-            "smoke_ladder",
-            threads,
-            seed,
-        )),
-        "standard_ladder" => Ok(ladder_trace(
-            standard_ladder(seed, 8),
-            "standard_ladder",
-            threads,
-            seed,
-        )),
-        "chaos" => Ok(chaos_trace(seed)),
-        "online" => Ok(online_trace(seed)),
-        "lint" => lint_trace(seed),
-        other => Err(format!(
-            "unknown --scenario {other} (expected one of {})",
-            SCENARIOS.join(", ")
-        )),
+    let (run, container) = match scenario {
+        "smoke_ladder" => (
+            ladder_trace(smoke_ladder(seed), "smoke_ladder", threads, seed),
+            names::ENGINE_WORKER,
+        ),
+        "standard_ladder" => (
+            ladder_trace(standard_ladder(seed, 8), "standard_ladder", threads, seed),
+            names::ENGINE_WORKER,
+        ),
+        "chaos" => (chaos_trace(seed), names::SIM_RUN),
+        "online" => (online_trace(seed), names::SIM_RUN),
+        "lint" => (lint_trace(seed)?, names::LINT_RUN),
+        other => {
+            return Err(format!(
+                "unknown --scenario {other} (expected one of {})",
+                SCENARIOS.join(", ")
+            ))
+        }
+    };
+    require_spans(run, container)
+}
+
+/// Refuse a trace that holds no `container` span.
+fn require_spans(run: TraceRun, container: &'static str) -> Result<TraceRun, String> {
+    if run.trace.events_named(container).next().is_none() {
+        return Err(format!(
+            "trace {}: no {container} spans",
+            run.trace.scenario
+        ));
     }
+    Ok(run)
 }
 
 /// Drive a bench ladder through the traced batch engine.
@@ -161,79 +175,176 @@ fn lint_trace(seed: u64) -> Result<TraceRun, String> {
     Ok(TraceRun { trace, attributed })
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// A Chrome trace-event document (`TRACE_1.json`): the container Perfetto
+/// and `chrome://tracing` load, plus the workspace's version stamp.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct ChromeTrace {
+    /// Always `"ms"`.
+    #[serde(rename = "displayTimeUnit")]
+    pub display_time_unit: String,
+    /// Run metadata.
+    #[serde(rename = "otherData")]
+    pub other_data: TraceMeta,
+    /// Always [`TRACE_SCHEMA_VERSION`].
+    pub schema_version: u32,
+    /// One entry per collected event, in collector order.
+    #[serde(rename = "traceEvents")]
+    pub trace_events: Vec<TraceEvent>,
 }
 
-fn num_u64(n: u64) -> Value {
-    Value::Number(Number::U64(n))
+/// The `otherData` run-metadata block.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct TraceMeta {
+    /// Attributed share of container wall time, in percent.
+    pub attributed_pct: f64,
+    /// [`Trace::determinism_hash`] as `0x`-prefixed hex.
+    pub determinism_hash: String,
+    /// Scenario that ran.
+    pub scenario: String,
+    /// Scenario seed.
+    pub seed: u64,
+    /// Solver driven by the scenario.
+    pub solver: String,
+    /// Complete (`"X"`) events in the trace.
+    pub span_count: u64,
+    /// Engine worker threads.
+    pub threads: u64,
 }
 
-fn num_f64(f: f64) -> Value {
-    Value::Number(Number::F64(f))
+/// An event's `args` payload: the collector sequence number and the span
+/// value, shown in Perfetto's detail pane.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct TraceArgs {
+    /// Per-lane sequence number.
+    pub seq: u64,
+    /// Span payload.
+    pub v: u64,
 }
 
-/// Render the trace as a Chrome trace-event JSON document.
+/// A `"ph": "X"` complete event: a span with a duration.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct CompleteEvent {
+    /// Sequence number and payload.
+    pub args: TraceArgs,
+    /// Duration, microseconds.
+    pub dur: f64,
+    /// Span name (an `lrb_obs::names` const).
+    pub name: String,
+    /// Always `"X"`.
+    pub ph: String,
+    /// Always 1.
+    pub pid: u64,
+    /// Collector lane.
+    pub tid: u64,
+    /// Start, microseconds on the shared timebase.
+    pub ts: f64,
+}
+
+/// A `"ph": "i"` thread-scoped instant event.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct InstantEvent {
+    /// Sequence number and payload.
+    pub args: TraceArgs,
+    /// Instant name (an `lrb_obs::names` const).
+    pub name: String,
+    /// Always `"i"`.
+    pub ph: String,
+    /// Always 1.
+    pub pid: u64,
+    /// Scope: always `"t"` (thread).
+    pub s: String,
+    /// Collector lane.
+    pub tid: u64,
+    /// Time, microseconds on the shared timebase.
+    pub ts: f64,
+}
+
+/// One `traceEvents` entry, told apart by its `ph` phase; any phase other
+/// than `"X"` or `"i"` is a schema violation.
+#[derive(Debug, Clone)]
+pub enum TraceEvent {
+    /// `"ph": "X"`.
+    Complete(CompleteEvent),
+    /// `"ph": "i"`.
+    Instant(InstantEvent),
+}
+
+impl Serialize for TraceEvent {
+    fn to_value(&self) -> Value {
+        match self {
+            TraceEvent::Complete(e) => e.to_value(),
+            TraceEvent::Instant(e) => e.to_value(),
+        }
+    }
+}
+
+impl Deserialize for TraceEvent {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v.get("ph").and_then(Value::as_str) {
+            Some("X") => CompleteEvent::from_value(v).map(TraceEvent::Complete),
+            Some("i") => InstantEvent::from_value(v).map(TraceEvent::Instant),
+            Some(other) => Err(DeError::new(format!("unknown phase '{other}'"))),
+            None => Err(DeError::new("missing phase 'ph'")),
+        }
+    }
+}
+
+/// Render the trace as a Chrome trace-event document.
 ///
 /// Every event from the collector becomes one `traceEvents` entry: spans as
 /// `"ph": "X"` complete events (microsecond `ts`/`dur`), instants as
 /// `"ph": "i"` thread-scoped events. The span payload and sequence number
 /// ride in `args` so Perfetto shows them in the event detail pane; run
 /// metadata (including the determinism hash, as hex) lands in `otherData`.
-pub fn chrome_json(run: &TraceRun) -> Value {
+pub fn chrome_json(run: &TraceRun) -> ChromeTrace {
     let trace = &run.trace;
-    let events: Vec<Value> = trace
+    let trace_events = trace
         .events
         .iter()
         .map(|e| {
-            let args = obj(vec![("seq", num_u64(e.seq)), ("v", num_u64(e.v))]);
-            let ts = num_f64(e.ts_nanos as f64 / 1e3);
+            let args = TraceArgs { seq: e.seq, v: e.v };
+            let ts = e.ts_nanos as f64 / 1e3;
             match e.kind {
-                lrb_obs::SpanKind::Complete => obj(vec![
-                    ("args", args),
-                    ("dur", num_f64(e.dur_nanos as f64 / 1e3)),
-                    ("name", Value::String(e.name.to_string())),
-                    ("ph", Value::String("X".to_string())),
-                    ("pid", num_u64(1)),
-                    ("tid", num_u64(e.tid as u64)),
-                    ("ts", ts),
-                ]),
-                lrb_obs::SpanKind::Instant => obj(vec![
-                    ("args", args),
-                    ("name", Value::String(e.name.to_string())),
-                    ("ph", Value::String("i".to_string())),
-                    ("pid", num_u64(1)),
-                    ("s", Value::String("t".to_string())),
-                    ("tid", num_u64(e.tid as u64)),
-                    ("ts", ts),
-                ]),
+                lrb_obs::SpanKind::Complete => TraceEvent::Complete(CompleteEvent {
+                    args,
+                    dur: e.dur_nanos as f64 / 1e3,
+                    name: e.name.to_string(),
+                    ph: "X".to_string(),
+                    pid: 1,
+                    tid: e.tid as u64,
+                    ts,
+                }),
+                lrb_obs::SpanKind::Instant => TraceEvent::Instant(InstantEvent {
+                    args,
+                    name: e.name.to_string(),
+                    ph: "i".to_string(),
+                    pid: 1,
+                    s: "t".to_string(),
+                    tid: e.tid as u64,
+                    ts,
+                }),
             }
         })
         .collect();
-
-    let meta = obj(vec![
-        ("attributed_pct", num_f64(run.attributed * 100.0)),
-        (
-            "determinism_hash",
-            Value::String(format!("{:#018x}", trace.determinism_hash())),
-        ),
-        ("scenario", Value::String(trace.scenario.clone())),
-        ("seed", num_u64(trace.seed)),
-        ("solver", Value::String(trace.solver.clone())),
-        ("span_count", num_u64(trace.span_count() as u64)),
-        ("threads", num_u64(trace.threads as u64)),
-    ]);
-    obj(vec![
-        ("displayTimeUnit", Value::String("ms".to_string())),
-        ("otherData", meta),
-        ("schema_version", num_u64(TRACE_SCHEMA_VERSION as u64)),
-        ("traceEvents", Value::Array(events)),
-    ])
+    ChromeTrace {
+        display_time_unit: "ms".to_string(),
+        other_data: TraceMeta {
+            attributed_pct: run.attributed * 100.0,
+            determinism_hash: format!("{:#018x}", trace.determinism_hash()),
+            scenario: trace.scenario.clone(),
+            seed: trace.seed,
+            solver: trace.solver.clone(),
+            span_count: trace.span_count() as u64,
+            threads: trace.threads as u64,
+        },
+        schema_version: TRACE_SCHEMA_VERSION,
+        trace_events,
+    }
 }
 
 /// Render the human-readable summary: per-span-name totals plus the
@@ -325,27 +436,40 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_has_pinned_shape_and_microsecond_times() {
+    fn a_trace_without_container_spans_is_refused() {
+        let empty = TraceRun {
+            trace: TraceCollector::new(1).finish("smoke_ladder", 0, 1, "m-partition"),
+            attributed: 0.0,
+        };
+        let err = require_spans(empty, names::ENGINE_WORKER).err().unwrap();
+        assert!(err.contains("no engine.worker spans"), "{err}");
+    }
+
+    #[test]
+    fn chrome_export_has_microsecond_times() {
         let run = run("smoke_ladder", 2, 5).unwrap();
-        let v = chrome_json(&run);
-        crate::report::validate_trace(&v).unwrap();
-        assert_eq!(v["schema_version"], TRACE_SCHEMA_VERSION as u64);
-        assert_eq!(v["displayTimeUnit"], "ms");
-        let events = v["traceEvents"].as_array().unwrap();
-        assert_eq!(events.len(), run.trace.events.len());
-        let complete = events.iter().find(|e| e["ph"] == "X").unwrap();
-        assert_eq!(complete["pid"], 1u64);
+        let doc = chrome_json(&run);
+        assert_eq!(doc.schema_version, TRACE_SCHEMA_VERSION);
+        assert_eq!(doc.display_time_unit, "ms");
+        assert_eq!(doc.trace_events.len(), run.trace.events.len());
         // A span of d nanoseconds exports as d/1000 microseconds.
-        let idx = events.iter().position(|e| e["ph"] == "X").unwrap();
-        let nanos = run.trace.events[idx].dur_nanos;
-        assert_eq!(complete["dur"].as_f64().unwrap(), nanos as f64 / 1e3);
+        let (idx, complete) = doc
+            .trace_events
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| match e {
+                TraceEvent::Complete(c) => Some((i, c)),
+                TraceEvent::Instant(_) => None,
+            })
+            .unwrap();
+        assert_eq!(complete.pid, 1);
+        assert_eq!(complete.dur, run.trace.events[idx].dur_nanos as f64 / 1e3);
     }
 
     #[test]
     fn determinism_hash_is_reported_in_hex() {
         let run = run("smoke_ladder", 1, 9).unwrap();
-        let v = chrome_json(&run);
-        let hex = v["otherData"]["determinism_hash"].as_str().unwrap();
+        let hex = chrome_json(&run).other_data.determinism_hash;
         assert!(hex.starts_with("0x") && hex.len() == 18, "{hex}");
         let parsed = u64::from_str_radix(&hex[2..], 16).unwrap();
         assert_eq!(parsed, run.trace.determinism_hash());

@@ -721,3 +721,27 @@ pub fn run_chaos_drill(
     }
     Ok(report)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::DrillReport;
+
+    #[test]
+    fn drill_verdict_fails_on_loss_resurrection_or_divergence() {
+        let clean = || DrillReport {
+            live_digests: vec![(1, 7)],
+            recovered_digests: vec![(1, 7)],
+            ..DrillReport::default()
+        };
+        assert!(clean().passed());
+        let mut lost = clean();
+        lost.lost.push((1, 10));
+        assert!(!lost.passed());
+        let mut ghost = clean();
+        ghost.ghosts.push((1, 11));
+        assert!(!ghost.passed());
+        let mut diverged = clean();
+        diverged.recovered_digests[0].1 = 8;
+        assert!(!diverged.passed());
+    }
+}

@@ -15,8 +15,8 @@
 //!   reachability/taint passes widen the panic, nondeterminism, and
 //!   checked-arith rules from per-file path scopes to whole-workspace
 //!   properties of the reachable computation.
-//! * [`report`] — schema-pinned `LINT_1.json` emission (findings,
-//!   per-rule counts, call-graph stats, suppression inventory).
+//! * [`report`] — `LINT_1.json` emission (findings, per-rule counts,
+//!   call-graph stats, suppression inventory).
 //! * [`schedules`] — seeded pathological-scheduler exploration of the
 //!   `lrb-engine` work-stealing executor, asserting result bit-identity
 //!   across adversarial schedules.
@@ -38,10 +38,7 @@ use std::path::{Path, PathBuf};
 use lrb_obs::{names, NoopRecorder, NoopTracer, Recorder, Tracer};
 
 pub use graph::GraphStats;
-pub use report::{
-    report_json, LINT_FINDING_KEYS, LINT_GRAPH_KEYS, LINT_RULE_KEYS, LINT_SCHEMA_VERSION,
-    LINT_SITE_KEYS, LINT_SUPPRESSION_KEYS, LINT_TOP_KEYS,
-};
+pub use report::{report_json, LINT_SCHEMA_VERSION};
 pub use rules::Finding;
 
 /// Directory names never descended into when walking a workspace.

@@ -1,6 +1,7 @@
 //! `lrb-lint` CLI: lint the workspace, or explore adversarial engine
-//! schedules. Exit code 0 means every gate passed; 1 means findings (or
-//! schedule divergence); 2 means usage or I/O errors.
+//! schedules. Exit code 0 means every gate passed; 1 means findings, an
+//! empty call graph (a vacuous analysis), or schedule divergence; 2 means
+//! usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -164,6 +165,11 @@ fn main() -> ExitCode {
         phase_ms(lrb_obs::names::LINT_GRAPH),
         phase_ms(lrb_obs::names::LINT_PASS),
     );
+    if analysis.graph.edges == 0 {
+        // Every reachability pass is trivially clean on an empty graph.
+        println!("lrb-lint: empty call graph, the analysis is vacuous");
+        return ExitCode::FAILURE;
+    }
     if analysis.findings.is_empty() {
         println!("lrb-lint: workspace clean ({} rules)", rules::RULES.len());
         ExitCode::SUCCESS

@@ -1,42 +1,16 @@
-//! Schema-pinned `LINT_1.json` emission.
+//! `LINT_1.json` emission.
 //!
-//! Same discipline as BENCH/HETERO/COMPETE: the exact key sets below are
-//! mirrored as consts in `lrb-cli/src/report.rs` (the producer-side pin for
-//! every other report; here the *consumer* side) and in
-//! [`crate::rules::GOLDEN_KEY_SETS`], so either side drifting alone fails
-//! the lint gate. The JSON is hand-rolled and deterministic — keys in a
-//! fixed order, entries in (path, line, col) order, no timestamps — so
-//! check.sh can byte-diff a fresh run against the committed artifact.
+//! The JSON is hand-rolled (this crate stays std-only) and deterministic:
+//! keys in a fixed order, entries in (path, line, col) order, no
+//! timestamps. Its schema is pinned from the consumer side: `lrb-cli`'s
+//! golden tests decode a fresh report into a reader type that rejects
+//! unknown and missing fields, and hold that type to the committed
+//! `crates/lrb-cli/tests/golden/LINT_1.json`.
 
 use crate::Analysis;
 
 /// Version of the LINT report schema (`LINT_1.json`).
 pub const LINT_SCHEMA_VERSION: u32 = 1;
-
-/// Top-level keys of the LINT report.
-pub const LINT_TOP_KEYS: &[&str] = &[
-    "call_graph",
-    "files",
-    "findings",
-    "rules",
-    "schema_version",
-    "suppressions",
-];
-
-/// Keys of the `call_graph` stats block.
-pub const LINT_GRAPH_KEYS: &[&str] = &["edges", "functions", "resolved_calls", "unresolved_calls"];
-
-/// Keys of each `rules[]` per-rule counter entry.
-pub const LINT_RULE_KEYS: &[&str] = &["findings", "rule"];
-
-/// Keys of each `findings[]` entry.
-pub const LINT_FINDING_KEYS: &[&str] = &["col", "line", "message", "path", "rule"];
-
-/// Keys of the `suppressions` inventory block.
-pub const LINT_SUPPRESSION_KEYS: &[&str] = &["sites", "stale", "total"];
-
-/// Keys of each `suppressions.sites[]` entry.
-pub const LINT_SITE_KEYS: &[&str] = &["line", "path", "rule", "used"];
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

@@ -1,5 +1,5 @@
 //! The lint rule engine: the lexical layer of the analyzer, plus the rule
-//! registry and pinned golden key sets shared with the semantic passes.
+//! registry shared with the semantic passes.
 //!
 //! Every rule here is lexical — it walks the token stream from
 //! [`crate::lexer`] with test regions (`#[cfg(test)]` / `#[test]` items)
@@ -45,11 +45,6 @@ pub const RULES: &[(&str, &str)] = &[
         "every `unsafe` must be immediately preceded by a // SAFETY: comment",
     ),
     (
-        "schema-key-pinning",
-        "the JSON report key sets in lrb-cli/src/report.rs must match the golden sets \
-         pinned in lrb-lint",
-    ),
-    (
         "stale-suppression",
         "every lint: allow must suppress a live finding; one that no longer fires is a \
          hard error — delete it or move it to the root-cause site the reachability \
@@ -59,268 +54,6 @@ pub const RULES: &[(&str, &str)] = &[
         "allow-syntax",
         "lint: allow directives must name both a rule and a reason",
     ),
-];
-
-/// Golden copies of the pinned report key sets. `lrb-cli/src/report.rs` is
-/// the producer-side pin; this is the independent consumer-side pin. A key
-/// added or removed there without updating this table (a conscious,
-/// reviewed act) fails the lint gate.
-pub const GOLDEN_KEY_SETS: &[(&str, &[&str])] = &[
-    (
-        "BENCH_TOP_KEYS",
-        &[
-            "available_parallelism",
-            "repeats",
-            "rungs",
-            "scenario",
-            "schema_version",
-            "seed",
-            "solver",
-            "thread_curve",
-        ],
-    ),
-    ("BENCH_RUNG_KEYS", &["instances", "jobs", "name", "procs"]),
-    (
-        "BENCH_POINT_KEYS",
-        &[
-            "ladder_hits",
-            "ladder_misses",
-            "oversubscribed",
-            "p50_solve_nanos",
-            "p99_solve_nanos",
-            "speedup_vs_1t",
-            "steals",
-            "threads",
-            "throughput_per_sec",
-            "wall_nanos",
-        ],
-    ),
-    (
-        "CHAOS_TOP_KEYS",
-        &[
-            "epochs",
-            "moves",
-            "points",
-            "schema_version",
-            "seed",
-            "servers",
-            "sites",
-        ],
-    ),
-    (
-        "CHAOS_POINT_KEYS",
-        &[
-            "budget_exhausted_epochs",
-            "crash_rate",
-            "epochs_degraded",
-            "fallback_invocations",
-            "forced_migrations",
-            "mean_imbalance",
-            "mean_oracle_regret",
-            "p95_imbalance",
-            "policy",
-            "policy_rejections",
-            "scenario",
-            "total_migrations",
-        ],
-    ),
-    (
-        "ONLINE_TOP_KEYS",
-        &[
-            "arrival_rate",
-            "arrivals",
-            "bank_accrual",
-            "bank_cap",
-            "bank_initial",
-            "budget_amount",
-            "budget_kind",
-            "departures",
-            "epoch_curve",
-            "epochs",
-            "events",
-            "final_loads",
-            "final_makespan",
-            "full_rebuilds",
-            "incremental_updates",
-            "initial_jobs",
-            "mean_imbalance",
-            "mean_lifetime",
-            "moves_performed",
-            "p95_imbalance",
-            "policy",
-            "rebalances",
-            "schema_version",
-            "seed",
-            "servers",
-            "total_migration_cost",
-            "total_migrations",
-        ],
-    ),
-    (
-        "ONLINE_POINT_KEYS",
-        &[
-            "arrivals",
-            "avg_load",
-            "banked",
-            "departures",
-            "epoch",
-            "makespan",
-            "migration_cost",
-            "migrations",
-        ],
-    ),
-    (
-        "HETERO_TOP_KEYS",
-        &[
-            "jobs",
-            "moves",
-            "path_independence",
-            "procs",
-            "schema_version",
-            "seed",
-            "solvers",
-            "speeds",
-            "stochastic",
-        ],
-    ),
-    (
-        "HETERO_SOLVER_KEYS",
-        &[
-            "budget_violations",
-            "instances",
-            "max_ratio_x1000",
-            "solver",
-            "total_lower_bound",
-            "total_moves",
-            "total_scaled_makespan",
-        ],
-    ),
-    (
-        "HETERO_STOCHASTIC_KEYS",
-        &[
-            "improved_trials",
-            "moves_effective",
-            "moves_mean_based",
-            "regressed_trials",
-            "theta_pct",
-            "total_effective",
-            "total_mean_based",
-            "trials",
-        ],
-    ),
-    (
-        "HETERO_PATH_KEYS",
-        &[
-            "exact_matches",
-            "fault_free",
-            "max_hamming",
-            "max_ratio_x1000",
-            "seeds",
-            "total_hamming",
-        ],
-    ),
-    (
-        "COMPETE_TOP_KEYS",
-        &[
-            "arrivals_per_epoch",
-            "epochs",
-            "grid",
-            "max_size",
-            "procs",
-            "schema_version",
-            "seed",
-            "speeds",
-        ],
-    ),
-    (
-        "COMPETE_CELL_KEYS",
-        &[
-            "adversary",
-            "certificate_overspend",
-            "epochs_scored",
-            "final_makespan",
-            "final_opt",
-            "mean_ratio_x1000",
-            "policy",
-            "total_migration_cost",
-            "total_moves",
-            "worst_ratio_x1000",
-        ],
-    ),
-    (
-        "TRACE_TOP_KEYS",
-        &[
-            "displayTimeUnit",
-            "otherData",
-            "schema_version",
-            "traceEvents",
-        ],
-    ),
-    (
-        "TRACE_META_KEYS",
-        &[
-            "attributed_pct",
-            "determinism_hash",
-            "scenario",
-            "seed",
-            "solver",
-            "span_count",
-            "threads",
-        ],
-    ),
-    (
-        "TRACE_COMPLETE_KEYS",
-        &["args", "dur", "name", "ph", "pid", "tid", "ts"],
-    ),
-    (
-        "TRACE_INSTANT_KEYS",
-        &["args", "name", "ph", "pid", "s", "tid", "ts"],
-    ),
-    ("TRACE_ARG_KEYS", &["seq", "v"]),
-    ("SERVE_TOP_KEYS", &["applied", "schema_version", "tenants"]),
-    (
-        "SERVE_TENANT_KEYS",
-        &[
-            "arrivals",
-            "bank_accrual",
-            "bank_balance",
-            "bank_cap",
-            "bank_total_accrued",
-            "bank_total_spent",
-            "departures",
-            "events",
-            "full_rebuilds",
-            "incremental_updates",
-            "jobs",
-            "moves_performed",
-            "procs",
-            "rebalances",
-            "tenant",
-        ],
-    ),
-    ("SERVE_JOB_KEYS", &["cost", "key", "proc", "size"]),
-    (
-        "LINT_TOP_KEYS",
-        &[
-            "call_graph",
-            "files",
-            "findings",
-            "rules",
-            "schema_version",
-            "suppressions",
-        ],
-    ),
-    (
-        "LINT_GRAPH_KEYS",
-        &["edges", "functions", "resolved_calls", "unresolved_calls"],
-    ),
-    ("LINT_RULE_KEYS", &["findings", "rule"]),
-    (
-        "LINT_FINDING_KEYS",
-        &["col", "line", "message", "path", "rule"],
-    ),
-    ("LINT_SUPPRESSION_KEYS", &["sites", "stale", "total"]),
-    ("LINT_SITE_KEYS", &["line", "path", "rule", "used"]),
 ];
 
 /// One lint finding at an exact source position.
@@ -386,7 +119,6 @@ pub(crate) struct Scope {
     pub(crate) checked_arith: bool,
     pub(crate) obs_names: bool,
     pub(crate) unsafe_audit: bool,
-    pub(crate) schema_keys: bool,
 }
 
 impl Scope {
@@ -406,7 +138,6 @@ impl Scope {
                 && !p.contains("crates/lrb-obs/")
                 && !p.contains("crates/lrb-lint/"),
             unsafe_audit: true,
-            schema_keys: p.ends_with("crates/lrb-cli/src/report.rs"),
         }
     }
 }
@@ -436,9 +167,6 @@ pub(crate) fn lexical_findings(scan: &Scan<'_>, path: &str, findings: &mut Vec<F
     }
     if scope.unsafe_audit {
         rule_unsafe_audit(scan, path, findings);
-    }
-    if scope.schema_keys {
-        rule_schema_keys(scan, path, findings);
     }
 }
 
@@ -651,63 +379,6 @@ fn rule_unsafe_audit(scan: &Scan<'_>, path: &str, findings: &mut Vec<Finding>) {
                 path,
                 t,
                 "`unsafe` without an immediately preceding `// SAFETY:` comment".to_string(),
-            );
-        }
-    }
-}
-
-fn rule_schema_keys(scan: &Scan<'_>, path: &str, findings: &mut Vec<Finding>) {
-    for &(name, golden) in GOLDEN_KEY_SETS {
-        // Find `const <name>` (the definition, not uses in validators).
-        let def = (0..scan.sig.len())
-            .find(|&s| scan.sig_text(s) == "const" && scan.sig_text(s + 1) == name);
-        let Some(s) = def else {
-            findings.push(Finding {
-                rule: "schema-key-pinning",
-                path: path.to_string(),
-                line: 1,
-                col: 1,
-                message: format!("pinned key-set const {name} is missing from report.rs"),
-            });
-            continue;
-        };
-        let def_tok = scan.sig_tok(s + 1).cloned();
-        let mut keys: Vec<String> = Vec::new();
-        let mut k = s + 2;
-        while !matches!(scan.sig_text(k), ";" | "") {
-            if let Some(t) = scan.sig_tok(k) {
-                if t.kind == TokKind::Str {
-                    keys.push(t.text.trim_matches('"').to_string());
-                }
-            }
-            k += 1;
-        }
-        let missing: Vec<&str> = golden
-            .iter()
-            .copied()
-            .filter(|g| !keys.iter().any(|k| k == g))
-            .collect();
-        let extra: Vec<&String> = keys
-            .iter()
-            .filter(|k| !golden.contains(&k.as_str()))
-            .collect();
-        if !missing.is_empty() || !extra.is_empty() {
-            let tok = def_tok.unwrap_or(Tok {
-                kind: TokKind::Ident,
-                text: name.to_string(),
-                line: 1,
-                col: 1,
-            });
-            push(
-                findings,
-                "schema-key-pinning",
-                path,
-                &tok,
-                format!(
-                    "{name} drifted from the golden set: missing {missing:?}, unexpected \
-                     {extra:?}; schema changes need a version bump and a golden update in \
-                     lrb-lint",
-                ),
             );
         }
     }

@@ -171,34 +171,6 @@ fn unsafe_fixture_requires_safety_comment() {
 }
 
 #[test]
-fn schema_fixture_reports_drift_and_missing_consts() {
-    let findings = lint(
-        include_str!("../fixtures/schema_keys.rs"),
-        "crates/lrb-cli/src/report.rs",
-    );
-    let drift: Vec<_> = findings
-        .iter()
-        .filter(|f| f.message.contains("drifted"))
-        .collect();
-    assert_eq!(drift.len(), 1, "{findings:#?}");
-    assert_eq!((drift[0].line, drift[0].col), (4, 11));
-    assert!(drift[0].message.contains("missing [\"thread_curve\"]"));
-    assert!(drift[0].message.contains("unexpected [\"surprise_key\"]"));
-    // The fixture defines only BENCH_TOP_KEYS, so every other pinned
-    // const (bench/chaos/online/hetero/compete, the trace sets, the serve
-    // snapshot sets, and the six LINT report sets) is reported missing.
-    let missing = findings
-        .iter()
-        .filter(|f| f.message.contains("is missing from report.rs"))
-        .count();
-    assert_eq!(
-        missing,
-        lrb_lint::rules::GOLDEN_KEY_SETS.len() - 1,
-        "{findings:#?}"
-    );
-}
-
-#[test]
 fn clean_fixture_passes_strictest_scope() {
     let findings = lint(
         include_str!("../fixtures/clean.rs"),
@@ -331,4 +303,37 @@ fn real_workspace_is_clean() {
         "every committed allow must be live: {:#?}",
         analysis.suppressions
     );
+}
+
+#[test]
+fn the_binary_refuses_a_vacuous_call_graph() {
+    let lint_tree = |name: &str, src: &str| {
+        let root = std::env::temp_dir()
+            .join("lrb-lint-vacuity")
+            .join(format!("{name}-{}", std::process::id()));
+        let dir = root.join("crates/lrb-core/src");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("lib.rs"), src).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lrb-lint"))
+            .arg("--root")
+            .arg(&root)
+            .output()
+            .unwrap();
+        std::fs::remove_dir_all(&root).ok();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    // Clean code with no calls certifies nothing: exit 1.
+    let (code, stdout) = lint_tree("empty", "pub fn f() -> u64 {\n    1\n}\n");
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("vacuous"), "{stdout}");
+    // One resolved call edge is enough to pass.
+    let (code, stdout) = lint_tree(
+        "one-edge",
+        "pub fn f() -> u64 {\n    g()\n}\n\nfn g() -> u64 {\n    1\n}\n",
+    );
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("workspace clean"), "{stdout}");
 }

@@ -1,4 +1,4 @@
-//! Versioned tenant-farm snapshots: atomic write, validated load.
+//! Versioned tenant-farm snapshots: atomic write, typed load.
 //!
 //! A snapshot captures every tenant's full rebalancer state (live jobs
 //! with placements, MoveBank audit trail, event counters) plus the number
@@ -8,47 +8,25 @@
 //!
 //! Writes go to a temp file in the same directory followed by a rename,
 //! so a SIGKILL mid-snapshot leaves either the old snapshot or the new
-//! one — never a torn file. The JSON schema is pinned (`SERVE_1`): the
-//! exact key sets live in [`SERVE_TOP_KEYS`] / [`SERVE_TENANT_KEYS`] /
-//! [`SERVE_JOB_KEYS`], are re-pinned by `lrb-cli`'s report validator and
-//! the `lrb-lint` goldens, and the writer self-checks its own output
-//! against them before the rename.
+//! one — never a torn file. The JSON schema (`SERVE_1`) is stated once, by
+//! [`SnapshotDoc`], [`TenantSnap`] and [`JobSnap`]: they reject unknown
+//! fields on decode, missing fields are errors, and [`load`] compares
+//! `schema_version`, so a drifted document at any level is refused. The
+//! committed golden `crates/lrb-cli/tests/golden/SERVE_1.json` pins the
+//! schema against accidental change.
 
 use std::path::{Path, PathBuf};
 
 use lrb_core::model::{Job, ProcId};
 use lrb_core::online::{JobKey, MoveBank, OnlineRebalancer, OnlineStats};
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 
 /// Snapshot schema version (`SERVE_1`).
 pub const SERVE_SCHEMA_VERSION: u32 = 1;
 
-/// Exact top-level keys of a snapshot document, sorted.
-pub const SERVE_TOP_KEYS: &[&str] = &["applied", "schema_version", "tenants"];
-/// Exact keys of one `tenants` entry, sorted.
-pub const SERVE_TENANT_KEYS: &[&str] = &[
-    "arrivals",
-    "bank_accrual",
-    "bank_balance",
-    "bank_cap",
-    "bank_total_accrued",
-    "bank_total_spent",
-    "departures",
-    "events",
-    "full_rebuilds",
-    "incremental_updates",
-    "jobs",
-    "moves_performed",
-    "procs",
-    "rebalances",
-    "tenant",
-];
-/// Exact keys of one `jobs` entry, sorted.
-pub const SERVE_JOB_KEYS: &[&str] = &["cost", "key", "proc", "size"];
-
 /// One live job in a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct JobSnap {
     /// Caller-chosen job key.
     pub key: u64,
@@ -62,6 +40,7 @@ pub struct JobSnap {
 
 /// One tenant farm in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TenantSnap {
     /// Tenant id.
     pub tenant: u64,
@@ -97,6 +76,7 @@ pub struct TenantSnap {
 
 /// A full snapshot document.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SnapshotDoc {
     /// Always [`SERVE_SCHEMA_VERSION`].
     pub schema_version: u32,
@@ -212,64 +192,15 @@ pub fn restore_tenant(snap: &TenantSnap) -> Result<OnlineRebalancer, SnapshotErr
         .map_err(|e| SnapshotError::Restore(format!("tenant {}: {e}", snap.tenant)))
 }
 
-/// Validate a parsed snapshot document against the pinned `SERVE_1` keys.
-pub fn validate(value: &Value) -> Result<(), String> {
-    expect_exact_keys(value, "serve", SERVE_TOP_KEYS)?;
-    match value.get("schema_version").and_then(Value::as_u64) {
-        Some(v) if v == SERVE_SCHEMA_VERSION as u64 => {}
-        Some(v) => {
-            return Err(format!(
-                "serve: schema_version {v}, expected {SERVE_SCHEMA_VERSION}"
-            ))
-        }
-        None => return Err("serve: schema_version missing or not an integer".into()),
-    }
-    let Some(tenants) = value.get("tenants").and_then(Value::as_array) else {
-        return Err("serve: 'tenants' is not an array".into());
-    };
-    for (i, tenant) in tenants.iter().enumerate() {
-        let ctx = format!("serve.tenants[{i}]");
-        expect_exact_keys(tenant, &ctx, SERVE_TENANT_KEYS)?;
-        let Some(jobs) = tenant.get("jobs").and_then(Value::as_array) else {
-            return Err(format!("{ctx}: 'jobs' is not an array"));
-        };
-        for (j, job) in jobs.iter().enumerate() {
-            expect_exact_keys(job, &format!("{ctx}.jobs[{j}]"), SERVE_JOB_KEYS)?;
-        }
-    }
-    Ok(())
-}
-
-fn expect_exact_keys(value: &Value, ctx: &str, keys: &[&str]) -> Result<(), String> {
-    let Some(entries) = value.as_object() else {
-        return Err(format!("{ctx}: expected a JSON object"));
-    };
-    for (k, _) in entries {
-        if !keys.contains(&k.as_str()) {
-            return Err(format!("{ctx}: unknown field '{k}'"));
-        }
-    }
-    for k in keys {
-        if !entries.iter().any(|(name, _)| name == k) {
-            return Err(format!("{ctx}: missing field '{k}'"));
-        }
-    }
-    Ok(())
-}
-
 /// Canonical snapshot path inside a data directory.
 pub fn snapshot_path(data_dir: &Path) -> PathBuf {
     data_dir.join("snapshot.json")
 }
 
-/// Write `doc` atomically (temp file + rename), self-validating the JSON
-/// against the pinned schema first.
+/// Write `doc` atomically (temp file + rename).
 pub fn write(data_dir: &Path, doc: &SnapshotDoc) -> Result<(), SnapshotError> {
     let json = serde_json::to_string_pretty(doc)
         .map_err(|e| SnapshotError::Schema(format!("encode: {e}")))?;
-    let value: Value =
-        serde_json::from_str(&json).map_err(|e| SnapshotError::Schema(format!("reparse: {e}")))?;
-    validate(&value).map_err(SnapshotError::Schema)?;
     let path = snapshot_path(data_dir);
     let tmp = data_dir.join("snapshot.json.tmp");
     std::fs::write(&tmp, json.as_bytes())?;
@@ -277,7 +208,9 @@ pub fn write(data_dir: &Path, doc: &SnapshotDoc) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Load and validate the snapshot in `data_dir`, if one exists.
+/// Load the snapshot in `data_dir`, if one exists. A document that does
+/// not decode into [`SnapshotDoc`], or carries another `schema_version`,
+/// is a [`SnapshotError::Schema`].
 pub fn load(data_dir: &Path) -> Result<Option<SnapshotDoc>, SnapshotError> {
     let path = snapshot_path(data_dir);
     let text = match std::fs::read_to_string(&path) {
@@ -285,11 +218,14 @@ pub fn load(data_dir: &Path) -> Result<Option<SnapshotDoc>, SnapshotError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let value: Value =
-        serde_json::from_str(&text).map_err(|e| SnapshotError::Schema(format!("parse: {e}")))?;
-    validate(&value).map_err(SnapshotError::Schema)?;
     let doc: SnapshotDoc =
-        serde_json::from_str(&text).map_err(|e| SnapshotError::Schema(format!("decode: {e}")))?;
+        serde_json::from_str(&text).map_err(|e| SnapshotError::Schema(e.to_string()))?;
+    if doc.schema_version != SERVE_SCHEMA_VERSION {
+        return Err(SnapshotError::Schema(format!(
+            "schema_version {}, expected {SERVE_SCHEMA_VERSION}",
+            doc.schema_version
+        )));
+    }
     Ok(Some(doc))
 }
 
@@ -352,35 +288,44 @@ mod tests {
     fn missing_snapshot_is_none_and_garbage_is_an_error() {
         let dir = tmpdir("missing");
         assert!(load(&dir).unwrap().is_none());
-        std::fs::write(snapshot_path(&dir), b"{not json").unwrap();
-        assert!(matches!(load(&dir), Err(SnapshotError::Schema(_))));
-        // Unknown field → schema violation.
-        std::fs::write(
-            snapshot_path(&dir),
-            br#"{"schema_version": 1, "applied": 0, "tenants": [], "extra": 1}"#,
-        )
-        .unwrap();
-        let err = match load(&dir) {
-            Err(SnapshotError::Schema(e)) => e,
-            other => panic!("expected schema error, got {other:?}"),
+        let load_err = |text: &str| {
+            std::fs::write(snapshot_path(&dir), text).unwrap();
+            match load(&dir) {
+                Err(SnapshotError::Schema(e)) => e,
+                other => panic!("expected schema error, got {other:?}"),
+            }
         };
+        load_err("{not json");
+        // Unknown field → schema violation.
+        let err = load_err(r#"{"schema_version": 1, "applied": 0, "tenants": [], "extra": 1}"#);
         assert!(err.contains("unknown field 'extra'"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
-    #[test]
-    fn pinned_key_sets_are_sorted_and_match_the_writer() {
-        for keys in [SERVE_TOP_KEYS, SERVE_TENANT_KEYS, SERVE_JOB_KEYS] {
-            let mut sorted = keys.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(sorted, keys);
-        }
+        // The same drift one and two levels down, named by its record.
         let doc = SnapshotDoc {
             schema_version: SERVE_SCHEMA_VERSION,
-            applied: 0,
-            tenants: vec![capture_tenant(1, &farm())],
+            applied: 4,
+            tenants: vec![capture_tenant(0, &farm()), capture_tenant(3, &farm())],
         };
-        let value: Value = serde_json::from_str(&serde_json::to_string(&doc).unwrap()).unwrap();
-        validate(&value).unwrap();
+        let good = serde_json::to_string(&doc).unwrap();
+        let second_tenant = good.match_indices(r#""tenant":3"#).next().unwrap().0;
+        let (head, tail) = good.split_at(second_tenant);
+        let tenant_drift = |from: &str, to: &str| format!("{head}{}", tail.replacen(from, to, 1));
+        let err = load_err(&tenant_drift(r#""procs":3"#, r#""procs":3,"extra":1"#));
+        assert!(err.contains("tenants[1]"), "{err}");
+        assert!(err.contains("unknown field 'extra'"), "{err}");
+        let err = load_err(&tenant_drift(r#""procs":3,"#, ""));
+        assert!(err.contains("tenants[1]"), "{err}");
+        assert!(err.contains("missing field 'procs'"), "{err}");
+        let err = load_err(&tenant_drift(r#""cost":1,"#, r#""cost":1,"extra":1,"#));
+        assert!(err.contains("tenants[1].jobs[0]"), "{err}");
+        assert!(err.contains("unknown field 'extra'"), "{err}");
+        let err = load_err(&tenant_drift(r#""cost":1,"#, ""));
+        assert!(err.contains("tenants[1].jobs[0]"), "{err}");
+        assert!(err.contains("missing field 'cost'"), "{err}");
+
+        // A well-formed document at another schema version.
+        let err = load_err(&good.replacen(r#""schema_version":1"#, r#""schema_version":2"#, 1));
+        assert!(err.contains("schema_version 2"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
