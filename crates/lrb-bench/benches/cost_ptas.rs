@@ -20,12 +20,28 @@ fn instance(n: usize) -> lrb_core::model::Instance {
     .generate(7)
 }
 
+/// A large offline farm: 4,000 jobs piled onto the low-numbered of 500
+/// servers, the shape whose hot processors hold hundreds of jobs each.
+fn farm() -> lrb_core::model::Instance {
+    GeneratorConfig {
+        n: 4_000,
+        m: 500,
+        sizes: SizeDistribution::Uniform { lo: 1, hi: 1000 },
+        placement: PlacementModel::Skewed { skew: 1.0 },
+        costs: CostModel::Uniform { lo: 1, hi: 10 },
+    }
+    .generate(7)
+}
+
 fn bench_cost_partition(c: &mut Criterion) {
     let mut group = c.benchmark_group("f2_cost_partition");
-    for &n in &[50usize, 100, 200, 400] {
-        let inst = instance(n);
+    let points = [50usize, 100, 200, 400]
+        .iter()
+        .map(|&n| (n.to_string(), instance(n)))
+        .chain([("farm_4000".to_string(), farm())]);
+    for (id, inst) in points {
         let budget = inst.total_cost() / 4;
-        group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
+        group.bench_with_input(BenchmarkId::from_parameter(id), &inst, |b, inst| {
             b.iter(|| {
                 cost_partition::rebalance(inst, budget)
                     .unwrap()

@@ -122,9 +122,10 @@ mod tests {
 
     #[test]
     fn t7_no_budget_violations() {
-        let t = t7_cost_partition(Scale::Quick);
-        let last = t.render().lines().last().unwrap().to_string();
-        assert!(last.trim().ends_with('0'), "{last}");
+        let csv = t7_cost_partition(Scale::Quick).to_csv();
+        let row = csv.lines().nth(1).expect("T7 has a summary row");
+        let cells: Vec<&str> = row.split(',').collect();
+        assert_eq!(cells[cells.len() - 1], "0", "budget violations: {row}");
     }
 
     #[test]

@@ -30,24 +30,20 @@ use lrb_obs::{names, NoopRecorder, Recorder};
 
 use crate::deadline::WorkBudget;
 use crate::error::{Error, Result};
-use crate::knapsack::{max_cost_keep_bounded_recorded, Item, DEFAULT_NODE_BUDGET};
+use crate::knapsack::{keep_sorted, ratio_cmp, Item, KeepScratch, DEFAULT_NODE_BUDGET};
 use crate::model::{Cost, Instance, JobId, Size};
 use crate::outcome::RebalanceOutcome;
 use crate::scratch::{PartitionScratch, Scratch};
 
-/// Per-processor plan for one makespan guess.
-#[derive(Debug, Clone)]
-struct ProcPlan {
+/// One processor's removal costs at one makespan guess.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProcPlan {
     /// Cost of the Step 1+3 variant: keep the costliest large job (shedding
     /// the rest) and keep smalls of maximum cost within size `A/2`.
     a_cost: Cost,
-    /// Jobs removed under the `a` plan.
-    a_removed: Vec<JobId>,
     /// Cost of the Step 4 variant: shed *all* large jobs and keep smalls of
     /// maximum cost within size `A`.
     b_cost: Cost,
-    /// Jobs removed under the `b` plan.
-    b_removed: Vec<JobId>,
     /// Whether the processor holds at least one large job.
     has_large: bool,
 }
@@ -68,7 +64,9 @@ pub struct CostPartitionRun {
 /// Plan cost (total removal cost) at makespan guess `a`, without building
 /// the assignment; `None` when the guess is infeasible (`L_T > m`).
 pub fn planned_cost(inst: &Instance, a: Size) -> Option<Cost> {
-    build_plans(inst, a, &NoopRecorder).map(|(plans, l_t)| select_cost(&plans, l_t))
+    let mut s = PartitionScratch::default();
+    order_by_ratio(inst, &mut s);
+    plan_costs(inst, a, &NoopRecorder, &mut s).map(|l_t| select(&mut s, l_t))
 }
 
 /// Run the §3.2 algorithm: minimize makespan subject to a total relocation
@@ -92,7 +90,8 @@ pub fn rebalance(inst: &Instance, b: Cost) -> Result<CostPartitionRun> {
 /// (`cost_partition.guesses`), times the guess search
 /// (`cost_partition.search`) and the final build (`cost_partition.build`),
 /// and threads the recorder into the per-processor knapsacks
-/// (`knapsack.bb_nodes`, `knapsack.branch_and_bound`).
+/// (`knapsack.bb_nodes`, `knapsack.bb_fallbacks`,
+/// `knapsack.branch_and_bound`).
 pub fn rebalance_recorded<R: Recorder>(
     inst: &Instance,
     b: Cost,
@@ -107,9 +106,9 @@ pub fn rebalance_recorded<R: Recorder>(
     )
 }
 
-/// [`rebalance`] against a reusable [`Scratch`]: identical output, with the
-/// selection/reassignment buffers recycled across calls. The per-guess
-/// knapsack plans still allocate — they dominate the work here anyway.
+/// [`rebalance`] against a reusable [`Scratch`]: identical output, with
+/// every buffer of the guess search and the final build, knapsack buffers
+/// included, recycled across calls.
 pub fn rebalance_scratch(
     inst: &Instance,
     b: Cost,
@@ -166,6 +165,7 @@ fn rebalance_impl<R: Recorder>(
     // Integer binary search for the smallest guess whose plan fits the
     // budget. The initial makespan always fits (cost 0), so `hi` is valid.
     let search_timer = rec.time(names::COST_PARTITION_SEARCH);
+    order_by_ratio(inst, s);
     let lo0 = inst.avg_load_ceil().min(inst.initial_makespan());
     let hi0 = inst.initial_makespan();
     let (mut lo, mut hi) = (lo0, hi0);
@@ -173,8 +173,7 @@ fn rebalance_impl<R: Recorder>(
         let mid = lo + (hi - lo) / 2;
         rec.incr(names::COST_PARTITION_GUESSES, 1);
         work.charge("cost_partition.guess", inst.num_jobs() as u64)?;
-        let planned = build_plans(inst, mid, rec).map(|(plans, l_t)| select_cost(&plans, l_t));
-        match planned {
+        match plan_costs(inst, mid, rec, s).map(|l_t| select(s, l_t)) {
             Some(cost) if cost <= b => hi = mid,
             _ => lo = mid + 1,
         }
@@ -182,12 +181,9 @@ fn rebalance_impl<R: Recorder>(
     drop(search_timer);
     work.charge(names::COST_PARTITION_BUILD, inst.num_jobs() as u64)?;
     let _t = rec.time(names::COST_PARTITION_BUILD);
-    run_at_impl(inst, lo, rec, s).map(|mut run| {
+    build_at(inst, lo, rec, s).map(|mut run| {
         // No-regression clamp (mirrors M-PARTITION).
-        run.outcome = run
-            .outcome
-            .clone()
-            .better(RebalanceOutcome::unchanged(inst));
+        run.outcome = run.outcome.better(RebalanceOutcome::unchanged(inst));
         run
     })
 }
@@ -205,16 +201,165 @@ pub fn run_at(inst: &Instance, a: Size) -> Result<CostPartitionRun> {
 /// [`run_at`] with instrumentation threaded into the per-processor
 /// knapsacks.
 pub fn run_at_recorded<R: Recorder>(inst: &Instance, a: Size, rec: &R) -> Result<CostPartitionRun> {
-    run_at_impl(inst, a, rec, &mut PartitionScratch::default())
+    let mut s = PartitionScratch::default();
+    order_by_ratio(inst, &mut s);
+    build_at(inst, a, rec, &mut s)
 }
 
-fn run_at_impl<R: Recorder>(
+/// Whether a job of `size` is large at guess `a` (`2·size > a`), without
+/// overflow: for integers, `2·size > a` exactly when `size > ⌊a/2⌋`. Every
+/// small job therefore fits the `a`-plan's knapsack cap `⌊a/2⌋`.
+fn is_large(size: Size, a: Size) -> bool {
+    size > a / 2
+}
+
+/// Group every positive-size job by processor into `s.by_ratio`, each
+/// group in the knapsack's ratio order with the lower job id first on ties.
+/// The small jobs at any guess are a subsequence of their processor's
+/// group, so every guess reuses this one sort. Zero-size jobs are left out:
+/// they are small at every guess and always kept, so they never cost
+/// anything.
+fn order_by_ratio(inst: &Instance, s: &mut PartitionScratch) {
+    let m = inst.num_procs();
+    let starts = &mut s.group_start;
+    starts.clear();
+    starts.resize(m.saturating_add(1), 0);
+    for (j, &p) in inst.initial().iter().enumerate() {
+        if inst.size(j) > 0 {
+            starts[p] += 1;
+        }
+    }
+    let mut end = 0;
+    for slot in starts.iter_mut() {
+        end += *slot;
+        *slot = end;
+    }
+    // Filling each group back to front from its end leaves it in job-id
+    // order and turns `starts[p]` into the group's start.
+    s.by_ratio.clear();
+    s.by_ratio.resize(end, 0);
+    for (j, &p) in inst.initial().iter().enumerate().rev() {
+        if inst.size(j) > 0 {
+            starts[p] -= 1;
+            s.by_ratio[starts[p]] = j;
+        }
+    }
+    let item = |j: JobId| Item {
+        size: inst.size(j),
+        cost: inst.cost(j),
+    };
+    for p in 0..m {
+        let range = group(s, p);
+        s.by_ratio[range].sort_unstable_by(|&x, &y| ratio_cmp(item(x), item(y)).then(x.cmp(&y)));
+    }
+}
+
+/// Processor `p`'s ratio-ordered group in `s.by_ratio`.
+fn group(s: &PartitionScratch, p: usize) -> std::ops::Range<usize> {
+    s.group_start[p]..s.group_start[p + 1]
+}
+
+/// Split `jobs` (one ratio-ordered group) at guess `a`: the small jobs go to
+/// `items` in ratio order, and the result is the total cost of the large
+/// jobs and the costliest large job, the one the `a`-plan keeps (the higher
+/// job id on ties).
+fn split(inst: &Instance, jobs: &[JobId], a: Size, items: &mut Vec<Item>) -> (Cost, Option<JobId>) {
+    items.clear();
+    let mut large_cost: Cost = 0;
+    let mut kept_large: Option<JobId> = None;
+    for &j in jobs {
+        let (size, cost) = (inst.size(j), inst.cost(j));
+        if is_large(size, a) {
+            large_cost = large_cost.saturating_add(cost);
+            if kept_large.is_none_or(|k| (cost, j) > (inst.cost(k), k)) {
+                kept_large = Some(j);
+            }
+        } else {
+            items.push(Item { size, cost });
+        }
+    }
+    (large_cost, kept_large)
+}
+
+/// One processor's plan costs at guess `a`: two keep-knapsacks over its
+/// small jobs, with caps `⌊a/2⌋` and `a`.
+fn plan_proc<R: Recorder>(
+    inst: &Instance,
+    jobs: &[JobId],
+    a: Size,
+    items: &mut Vec<Item>,
+    keep: &mut KeepScratch,
+    rec: &R,
+) -> ProcPlan {
+    let (large_cost, kept_large) = split(inst, jobs, a, items);
+    let small_cost = items
+        .iter()
+        .fold(0u64, |acc, it| acc.saturating_add(it.cost));
+    let (keep_half, _) = keep_sorted(items, a / 2, DEFAULT_NODE_BUDGET, false, keep, rec);
+    let (keep_full, _) = keep_sorted(items, a, DEFAULT_NODE_BUDGET, false, keep, rec);
+    let kept_large_cost = kept_large.map_or(0, |j| inst.cost(j));
+    ProcPlan {
+        a_cost: small_cost
+            .saturating_sub(keep_half)
+            .saturating_add(large_cost.saturating_sub(kept_large_cost)),
+        b_cost: small_cost
+            .saturating_sub(keep_full)
+            .saturating_add(large_cost),
+        has_large: kept_large.is_some(),
+    }
+}
+
+/// Fill `s.plans` with every processor's plan costs at guess `a` and return
+/// `L_T`; `None`, with no knapsack run, if `L_T > m`.
+fn plan_costs<R: Recorder>(
+    inst: &Instance,
+    a: Size,
+    rec: &R,
+    s: &mut PartitionScratch,
+) -> Option<usize> {
+    let m = inst.num_procs();
+    let l_t = inst.jobs().iter().filter(|j| is_large(j.size, a)).count();
+    if l_t > m {
+        return None;
+    }
+    s.plans.clear();
+    for p in 0..m {
+        let jobs = &s.by_ratio[group(s, p)];
+        let plan = plan_proc(inst, jobs, a, &mut s.items, &mut s.keep, rec);
+        s.plans.push(plan);
+    }
+    Some(l_t)
+}
+
+/// Rank the processors of `s.plans` into `s.cs` by `c = a_cost − b_cost`,
+/// preferring processors with large jobs on ties (the paper's rule), and
+/// return the planned cost of giving the first `l_t` the `a`-plan and the
+/// rest the `b`-plan.
+fn select(s: &mut PartitionScratch, l_t: usize) -> Cost {
+    s.cs.clear();
+    s.cs.extend(
+        s.plans
+            .iter()
+            .enumerate()
+            .map(|(p, plan)| (plan.a_cost as i64 - plan.b_cost as i64, !plan.has_large, p)),
+    );
+    s.cs.sort_unstable();
+    let base = s
+        .plans
+        .iter()
+        .fold(0u64, |acc, p| acc.saturating_add(p.b_cost));
+    let extra: i64 = s.cs.iter().take(l_t).map(|&(c, _, _)| c).sum();
+    base.saturating_add_signed(extra)
+}
+
+/// Build the assignment at guess `a` from the ratio order in `s`.
+fn build_at<R: Recorder>(
     inst: &Instance,
     a: Size,
     rec: &R,
     s: &mut PartitionScratch,
 ) -> Result<CostPartitionRun> {
-    let Some((plans, l_t)) = build_plans(inst, a, rec) else {
+    let Some(l_t) = plan_costs(inst, a, rec, s) else {
         return Err(Error::InfeasibleGuess {
             guess: a,
             reason: "more large jobs than processors",
@@ -222,17 +367,7 @@ fn run_at_impl<R: Recorder>(
     };
     let m = inst.num_procs();
     s.reset(m);
-
-    // Select the L_T processors with the smallest c = a_cost − b_cost,
-    // preferring processors with large jobs on ties (paper's rule).
-    s.cs.extend((0..m).map(|p| {
-        (
-            plans[p].a_cost as i64 - plans[p].b_cost as i64,
-            !plans[p].has_large,
-            p,
-        )
-    }));
-    s.cs.sort_unstable();
+    let planned_cost = select(s, l_t);
     for &(_, _, p) in s.cs.iter().take(l_t) {
         s.is_selected[p] = true;
     }
@@ -240,25 +375,39 @@ fn run_at_impl<R: Recorder>(
     let mut assignment = inst.initial().clone();
     s.loads.clear();
     s.loads.extend_from_slice(inst.initial_loads());
-    let mut planned_cost = 0u64;
 
-    for (p, plan) in plans.iter().enumerate() {
-        let removed = if s.is_selected[p] {
-            planned_cost += plan.a_cost;
-            s.keeps_large[p] = plan.has_large;
-            &plan.a_removed
-        } else {
-            planned_cost += plan.b_cost;
-            &plan.b_removed
-        };
-        for &j in removed {
-            s.loads[p] -= inst.size(j);
-            if inst.size(j).saturating_mul(2) > a {
-                s.homeless_large.push(j);
+    // Recover the kept set of each processor's chosen plan only. Removed
+    // jobs are queued per processor in job-id order, which fixes the order
+    // of the equal-size jobs in the stable sorts below.
+    for p in 0..m {
+        let selected = s.is_selected[p];
+        let range = group(s, p);
+        let (_, kept_large) = split(inst, &s.by_ratio[range.clone()], a, &mut s.items);
+        let cap = if selected { a / 2 } else { a };
+        keep_sorted(&s.items, cap, DEFAULT_NODE_BUDGET, true, &mut s.keep, rec);
+        s.keeps_large[p] = selected && kept_large.is_some();
+
+        let (small_from, large_from) = (s.removed_small.len(), s.homeless_large.len());
+        let mut kept = s.keep.best.iter().copied().peekable();
+        let mut pos = 0;
+        for &j in &s.by_ratio[range] {
+            if is_large(inst.size(j), a) {
+                if !(selected && kept_large == Some(j)) {
+                    s.homeless_large.push(j);
+                    s.loads[p] -= inst.size(j);
+                }
+                continue;
+            }
+            if kept.peek() == Some(&pos) {
+                kept.next();
             } else {
                 s.removed_small.push(j);
+                s.loads[p] -= inst.size(j);
             }
+            pos += 1;
         }
+        s.removed_small[small_from..].sort_unstable();
+        s.homeless_large[large_from..].sort_unstable();
     }
 
     // Place homeless large jobs on distinct selected large-free processors.
@@ -294,90 +443,6 @@ fn run_at_impl<R: Recorder>(
         planned_cost,
         l_t,
     })
-}
-
-/// Compute per-processor plans at guess `a`; `None` if `L_T > m`.
-fn build_plans<R: Recorder>(inst: &Instance, a: Size, rec: &R) -> Option<(Vec<ProcPlan>, usize)> {
-    let m = inst.num_procs();
-    let per_proc = inst.jobs_by_proc();
-    let l_t = inst.jobs().iter().filter(|j| 2 * j.size > a).count();
-    if l_t > m {
-        return None;
-    }
-
-    let mut plans = Vec::with_capacity(m);
-    for jobs in &per_proc {
-        let (larges, smalls): (Vec<JobId>, Vec<JobId>) = jobs
-            .iter()
-            .partition(|&&j| inst.size(j).saturating_mul(2) > a);
-
-        // Keep the costliest large (cheapest to shed the rest).
-        let kept_large = larges.iter().copied().max_by_key(|&j| (inst.cost(j), j));
-
-        let items: Vec<Item> = smalls
-            .iter()
-            .map(|&j| Item {
-                size: inst.size(j),
-                cost: inst.cost(j),
-            })
-            .collect();
-        let small_cost_total: Cost = items.iter().map(|it| it.cost).sum();
-
-        let removed_from = |kept: &[usize]| -> Vec<JobId> {
-            let mut kept_iter = kept.iter().peekable();
-            let mut out = Vec::new();
-            for (idx, &j) in smalls.iter().enumerate() {
-                if kept_iter.peek() == Some(&&idx) {
-                    kept_iter.next();
-                } else {
-                    out.push(j);
-                }
-            }
-            out
-        };
-
-        // a-plan: smalls within A/2, keep costliest large.
-        let keep_half = max_cost_keep_bounded_recorded(&items, a / 2, DEFAULT_NODE_BUDGET, rec);
-        let mut a_removed = removed_from(&keep_half.kept);
-        let mut a_cost = small_cost_total.saturating_sub(keep_half.kept_cost);
-        for &j in &larges {
-            if Some(j) != kept_large {
-                a_removed.push(j);
-                a_cost += inst.cost(j);
-            }
-        }
-
-        // b-plan: smalls within A, shed all larges.
-        let keep_full = max_cost_keep_bounded_recorded(&items, a, DEFAULT_NODE_BUDGET, rec);
-        let mut b_removed = removed_from(&keep_full.kept);
-        let mut b_cost = small_cost_total.saturating_sub(keep_full.kept_cost);
-        for &j in &larges {
-            b_removed.push(j);
-            b_cost += inst.cost(j);
-        }
-
-        plans.push(ProcPlan {
-            a_cost,
-            a_removed,
-            b_cost,
-            b_removed,
-            has_large: kept_large.is_some(),
-        });
-    }
-    Some((plans, l_t))
-}
-
-/// Total planned cost for the optimal selection at the given plans.
-fn select_cost(plans: &[ProcPlan], l_t: usize) -> Cost {
-    let mut base: u64 = plans.iter().map(|p| p.b_cost).sum();
-    let mut cs: Vec<(i64, bool)> = plans
-        .iter()
-        .map(|p| (p.a_cost as i64 - p.b_cost as i64, !p.has_large))
-        .collect();
-    cs.sort_unstable();
-    let extra: i64 = cs.iter().take(l_t).map(|&(c, _)| c).sum();
-    base = base.saturating_add_signed(extra);
-    base
 }
 
 #[cfg(test)]
@@ -492,6 +557,17 @@ mod tests {
                 Err(_) => assert_eq!(planned_cost(&inst, a), None, "a={a}"),
             }
         }
+    }
+
+    #[test]
+    fn huge_jobs_count_as_large_without_overflow() {
+        // 2·2^63 overflows u64: L_T and the per-processor split must both
+        // see the job as large at every guess.
+        let inst = inst_with_costs(&[(1 << 63, 1), (1, 1)], vec![0, 0], 2);
+        let run = rebalance(&inst, 1).unwrap();
+        assert_eq!(run.l_t, 1);
+        assert!(run.outcome.cost() <= 1);
+        assert!(run.outcome.makespan() <= inst.initial_makespan());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! of instances per second pays that allocator traffic on every call. A
 //! [`Scratch`] owns all of those buffers so a worker can clear-and-refill
 //! them across calls: after the first solve of a given shape, the GREEDY /
-//! M-PARTITION hot paths perform no heap allocation beyond the returned
-//! assignment itself (and, for cost-PARTITION, its knapsack plans).
+//! M-PARTITION / cost-PARTITION hot paths perform no heap allocation beyond
+//! the returned outcome (and the unchanged one the no-regression clamp
+//! compares it with).
 //!
 //! The scratch also carries a [`ThresholdLadder`]: M-PARTITION's candidate
 //! thresholds depend on the *job-size multiset* (doubled sizes) and on the
@@ -19,6 +20,8 @@
 
 use std::cmp::Reverse;
 
+use crate::cost_partition::ProcPlan;
+use crate::knapsack::{Item, KeepScratch};
 use crate::model::{Job, JobId, ProcId, Size};
 use crate::profiles::Profiles;
 
@@ -95,6 +98,18 @@ pub(crate) struct HeteroScratch {
 /// Buffers for PARTITION's six steps (shared by the cost variant).
 #[derive(Debug, Default)]
 pub(crate) struct PartitionScratch {
+    /// Cost variant: every positive-size job grouped by processor, each
+    /// group in the knapsack's ratio order; built once per solve.
+    pub by_ratio: Vec<JobId>,
+    /// Cost variant: start of each processor's group in `by_ratio`, and its
+    /// length last.
+    pub group_start: Vec<usize>,
+    /// Cost variant: per-processor plan costs at the current guess.
+    pub plans: Vec<ProcPlan>,
+    /// Cost variant: one processor's small jobs as knapsack items.
+    pub items: Vec<Item>,
+    /// Cost variant: the knapsack search's buffers.
+    pub keep: KeepScratch,
     /// Live per-processor loads.
     pub loads: Vec<Size>,
     /// Step 1: the kept (smallest) large job per processor, if any.

@@ -59,6 +59,9 @@ pub const COST_PARTITION_BUILD: &str = "cost_partition.build";
 pub const KNAPSACK_BB: &str = "knapsack.branch_and_bound";
 /// Branch-and-bound nodes explored.
 pub const KNAPSACK_BB_NODES: &str = "knapsack.bb_nodes";
+/// Branch-and-bound searches that exhausted their node budget and fell
+/// back to the best kept set found so far.
+pub const KNAPSACK_BB_FALLBACKS: &str = "knapsack.bb_fallbacks";
 /// Knapsack FPTAS dynamic program wall time.
 pub const KNAPSACK_FPTAS_DP: &str = "knapsack.fptas_dp";
 /// FPTAS DP cells filled.

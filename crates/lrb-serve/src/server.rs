@@ -135,6 +135,9 @@ pub fn recover(
 struct Msg {
     req: Request,
     reply: mpsc::Sender<Response>,
+    /// Shutdown only: disconnects once the connection has written the ack
+    /// or failed, so [`Server::run`] can wait for that before returning.
+    written: Option<Receiver<()>>,
 }
 
 /// A reply that must wait for the batch's WAL flush before it is sent.
@@ -207,7 +210,9 @@ impl Server {
     }
 
     /// Serve until a `Shutdown` request arrives; a final snapshot is
-    /// written before returning.
+    /// written before returning, and every Shutdown requester's ack has
+    /// been written to its connection (or the connection has failed), so a
+    /// process that exits on return loses no ack.
     ///
     /// # Errors
     ///
@@ -256,10 +261,15 @@ impl Server {
             thread::spawn(move || connection_loop(stream, &tx, &pending, &cfg, &recorder));
         }
         drop(tx);
-        match state_thread.join() {
-            Ok(out) => out,
-            Err(_) => Err(ServeError::State("state thread panicked".into())),
+        let written = match state_thread.join() {
+            Ok(out) => out?,
+            Err(_) => return Err(ServeError::State("state thread panicked".into())),
+        };
+        for ack in written {
+            // Ok or disconnected: either way the requester is done with it.
+            let _ = ack.recv();
         }
+        Ok(())
     }
 }
 
@@ -337,8 +347,20 @@ fn connection_loop(
             *slot += 1;
         }
 
+        // A Shutdown requester holds `written` until its ack is written.
+        let (written, on_written) = match req {
+            Request::Shutdown => {
+                let (wtx, wrx) = mpsc::channel();
+                (Some(wtx), Some(wrx))
+            }
+            _ => (None, None),
+        };
         let (rtx, rrx) = mpsc::channel();
-        match tx.try_send(Msg { req, reply: rtx }) {
+        match tx.try_send(Msg {
+            req,
+            reply: rtx,
+            written: on_written,
+        }) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) => {
                 if let (Some(t), Ok(mut map)) = (tenant, pending.lock()) {
@@ -370,7 +392,9 @@ fn connection_loop(
         let resp = rrx.recv().unwrap_or(Response::Error {
             detail: "server shutting down".into(),
         });
-        if send_response(&stream, &resp).is_err() {
+        let sent = send_response(&stream, &resp);
+        drop(written);
+        if sent.is_err() {
             return;
         }
     }
@@ -450,7 +474,8 @@ fn outcome_response(outcome: ApplyOutcome, seq: u64, recorder: &AtomicRecorder) 
 /// The state thread: drain a batch, admit and apply in queue order
 /// (grouping consecutive undegraded rebalances for distinct tenants into
 /// one engine epoch), append the admitted events to the WAL, flush, and
-/// only then release the acks.
+/// only then release the acks. After a Shutdown it returns the requesters'
+/// `written` receivers.
 #[allow(clippy::too_many_lines)]
 fn state_loop(
     mut state: ServeState,
@@ -460,12 +485,12 @@ fn state_loop(
     data_dir: &Path,
     cfg: &ServeConfig,
     recorder: &AtomicRecorder,
-) -> Result<(), ServeError> {
+) -> Result<Vec<Receiver<()>>, ServeError> {
     let mut last_snapshot = state.applied();
     loop {
         let first = match rx.recv() {
             Ok(m) => m,
-            Err(_) => return Ok(()), // every sender gone: orderly teardown
+            Err(_) => return Ok(Vec::new()), // every sender gone: orderly teardown
         };
         let mut batch = vec![first];
         while batch.len() < cfg.batch_max.max(1) {
@@ -478,7 +503,7 @@ fn state_loop(
         let timer = recorder.time(names::SERVE_BATCH);
         let mut logged: Vec<LoggedEvent> = Vec::new();
         let mut deferred: Vec<Deferred> = Vec::new();
-        let mut shutdown_replies: Vec<mpsc::Sender<Response>> = Vec::new();
+        let mut shutdowns: Vec<usize> = Vec::new();
         let mut i = 0;
         while i < batch.len() {
             let msg = &batch[i];
@@ -487,7 +512,7 @@ fn state_loop(
                 Request::Query { .. } | Request::Lookup { .. } | Request::Stats => {
                     let _ = msg.reply.send(answer_read(&state, &msg.req));
                 }
-                Request::Shutdown => shutdown_replies.push(msg.reply.clone()),
+                Request::Shutdown => shutdowns.push(i),
                 _ => match state.admit(&msg.req) {
                     Err(rej) => {
                         state.counters.rejects += 1;
@@ -583,18 +608,20 @@ fn state_loop(
 
         let due = cfg.snapshot_every > 0
             && state.applied().saturating_sub(last_snapshot) >= cfg.snapshot_every;
-        if due || !shutdown_replies.is_empty() {
+        if due || !shutdowns.is_empty() {
             snapshot::write(data_dir, &state.capture())?;
             state.counters.snapshots += 1;
             recorder.incr(names::SERVE_SNAPSHOTS, 1);
             last_snapshot = state.applied();
         }
-        if !shutdown_replies.is_empty() {
+        if !shutdowns.is_empty() {
             let seq = state.applied();
-            for reply in shutdown_replies {
-                let _ = reply.send(Response::Ack { seq });
+            let mut written = Vec::with_capacity(shutdowns.len());
+            for i in shutdowns {
+                let _ = batch[i].reply.send(Response::Ack { seq });
+                written.extend(batch[i].written.take());
             }
-            return Ok(());
+            return Ok(written);
         }
     }
 }
@@ -710,6 +737,71 @@ mod tests {
             Response::Ack { .. }
         ));
         handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Several connections ask for Shutdown at once. Each one that gets an
+    /// Ack must already hold the start of it when `run` returns: a process
+    /// exiting on return must not lose it. Requests that reach the queue
+    /// after the final batch get an error instead.
+    #[test]
+    fn shutdown_acks_are_written_before_run_returns() {
+        const REQUESTERS: usize = 6;
+        let dir = temp_dir("shutdown-acks");
+        let server = Server::bind(&dir, "127.0.0.1:0", small_cfg()).unwrap();
+        let port = server.port().unwrap();
+        let handle = thread::spawn(move || server.run());
+
+        let streams: Vec<TcpStream> = (0..REQUESTERS)
+            .map(|_| {
+                let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+                // Served: the connection's pump is up before the Shutdowns.
+                assert!(matches!(
+                    roundtrip(&stream, &Request::Stats),
+                    Response::ServerStats { .. }
+                ));
+                stream
+            })
+            .collect();
+        let go = std::sync::Barrier::new(REQUESTERS);
+        thread::scope(|scope| {
+            for stream in &streams {
+                let go = &go;
+                scope.spawn(move || {
+                    go.wait();
+                    let mut w = stream;
+                    w.write_all(&frame_request(&Request::Shutdown)).unwrap();
+                    w.flush().unwrap();
+                });
+            }
+        });
+        handle.join().unwrap().unwrap();
+
+        let mut acks = 0;
+        for stream in &streams {
+            let mut buf = [0u8; 1024];
+            stream.set_nonblocking(true).unwrap();
+            let ready = match stream.peek(&mut buf) {
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => 0,
+                Err(e) => panic!("peek: {e}"),
+            };
+            stream.set_nonblocking(false).unwrap();
+            let mut r = stream;
+            let frame = read_frame(&mut r).unwrap();
+            match crate::wire::decode_response(&frame).unwrap() {
+                // The ack's header segment leaves at once (the peer has
+                // acknowledged everything before it); Nagle may hold the
+                // payload until the peer's delayed ACK.
+                Response::Ack { .. } => {
+                    acks += 1;
+                    assert!(ready >= 4, "ack not written before run returned");
+                }
+                Response::Error { .. } => {}
+                other => panic!("{other:?}"),
+            }
+        }
+        assert!(acks >= 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
