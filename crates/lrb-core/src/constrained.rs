@@ -146,7 +146,7 @@ pub fn greedy(cinst: &ConstrainedInstance, k: usize) -> Result<RebalanceOutcome>
 
     let out = RebalanceOutcome::from_assignment(inst, assignment)?;
     debug_assert!(cinst.respects(out.assignment()));
-    Ok(out.better(RebalanceOutcome::unchanged(inst)))
+    Ok(out.or_unchanged(inst))
 }
 
 #[cfg(test)]

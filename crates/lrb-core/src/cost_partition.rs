@@ -23,9 +23,6 @@
 //! returned plan never violates the budget — it can only make the chosen
 //! makespan guess slightly conservative (the paper's `ε`).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use lrb_obs::{names, NoopRecorder, Recorder};
 
 use crate::deadline::WorkBudget;
@@ -33,6 +30,7 @@ use crate::error::{Error, Result};
 use crate::knapsack::{keep_sorted, ratio_cmp, Item, KeepScratch, DEFAULT_NODE_BUDGET};
 use crate::model::{Cost, Instance, JobId, Size};
 use crate::outcome::RebalanceOutcome;
+use crate::partition;
 use crate::scratch::{PartitionScratch, Scratch};
 
 /// One processor's removal costs at one makespan guess.
@@ -183,7 +181,7 @@ fn rebalance_impl<R: Recorder>(
     let _t = rec.time(names::COST_PARTITION_BUILD);
     build_at(inst, lo, rec, s).map(|mut run| {
         // No-regression clamp (mirrors M-PARTITION).
-        run.outcome = run.outcome.better(RebalanceOutcome::unchanged(inst));
+        run.outcome = run.outcome.or_unchanged(inst);
         run
     })
 }
@@ -244,13 +242,23 @@ fn order_by_ratio(inst: &Instance, s: &mut PartitionScratch) {
             s.by_ratio[starts[p]] = j;
         }
     }
-    let item = |j: JobId| Item {
-        size: inst.size(j),
-        cost: inst.cost(j),
-    };
+    // Sort contiguous (item, id) keys rather than ids that look their item
+    // up in every comparison; the ids break ties, so the order is the same.
     for p in 0..m {
         let range = group(s, p);
-        s.by_ratio[range].sort_unstable_by(|&x, &y| ratio_cmp(item(x), item(y)).then(x.cmp(&y)));
+        let (jobs, keys) = (&mut s.by_ratio[range], &mut s.ratio_keys);
+        keys.clear();
+        keys.extend(jobs.iter().map(|&j| {
+            let item = Item {
+                size: inst.size(j),
+                cost: inst.cost(j),
+            };
+            (item, j)
+        }));
+        keys.sort_unstable_by(|x, y| ratio_cmp(x.0, y.0).then(x.1.cmp(&y.1)));
+        for (slot, &(_, j)) in jobs.iter_mut().zip(keys.iter()) {
+            *slot = j;
+        }
     }
 }
 
@@ -410,30 +418,12 @@ fn build_at<R: Recorder>(
         s.homeless_large[large_from..].sort_unstable();
     }
 
-    // Place homeless large jobs on distinct selected large-free processors.
+    // PARTITION's Steps 5-6: homeless large jobs onto the selected
+    // large-free processors, then removed smalls onto the least loaded.
     s.free_procs
         .extend((0..m).filter(|&p| s.is_selected[p] && !s.keeps_large[p]));
-    debug_assert_eq!(s.free_procs.len(), s.homeless_large.len());
-    let loads = &s.loads;
-    s.free_procs.sort_by_key(|&p| (loads[p], p));
-    s.homeless_large.sort_by_key(|&j| Reverse(inst.size(j)));
-    for (&j, &p) in s.homeless_large.iter().zip(&s.free_procs) {
-        assignment[j] = p;
-        s.loads[p] += inst.size(j);
-    }
-
-    // Greedy min-load reassignment of removed smalls, largest first.
-    s.removed_small.sort_by_key(|&j| Reverse(inst.size(j)));
-    let mut heap_buf = std::mem::take(&mut s.min_heap);
-    heap_buf.clear();
-    heap_buf.extend(s.loads.iter().enumerate().map(|(p, &l)| Reverse((l, p))));
-    let mut heap = BinaryHeap::from(heap_buf);
-    for &j in &s.removed_small {
-        let Reverse((load, p)) = heap.pop().ok_or(Error::NoProcessors)?;
-        assignment[j] = p;
-        heap.push(Reverse((load.saturating_add(inst.size(j)), p)));
-    }
-    s.min_heap = heap.into_vec();
+    partition::place_large(inst, s, &mut assignment);
+    partition::reinsert_small(inst, s, &mut assignment)?;
 
     let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
     debug_assert!(outcome.cost() <= planned_cost);

@@ -194,13 +194,12 @@ impl<'a> IncrementalScan<'a> {
         let mut pairs: Vec<(Size, usize)> = Vec::new();
         for p in 0..m {
             let prof = profiles.proc(p);
-            for l in 1..prof.prefix.len() {
-                let b = prof.prefix[l];
+            for (&b, &size) in prof.prefix[1..].iter().zip(&prof.sizes) {
                 pairs.push((b, p));
                 pairs.push((b.saturating_mul(2), p));
-                // Job sizes are prefix differences; their doubles flip the
-                // small/large classification on this processor.
-                pairs.push((2 * (prof.prefix[l] - prof.prefix[l - 1]), p));
+                // Doubled job sizes flip the small/large classification on
+                // this processor; they saturate as the ladder's do.
+                pairs.push((size.saturating_mul(2), p));
             }
         }
         pairs.sort_unstable();
@@ -223,13 +222,11 @@ impl<'a> IncrementalScan<'a> {
         let domain = (0..m).map(|p| profiles.proc(p).len()).max().unwrap_or(0) + 3;
         let mut cset = CMultiset::new(domain);
         for p in 0..m {
-            let a = profiles.a(p, t0);
-            let b = profiles.b(p, t0);
-            let hl = profiles.has_large(p, t0);
-            sum_b += b;
-            m_l += usize::from(hl);
-            cset.add((a as i64).saturating_sub(b as i64), 1);
-            state.push((a, b, hl));
+            let counts = profiles.counts(p, t0);
+            sum_b += counts.b;
+            m_l += usize::from(counts.has_large);
+            cset.add(counts.c(), 1);
+            state.push((counts.a, counts.b, counts.has_large));
         }
 
         Some(IncrementalScan {
@@ -281,9 +278,8 @@ impl<'a> IncrementalScan<'a> {
         let procs = std::mem::take(&mut self.events[self.pos]);
         for &p in &procs {
             let (a_old, b_old, hl_old) = self.state[p];
-            let a = self.profiles.a(p, t);
-            let b = self.profiles.b(p, t);
-            let hl = self.profiles.has_large(p, t);
+            let counts = self.profiles.counts(p, t);
+            let (a, b, hl) = (counts.a, counts.b, counts.has_large);
             if (a, b, hl) != (a_old, b_old, hl_old) {
                 self.sum_b = self.sum_b.saturating_sub(b_old).saturating_add(b);
                 self.m_l = self.m_l - usize::from(hl_old) + usize::from(hl);

@@ -20,6 +20,15 @@
 //!
 //! Either way, the produced assignment is *always* valid and within budget;
 //! the search strategy affects only which threshold is chosen.
+//!
+//! Cost of a solve (DESIGN.md §9): the profiles are built once, from one
+//! sort of contiguous `(size, id)` keys per processor. The ladder holds only
+//! what the search reads, the last candidate below the average load and
+//! every candidate from there up. Each probe makes one `Profiles::counts`
+//! pass over the processors and selects, rather than sorts, the `L_T`
+//! smallest `c_i`. The final PARTITION run reuses the same per-processor
+//! counts, and the no-regression clamp copies the initial assignment only
+//! when it wins.
 
 use lrb_obs::{names, NoopRecorder, Recorder};
 
@@ -172,16 +181,14 @@ fn rebalance_impl<R: Recorder>(
         let _ladder_build = rec.time(names::MPARTITION_LADDER_BUILD);
         profiles.rebuild(inst, ladder);
     }
-    profiles.candidates_into(candidates);
     // Start at the paper's average-load guess — but because the search only
     // evaluates candidate thresholds and behavior is constant *between*
     // candidates, the region containing OPT may begin at the last candidate
     // strictly below the average (Lemma 6 talks about the largest threshold
-    // not exceeding OPT). Backing up one candidate covers that region.
-    let start = candidates
-        .partition_point(|&t| t < inst.avg_load_ceil())
-        .saturating_sub(1);
-    let cands = &candidates[start..];
+    // not exceeding OPT). The window keeps that one candidate and every
+    // candidate from the average up; the search never reads the rest.
+    profiles.candidates_from(inst.avg_load_ceil(), candidates);
+    let cands = &candidates[..];
     debug_assert!(
         !cands.is_empty(),
         "the doubled max-load candidate always qualifies"
@@ -192,7 +199,7 @@ fn rebalance_impl<R: Recorder>(
         *probes += 1;
         work.charge(names::MPARTITION_SEARCH, 1)?;
         Ok(matches!(
-            partition::planned_moves_with(profiles, t, &mut pscratch.cs),
+            partition::planned_moves_with(profiles, t, &mut pscratch.probe_cs),
             Some(moves) if moves <= k
         ))
     };
@@ -269,7 +276,7 @@ fn rebalance_impl<R: Recorder>(
     // No-regression clamp: if the initial assignment was already at least as
     // good, keep it (PARTITION never promises to beat the status quo; see
     // the Theorem 2 tightness example where it must not move anything).
-    let outcome = run.outcome.better(RebalanceOutcome::unchanged(inst));
+    let outcome = run.outcome.or_unchanged(inst);
     Ok(MPartitionRun {
         outcome,
         threshold: t,
@@ -431,6 +438,31 @@ mod tests {
         }
         assert!(scratch.ladder_hits() > 0);
         assert!(scratch.ladder_misses() >= 2);
+    }
+
+    #[test]
+    fn huge_job_sizes_do_not_overflow() {
+        // Doubling 2^63, or a prefix sum near u64::MAX, overflows u64: the
+        // ladder's doubled values and the prefix sums saturate, and a job is
+        // large when `size > t/2`.
+        for sizes in [&[1u64 << 63, 1, 1][..], &[u64::MAX / 2, u64::MAX / 2, 5]] {
+            let inst = Instance::from_sizes(sizes, vec![0, 0, 1], 2).unwrap();
+            for search in [
+                ThresholdSearch::Scan,
+                ThresholdSearch::Incremental,
+                ThresholdSearch::Binary,
+            ] {
+                let run = rebalance_with(&inst, 1, search).unwrap();
+                let assignment = run.outcome.assignment();
+                assert_eq!(assignment.len(), sizes.len(), "{sizes:?} {search:?}");
+                assert!(assignment.iter().all(|&p| p < 2), "{sizes:?} {search:?}");
+                assert!(run.outcome.moves() <= 1, "{sizes:?} {search:?}");
+                assert!(
+                    run.outcome.makespan() <= inst.initial_makespan(),
+                    "{sizes:?} {search:?}"
+                );
+            }
+        }
     }
 
     #[test]

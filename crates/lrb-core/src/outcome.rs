@@ -81,12 +81,27 @@ impl RebalanceOutcome {
     /// Of two outcomes for the same instance, the better one: lower makespan
     /// wins, ties broken by lower cost, then fewer moves.
     pub fn better(self, other: RebalanceOutcome) -> RebalanceOutcome {
-        let key = |o: &RebalanceOutcome| (o.makespan, o.cost, o.moved.len());
-        if key(&other) < key(&self) {
+        if other.rank() < self.rank() {
             other
         } else {
             self
         }
+    }
+
+    /// The no-regression clamp: `self.better(RebalanceOutcome::unchanged(inst))`,
+    /// copying the initial assignment only when it wins.
+    pub(crate) fn or_unchanged(self, inst: &Instance) -> RebalanceOutcome {
+        if (inst.initial_makespan(), 0, 0) < self.rank() {
+            RebalanceOutcome::unchanged(inst)
+        } else {
+            self
+        }
+    }
+
+    /// What [`RebalanceOutcome::better`] compares: makespan, then cost, then
+    /// moves.
+    fn rank(&self) -> (Size, Cost, usize) {
+        (self.makespan, self.cost, self.moved.len())
     }
 }
 

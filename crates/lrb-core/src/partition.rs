@@ -29,10 +29,10 @@ use std::collections::BinaryHeap;
 use lrb_obs::{names, NoopRecorder, Recorder};
 
 use crate::error::{Error, Result};
-use crate::model::{Instance, ProcId, Size};
+use crate::model::{Instance, JobId, ProcId, Size};
 use crate::outcome::RebalanceOutcome;
-use crate::profiles::Profiles;
-use crate::scratch::{PartitionScratch, Scratch};
+use crate::profiles::{ProcCounts, Profiles};
+use crate::scratch::{OrderKey, PartitionScratch, Scratch};
 
 /// Diagnostics of a PARTITION run, exposing the paper's named quantities.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,33 +71,40 @@ pub fn planned_moves(profiles: &Profiles, t: Size) -> Option<usize> {
     planned_moves_with(profiles, t, &mut Vec::new())
 }
 
-/// [`planned_moves`] against a caller-owned ranking buffer, so M-PARTITION's
-/// threshold probes reuse one allocation across the whole search.
-pub(crate) fn planned_moves_with(
-    profiles: &Profiles,
-    t: Size,
-    cs: &mut Vec<(i64, bool, ProcId)>,
-) -> Option<usize> {
+/// [`planned_moves`] against a caller-owned buffer of `c_i` values, so
+/// M-PARTITION's threshold probes reuse one allocation across the whole
+/// search. One [`Profiles::counts`] call per processor gives `b_i`, `c_i`
+/// and the large-job flag; the `L_T` smallest `c_i` are selected, not
+/// sorted, and their sum does not depend on how ties fall.
+pub(crate) fn planned_moves_with(profiles: &Profiles, t: Size, cs: &mut Vec<i64>) -> Option<usize> {
     let m = profiles.num_procs();
     let l_t = profiles.l_t(t);
     if l_t > m {
         return None;
     }
-    let m_l = profiles.m_l(t);
-    let l_e = l_t.saturating_sub(m_l);
-
-    let mut base = l_e;
-    // Σ b_i over all processors, plus the selected processors' c_i.
+    let (mut sum_b, mut m_l) = (0usize, 0usize);
     cs.clear();
-    cs.extend((0..m).map(|p| {
-        base += profiles.b(p, t);
-        (profiles.c(p, t), !profiles.has_large(p, t), p)
-    }));
-    // Smallest c first; ties prefer large-holding processors (false < true).
-    cs.sort_unstable();
-    let selected_extra: i64 = cs.iter().take(l_t).map(|&(c, _, _)| c).sum();
-    // base + Σ_selected (a_i − b_i) = L_E + Σ_sel a_i + Σ_unsel b_i.
-    Some((base as i64).saturating_add(selected_extra) as usize)
+    for p in 0..m {
+        let counts = profiles.counts(p, t);
+        sum_b = sum_b.saturating_add(counts.b);
+        m_l = m_l.saturating_add(usize::from(counts.has_large));
+        cs.push(counts.c());
+    }
+    let l_e = l_t.saturating_sub(m_l);
+    // Σ b_i over all processors plus the selected processors' c_i:
+    // L_E + Σ_sel a_i + Σ_unsel b_i.
+    let base = l_e.saturating_add(sum_b) as i64;
+    Some(base.saturating_add(sum_smallest(cs, l_t)) as usize)
+}
+
+/// Sum of the `k` smallest values of `vals` (`k ≤ vals.len()`), which it
+/// reorders.
+fn sum_smallest(vals: &mut [i64], k: usize) -> i64 {
+    let Some(kth) = k.checked_sub(1) else {
+        return 0;
+    };
+    let (lower, &mut nth, _) = vals.select_nth_unstable(kth);
+    lower.iter().fold(nth, |acc, &c| acc.saturating_add(c))
 }
 
 /// Run PARTITION at makespan guess `t`.
@@ -158,8 +165,6 @@ pub(crate) fn run_impl<R: Recorder>(
             reason: "more large jobs than processors",
         });
     }
-    let m_l = profiles.m_l(t);
-    let l_e = l_t.saturating_sub(m_l);
 
     let mut assignment = inst.initial().clone();
     s.reset(m);
@@ -169,63 +174,74 @@ pub(crate) fn run_impl<R: Recorder>(
 
     // Step 1: strip extra large jobs, keeping the smallest large per
     // processor. Profiles sort each processor's jobs ascending, so the kept
-    // large is the first one past the small prefix.
+    // large is the first one past the small prefix. One counts() call per
+    // processor serves Steps 1-4.
     // kept_large[p] = Some(job) for processors holding a large after Step 1.
     let step1 = rec.time(names::PARTITION_STEP1_STRIP);
+    s.counts.clear();
     for p in 0..m {
-        let prof = profiles.proc(p);
-        let sc = profiles.small_count(p, t);
-        if sc < prof.len() {
-            s.kept_large[p] = Some(prof.jobs_asc[sc]);
-            for &j in &prof.jobs_asc[sc.saturating_add(1)..] {
+        let counts = profiles.counts(p, t);
+        s.counts.push(counts);
+        if counts.has_large {
+            let jobs = &profiles.proc(p).jobs_asc;
+            s.kept_large[p] = Some(jobs[counts.small]);
+            for &j in &jobs[counts.small.saturating_add(1)..] {
                 s.homeless_large.push(j);
-                s.loads[p] -= inst.size(j);
+                s.loads[p] = s.loads[p].saturating_sub(inst.size(j));
                 planned += 1;
             }
         }
     }
+    let m_l = s.counts.iter().filter(|c| c.has_large).count();
+    let l_e = l_t.saturating_sub(m_l);
     debug_assert_eq!(planned, l_e);
     drop(step1);
 
-    // Step 2 + 3: rank processors by c_i and select L_T of them.
+    // Step 2 + 3: rank processors by c_i and select L_T of them. The keys
+    // (c_i, no-large, p) are distinct, so selecting the L_T smallest picks
+    // the set a full sort would.
     let step2 = rec.time(names::PARTITION_STEP2_RANK);
     s.cs.clear();
-    s.cs.extend((0..m).map(|p| (profiles.c(p, t), s.kept_large[p].is_none(), p)));
-    s.cs.sort_unstable();
-    for &(_, _, p) in s.cs.iter().take(l_t) {
+    s.cs.extend(
+        s.counts
+            .iter()
+            .enumerate()
+            .map(|(p, counts)| (counts.c(), !counts.has_large, p)),
+    );
+    if let Some(last) = l_t.checked_sub(1) {
+        s.cs.select_nth_unstable(last);
+    }
+    for &(_, _, p) in &s.cs[..l_t] {
         s.is_selected[p] = true;
     }
     let selected: Vec<ProcId> = (0..m).filter(|&p| s.is_selected[p]).collect();
     drop(step2);
 
     for p in 0..m {
-        let prof = profiles.proc(p);
-        let sc = profiles.small_count(p, t);
+        let jobs = &profiles.proc(p).jobs_asc;
+        let ProcCounts { small, a, b, .. } = s.counts[p];
         if s.is_selected[p] {
             // Step 3: shed the a_i largest small jobs (end of the small
             // prefix), keeping the large job if present.
             let _t = rec.time(names::PARTITION_STEP3_SHED_SELECTED);
-            let a = profiles.a(p, t);
-            for &j in &prof.jobs_asc[sc.saturating_sub(a)..sc] {
+            for &j in &jobs[small.saturating_sub(a)..small] {
                 s.removed_small.push(j);
-                s.loads[p] -= inst.size(j);
+                s.loads[p] = s.loads[p].saturating_sub(inst.size(j));
                 planned += 1;
             }
         } else {
             // Step 4: shed the kept large (mandatory) plus largest-first
             // small jobs until the small total fits in t.
             let _t = rec.time(names::PARTITION_STEP4_SHED_UNSELECTED);
-            let b = profiles.b(p, t);
             let mut small_removals = b;
-            if let Some(j) = s.kept_large[p] {
+            if let Some(j) = s.kept_large[p].take() {
                 s.homeless_large.push(j);
-                s.loads[p] -= inst.size(j);
-                s.kept_large[p] = None;
-                small_removals -= 1;
+                s.loads[p] = s.loads[p].saturating_sub(inst.size(j));
+                small_removals = small_removals.saturating_sub(1);
             }
-            for &j in &prof.jobs_asc[sc.saturating_sub(small_removals)..sc] {
+            for &j in &jobs[small.saturating_sub(small_removals)..small] {
                 s.removed_small.push(j);
-                s.loads[p] -= inst.size(j);
+                s.loads[p] = s.loads[p].saturating_sub(inst.size(j));
             }
             planned += b;
         }
@@ -236,9 +252,8 @@ pub(crate) fn run_impl<R: Recorder>(
     );
     rec.incr(names::PARTITION_SMALL_REMOVED, s.removed_small.len() as u64);
 
-    // Step 5 (covers the paper's Steps 4-5 reassignments): place homeless
-    // large jobs on distinct selected large-free processors — largest job
-    // onto the least-loaded such processor first.
+    // Step 5 (covers the paper's Steps 4-5 reassignments): the homeless
+    // large jobs go to the selected large-free processors.
     let step5 = rec.time(names::PARTITION_STEP5_PLACE_LARGE);
     s.free_procs.extend(
         selected
@@ -246,34 +261,11 @@ pub(crate) fn run_impl<R: Recorder>(
             .copied()
             .filter(|&p| s.kept_large[p].is_none()),
     );
-    debug_assert_eq!(
-        s.free_procs.len(),
-        s.homeless_large.len(),
-        "large-free slot count must match homeless large jobs"
-    );
-    let loads = &s.loads;
-    s.free_procs.sort_by_key(|&p| (loads[p], p));
-    s.homeless_large.sort_by_key(|&j| Reverse(inst.size(j)));
-    for (&j, &p) in s.homeless_large.iter().zip(&s.free_procs) {
-        assignment[j] = p;
-        s.loads[p] += inst.size(j);
-    }
+    place_large(inst, s, &mut assignment);
     drop(step5);
 
-    // Step 6: greedy min-load placement of the removed small jobs,
-    // largest first.
     let step6 = rec.time(names::PARTITION_STEP6_REINSERT);
-    s.removed_small.sort_by_key(|&j| Reverse(inst.size(j)));
-    let mut heap_buf = std::mem::take(&mut s.min_heap);
-    heap_buf.clear();
-    heap_buf.extend(s.loads.iter().enumerate().map(|(p, &l)| Reverse((l, p))));
-    let mut heap = BinaryHeap::from(heap_buf);
-    for &j in &s.removed_small {
-        let Reverse((load, p)) = heap.pop().ok_or(Error::NoProcessors)?;
-        assignment[j] = p;
-        heap.push(Reverse((load.saturating_add(inst.size(j)), p)));
-    }
-    s.min_heap = heap.into_vec();
+    reinsert_small(inst, s, &mut assignment)?;
     drop(step6);
 
     let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
@@ -292,6 +284,66 @@ pub(crate) fn run_impl<R: Recorder>(
             planned_moves: planned,
         },
     })
+}
+
+/// Step 5, shared with the cost variant: place each job of
+/// `s.homeless_large` on its own processor of `s.free_procs` (the selected
+/// large-free ones; the counts match), largest job onto the least-loaded
+/// processor first.
+pub(crate) fn place_large(inst: &Instance, s: &mut PartitionScratch, assignment: &mut [ProcId]) {
+    debug_assert_eq!(
+        s.free_procs.len(),
+        s.homeless_large.len(),
+        "large-free slot count must match homeless large jobs"
+    );
+    let loads = &s.loads;
+    s.free_procs.sort_unstable_by_key(|&p| (loads[p], p));
+    sort_largest_first(inst, &mut s.homeless_large, &mut s.order_keys);
+    for (&j, &p) in s.homeless_large.iter().zip(&s.free_procs) {
+        assignment[j] = p;
+        s.loads[p] = s.loads[p].saturating_add(inst.size(j));
+    }
+}
+
+/// Step 6, shared with the cost variant: greedy min-load placement of the
+/// removed small jobs, largest first. `(load, p)` is a total order, so
+/// adjusting the heap's minimum in place (one sift per job) places every
+/// job where a pop and a push would.
+pub(crate) fn reinsert_small(
+    inst: &Instance,
+    s: &mut PartitionScratch,
+    assignment: &mut [ProcId],
+) -> Result<()> {
+    sort_largest_first(inst, &mut s.removed_small, &mut s.order_keys);
+    let mut heap_buf = std::mem::take(&mut s.min_heap);
+    heap_buf.clear();
+    heap_buf.extend(s.loads.iter().enumerate().map(|(p, &l)| Reverse((l, p))));
+    let mut heap = BinaryHeap::from(heap_buf);
+    for &j in &s.removed_small {
+        let mut top = heap.peek_mut().ok_or(Error::NoProcessors)?;
+        let Reverse((load, p)) = *top;
+        assignment[j] = p;
+        *top = Reverse((load.saturating_add(inst.size(j)), p));
+    }
+    s.min_heap = heap.into_vec();
+    Ok(())
+}
+
+/// Sort `jobs` by size, largest first, keeping equal sizes in their current
+/// order. The `(Reverse(size), position)` keys are distinct, so an unstable
+/// sort of them gives the stable order without a size lookup per
+/// comparison.
+fn sort_largest_first(inst: &Instance, jobs: &mut [JobId], keys: &mut Vec<OrderKey>) {
+    keys.clear();
+    keys.extend(
+        jobs.iter()
+            .enumerate()
+            .map(|(pos, &j)| (Reverse(inst.size(j)), pos, j)),
+    );
+    keys.sort_unstable();
+    for (slot, &(_, _, j)) in jobs.iter_mut().zip(keys.iter()) {
+        *slot = j;
+    }
 }
 
 #[cfg(test)]

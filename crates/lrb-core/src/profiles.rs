@@ -1,10 +1,11 @@
 //! Per-processor size profiles and the discrete threshold set of §3.1.
 //!
 //! For a makespan guess `T`, the paper classifies a job as **large** when its
-//! size is strictly greater than `T/2` (evaluated here as `2·size > T` to
-//! stay in integers). Sorting each processor's jobs in ascending size order
-//! makes the small jobs a *prefix* of the list for every `T`, so all the
-//! quantities PARTITION needs are prefix-sum lookups:
+//! size is strictly greater than `T/2`. In integers that is `size > ⌊T/2⌋`,
+//! which is how every comparison here is written, so no doubled value can
+//! overflow. Sorting each processor's jobs in ascending size order makes the
+//! small jobs a *prefix* of the list for every `T`, so all the quantities
+//! PARTITION needs are prefix-sum lookups:
 //!
 //! * `a_i(T)` — the minimum number of small jobs to remove so the remaining
 //!   small jobs total at most `T/2`;
@@ -24,7 +25,17 @@
 //! Lemma 5: all of `L_T`, `a_i`, `b_i` change only when `T` crosses one of
 //! the discrete [`candidates`](Profiles::candidates): doubled job sizes
 //! (large/small flips), per-processor ascending prefix sums (`b_i` steps),
-//! and doubled prefix sums (`a_i` steps).
+//! and doubled prefix sums (`a_i` steps). Doubled values and prefix sums
+//! saturate at `u64::MAX`, as instance loads do.
+//!
+//! Cost model (DESIGN.md §9). [`Profiles::rebuild`] sorts each processor's
+//! contiguous `(size, id)` keys, which are distinct, so the unstable sort
+//! yields the `(size, id)` order without looking sizes up per comparison.
+//! Every per-processor quantity comes from one routine, `Profiles::counts`:
+//! one search for the small prefix, then the `a_i` and `b_i` cut points
+//! inside it, and no search at all when the whole processor fits in `T/2`.
+//! `Profiles::candidates_from` builds only the part of the ladder a
+//! search starting at a given guess reads.
 
 use crate::model::{Instance, JobId, ProcId, Size};
 use crate::scratch::ThresholdLadder;
@@ -35,8 +46,11 @@ use crate::scratch::ThresholdLadder;
 pub struct ProcProfile {
     /// Job ids on this processor, ascending by size (ties by id).
     pub jobs_asc: Vec<JobId>,
-    /// `prefix[l]` = total size of the `l` smallest jobs; `prefix[0] = 0`.
+    /// `prefix[l]` = total size of the `l` smallest jobs (saturating);
+    /// `prefix[0] = 0`.
     pub prefix: Vec<Size>,
+    /// Sizes of `jobs_asc`, in the same order.
+    pub(crate) sizes: Vec<Size>,
 }
 
 impl ProcProfile {
@@ -56,6 +70,28 @@ impl ProcProfile {
     }
 }
 
+/// One processor's PARTITION quantities at one guess, from
+/// [`Profiles::counts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ProcCounts {
+    /// Length of the small prefix of the ascending job list.
+    pub small: usize,
+    /// `a_i`: largest-first small removals until the smalls fit in `t/2`.
+    pub a: usize,
+    /// `b_i`: the kept large job, if any, plus largest-first small removals
+    /// until the smalls fit in `t`.
+    pub b: usize,
+    /// Whether the processor holds a large job.
+    pub has_large: bool,
+}
+
+impl ProcCounts {
+    /// `c_i = a_i − b_i`.
+    pub fn c(&self) -> i64 {
+        (self.a as i64).saturating_sub(self.b as i64)
+    }
+}
+
 /// Precomputed profiles for a whole instance, supporting `O(log n)` queries
 /// of every PARTITION quantity at any makespan guess.
 #[derive(Debug, Clone, Default)]
@@ -63,6 +99,8 @@ pub struct Profiles {
     per_proc: Vec<ProcProfile>,
     /// All job sizes, ascending — for the global large-job count.
     sizes_asc: Vec<Size>,
+    /// Sort buffer of one processor's `(size, id)` keys.
+    keys: Vec<(Size, JobId)>,
 }
 
 impl Profiles {
@@ -83,17 +121,24 @@ impl Profiles {
         self.per_proc.resize_with(m, ProcProfile::default);
         for prof in &mut self.per_proc {
             prof.jobs_asc.clear();
-            prof.prefix.clear();
         }
         for (j, &p) in inst.initial().iter().enumerate() {
             self.per_proc[p].jobs_asc.push(j);
         }
+        let keys = &mut self.keys;
         for prof in &mut self.per_proc {
-            prof.jobs_asc.sort_by_key(|&j| (inst.size(j), j));
+            keys.clear();
+            keys.extend(prof.jobs_asc.iter().map(|&j| (inst.size(j), j)));
+            keys.sort_unstable();
+            prof.jobs_asc.clear();
+            prof.sizes.clear();
+            prof.prefix.clear();
             prof.prefix.push(0);
-            let mut acc = 0u64;
-            for &j in &prof.jobs_asc {
-                acc += inst.size(j);
+            let mut acc: Size = 0;
+            for &(size, j) in keys.iter() {
+                acc = acc.saturating_add(size);
+                prof.jobs_asc.push(j);
+                prof.sizes.push(size);
                 prof.prefix.push(acc);
             }
         }
@@ -112,41 +157,58 @@ impl Profiles {
 
     /// Global number of large jobs `L_T` at guess `t`.
     pub fn l_t(&self, t: Size) -> usize {
-        // Large iff 2·size > t, i.e. size > t/2; sizes_asc is sorted, so
-        // count the suffix.
-        let boundary = self.sizes_asc.partition_point(|&s| 2 * s <= t);
+        // Large iff size > t/2; sizes_asc is sorted, so count the suffix.
+        let boundary = self.sizes_asc.partition_point(|&s| s <= t / 2);
         self.sizes_asc.len().saturating_sub(boundary)
+    }
+
+    /// Every PARTITION quantity of processor `p` at guess `t`: one binary
+    /// search for the small prefix, then the `a_i` and `b_i` cut points
+    /// inside it. A processor whose whole load fits in `t/2` holds only
+    /// small jobs and needs no removal, which takes no search.
+    pub(crate) fn counts(&self, p: ProcId, t: Size) -> ProcCounts {
+        let prof = &self.per_proc[p];
+        let half = t / 2;
+        if prof.load() <= half {
+            return ProcCounts {
+                small: prof.len(),
+                a: 0,
+                b: 0,
+                has_large: false,
+            };
+        }
+        let small = prof.sizes.partition_point(|&s| s <= half);
+        // Prefix sums ascend: keep the longest small prefix within t/2 for
+        // `a_i` and within t for `b_i`; prefix[0] = 0 always qualifies.
+        let smalls = &prof.prefix[..=small];
+        let keep_a = smalls.partition_point(|&s| s <= half).saturating_sub(1);
+        let keep_b = smalls[keep_a..]
+            .partition_point(|&s| s <= t)
+            .saturating_sub(1)
+            .saturating_add(keep_a);
+        let has_large = small < prof.len();
+        ProcCounts {
+            small,
+            a: small.saturating_sub(keep_a),
+            b: small
+                .saturating_sub(keep_b)
+                .saturating_add(usize::from(has_large)),
+            has_large,
+        }
     }
 
     /// Number of small jobs on processor `p` at guess `t` (they form a
     /// prefix of the ascending job list).
     pub fn small_count(&self, p: ProcId, t: Size) -> usize {
-        let prof = &self.per_proc[p];
-        // The size of the job at index i is prefix[i+1] − prefix[i]; sizes
-        // ascend with i, so binary search for the first large one.
-        let (mut lo, mut hi) = (0usize, prof.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if 2 * (prof.prefix[mid + 1] - prof.prefix[mid]) <= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.counts(p, t).small
     }
 
     /// `a_i(t)`: minimum number of small jobs to remove from `p` so the
     /// remaining small jobs total at most `t/2`. Removing largest-first is
     /// optimal for minimizing the count, and the smalls are a prefix, so
-    /// this is `small_count − max{l : 2·prefix[l] ≤ t}`.
+    /// this is `small_count − max{l : prefix[l] ≤ t/2}`.
     pub fn a(&self, p: ProcId, t: Size) -> usize {
-        let sc = self.small_count(p, t);
-        let prof = &self.per_proc[p];
-        let keep = prof.prefix[..=sc]
-            .partition_point(|&s| 2 * s <= t)
-            .saturating_sub(1);
-        sc.saturating_sub(keep)
+        self.counts(p, t).a
     }
 
     /// `b_i(t)` in the forced variant: number of removals after which
@@ -155,25 +217,18 @@ impl Profiles {
     /// large job if any, plus largest-first small removals until the small
     /// total is at most `t`.
     pub fn b(&self, p: ProcId, t: Size) -> usize {
-        let sc = self.small_count(p, t);
-        let prof = &self.per_proc[p];
-        let keep = prof.prefix[..=sc]
-            .partition_point(|&s| s <= t)
-            .saturating_sub(1);
-        let has_large = sc < prof.len();
-        sc.saturating_sub(keep)
-            .saturating_add(usize::from(has_large))
+        self.counts(p, t).b
     }
 
     /// `c_i(t) = a_i(t) − b_i(t)` (can be −1 for processors with a large
     /// job).
     pub fn c(&self, p: ProcId, t: Size) -> i64 {
-        self.a(p, t) as i64 - self.b(p, t) as i64
+        self.counts(p, t).c()
     }
 
     /// True if processor `p` holds at least one large job at guess `t`.
     pub fn has_large(&self, p: ProcId, t: Size) -> bool {
-        self.small_count(p, t) < self.per_proc[p].len()
+        self.counts(p, t).has_large
     }
 
     /// Number of processors with at least one large job (`m_L`).
@@ -196,17 +251,34 @@ impl Profiles {
     /// [`Profiles::candidates`] into a caller-owned buffer (cleared first),
     /// so batch solvers reuse the allocation across instances.
     pub fn candidates_into(&self, out: &mut Vec<Size>) {
+        self.candidates_from(0, out);
+    }
+
+    /// The candidates a search starting at guess `lo` reads, into `out`:
+    /// every candidate `≥ lo` plus the largest one below `lo`, sorted and
+    /// deduplicated. That is `candidates()[start..]` with `start` the index
+    /// of the last candidate below `lo` (or 0), built without sorting the
+    /// values under it.
+    pub(crate) fn candidates_from(&self, lo: Size, out: &mut Vec<Size>) {
         out.clear();
-        out.reserve(3 * self.sizes_asc.len());
+        let mut below: Option<Size> = None;
+        let mut push = |v: Size| {
+            if v >= lo {
+                out.push(v);
+            } else {
+                below = below.max(Some(v));
+            }
+        };
         for &s in &self.sizes_asc {
-            out.push(2 * s);
+            push(s.saturating_mul(2));
         }
         for prof in &self.per_proc {
             for &b in &prof.prefix[1..] {
-                out.push(b);
-                out.push(2 * b);
+                push(b);
+                push(b.saturating_mul(2));
             }
         }
+        out.extend(below);
         out.sort_unstable();
         out.dedup();
     }
@@ -360,6 +432,117 @@ mod tests {
             }
             for t in [0u64, 3, 7, 10, 24] {
                 assert_eq!(p.l_t(t), fresh.l_t(t), "t={t}");
+            }
+        }
+    }
+
+    /// Brute-force `(small, a, b, has_large)` of processor `p` at guess `t`
+    /// from the definitions: largest-first small removals until the smalls
+    /// fit in `t/2` (for `a`) or `t` (for `b`, plus one for a large job).
+    /// Sums saturate, as instance loads do.
+    fn brute_counts(inst: &Instance, p: ProcId, t: Size) -> ProcCounts {
+        let on_p = || (0..inst.num_jobs()).filter(move |&j| inst.initial_proc(j) == p);
+        let mut smalls: Vec<Size> = on_p()
+            .map(|j| inst.size(j))
+            .filter(|&s| 2 * u128::from(s) <= u128::from(t))
+            .collect();
+        smalls.sort_unstable();
+        let has_large = on_p().count() > smalls.len();
+        let removals = |cap: Size| {
+            (0..=smalls.len())
+                .find(|&r| {
+                    let kept = &smalls[..smalls.len() - r];
+                    kept.iter().fold(0, |acc: Size, &s| acc.saturating_add(s)) <= cap
+                })
+                .unwrap()
+        };
+        ProcCounts {
+            small: smalls.len(),
+            a: removals(t / 2),
+            b: removals(t) + usize::from(has_large),
+            has_large,
+        }
+    }
+
+    fn random_instance(rng: &mut rand::rngs::StdRng) -> Instance {
+        use rand::Rng;
+        let n = rng.gen_range(0..=14);
+        let m = rng.gen_range(1..=4);
+        let hi = [1u64, 3, 8, 60][rng.gen_range(0..4usize)];
+        let sizes: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=hi)).collect();
+        let initial: Vec<usize> = (0..n).map(|_| rng.gen_range(0..m)).collect();
+        Instance::from_sizes(&sizes, initial, m).unwrap()
+    }
+
+    #[test]
+    fn counts_match_the_definitions_on_and_between_candidates() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+        for _ in 0..300 {
+            let inst = random_instance(&mut rng);
+            let p = Profiles::new(&inst);
+            let mut guesses: Vec<Size> = vec![0, 1, rng.gen_range(0..=400), Size::MAX];
+            for c in p.candidates() {
+                guesses.extend([c.saturating_sub(1), c, c.saturating_add(1)]);
+            }
+            for t in guesses {
+                for proc in 0..inst.num_procs() {
+                    let counts = p.counts(proc, t);
+                    assert_eq!(
+                        counts,
+                        brute_counts(&inst, proc, t),
+                        "p={proc} t={t} {inst:?}"
+                    );
+                    assert_eq!(p.small_count(proc, t), counts.small);
+                    assert_eq!(p.c(proc, t), counts.a as i64 - counts.b as i64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_ladder_is_the_tail_of_the_full_ladder() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(59);
+        let mut window = Vec::new();
+        for _ in 0..300 {
+            let inst = random_instance(&mut rng);
+            let p = Profiles::new(&inst);
+            let full = p.candidates();
+            // 0, below the smallest candidate, on and between candidates,
+            // and above the largest.
+            let mut starts: Vec<Size> = vec![0, rng.gen_range(0..=300), Size::MAX];
+            for &c in &full {
+                starts.extend([c.saturating_sub(1), c, c.saturating_add(1)]);
+            }
+            for lo in starts {
+                let start = full.partition_point(|&t| t < lo).saturating_sub(1);
+                p.candidates_from(lo, &mut window);
+                assert_eq!(window, full[start..], "lo={lo} {inst:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn huge_sizes_saturate_the_ladder_and_prefix_sums() {
+        // Sizes whose doubles, and whose per-processor sum, overflow u64.
+        let half = u64::MAX / 2;
+        let inst = Instance::from_sizes(&[half, half, 5, 1 << 63], vec![0, 0, 0, 1], 2).unwrap();
+        let p = Profiles::new(&inst);
+        assert_eq!(p.proc(0).prefix, vec![0, 5, half + 5, u64::MAX]);
+        let cands = p.candidates();
+        assert_eq!(cands.last(), Some(&u64::MAX));
+        assert!(cands.windows(2).all(|w| w[0] < w[1]));
+        // 2·2^63 > t for every t: the job is large at every guess.
+        assert_eq!(p.l_t(u64::MAX), 1);
+        assert!(p.has_large(1, u64::MAX));
+        for t in cands {
+            for proc in 0..2 {
+                assert_eq!(
+                    p.counts(proc, t),
+                    brute_counts(&inst, proc, t),
+                    "p={proc} t={t}"
+                );
             }
         }
     }

@@ -186,8 +186,7 @@ fn rebalance_impl<R: Recorder>(
                 work.charge(names::PTAS_DP, sol.states as u64)?;
                 rec.incr(names::PTAS_DP_STATES, sol.states as u64);
                 let _t = rec.time(names::PTAS_ASSEMBLE);
-                let outcome = assemble::assemble(inst, &view, &sol)?
-                    .better(RebalanceOutcome::unchanged(inst));
+                let outcome = assemble::assemble(inst, &view, &sol)?.or_unchanged(inst);
                 return Ok(PtasRun {
                     outcome,
                     guess: t,

@@ -23,7 +23,7 @@ use std::cmp::Reverse;
 use crate::cost_partition::ProcPlan;
 use crate::knapsack::{Item, KeepScratch};
 use crate::model::{Job, JobId, ProcId, Size};
-use crate::profiles::Profiles;
+use crate::profiles::{ProcCounts, Profiles};
 
 /// Per-worker reusable buffers for the core solvers.
 ///
@@ -101,6 +101,8 @@ pub(crate) struct PartitionScratch {
     /// Cost variant: every positive-size job grouped by processor, each
     /// group in the knapsack's ratio order; built once per solve.
     pub by_ratio: Vec<JobId>,
+    /// Cost variant: sort buffer of one group's `(item, id)` keys.
+    pub ratio_keys: Vec<(Item, JobId)>,
     /// Cost variant: start of each processor's group in `by_ratio`, and its
     /// length last.
     pub group_start: Vec<usize>,
@@ -112,6 +114,11 @@ pub(crate) struct PartitionScratch {
     pub keep: KeepScratch,
     /// Live per-processor loads.
     pub loads: Vec<Size>,
+    /// Threshold probes: every processor's `c_i`, for selecting the `L_T`
+    /// smallest.
+    pub probe_cs: Vec<i64>,
+    /// Steps 1-4: every processor's counts at the run's guess.
+    pub counts: Vec<ProcCounts>,
     /// Step 1: the kept (smallest) large job per processor, if any.
     pub kept_large: Vec<Option<JobId>>,
     /// Step 2/3 ranking buffer: `(c_i, no-large tiebreak, proc)`.
@@ -126,9 +133,15 @@ pub(crate) struct PartitionScratch {
     pub removed_small: Vec<JobId>,
     /// Step 5: selected large-free processors.
     pub free_procs: Vec<ProcId>,
+    /// Steps 5-6: sort keys ordering removed jobs largest first.
+    pub order_keys: Vec<OrderKey>,
     /// Backing storage for the Step 6 min-heap.
     pub min_heap: Vec<Reverse<(Size, ProcId)>>,
 }
+
+/// A removed job's reinsertion sort key: `(Reverse(size), position, job)`.
+/// Positions are distinct, so the job never breaks a tie.
+pub(crate) type OrderKey = (Reverse<Size>, usize, JobId);
 
 impl PartitionScratch {
     /// Reset the per-run buffers for an instance with `m` processors.

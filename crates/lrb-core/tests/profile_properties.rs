@@ -58,8 +58,46 @@ fn brute_b(inst: &Instance, p: usize, t: u64) -> usize {
     unreachable!("removing everything always fits");
 }
 
+/// PARTITION's planned move count restated with a full sort: rank every
+/// processor by `(c_i, no large job, p)`, take the first `L_T`, and add
+/// `L_E + Σ b_i`.
+fn sorted_planned_moves(profiles: &Profiles, t: u64) -> Option<usize> {
+    let m = profiles.num_procs();
+    let l_t = profiles.l_t(t);
+    if l_t > m {
+        return None;
+    }
+    let mut ranked: Vec<(i64, bool, usize)> = (0..m)
+        .map(|p| (profiles.c(p, t), !profiles.has_large(p, t), p))
+        .collect();
+    ranked.sort_unstable();
+    let selected: i64 = ranked[..l_t].iter().map(|&(c, _, _)| c).sum();
+    let sum_b: usize = (0..m).map(|p| profiles.b(p, t)).sum();
+    let l_e = l_t - profiles.m_l(t);
+    Some(((l_e + sum_b) as i64 + selected) as usize)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The probe selects the `L_T` smallest `c_i` instead of sorting them
+    /// all; on and between every candidate it must count what a sort does.
+    #[test]
+    fn selected_planned_moves_match_a_sorted_restatement((inst, t) in instance_and_guess()) {
+        use lrb_core::partition::planned_moves;
+        let profiles = Profiles::new(&inst);
+        let mut guesses = vec![0, t];
+        for c in profiles.candidates() {
+            guesses.extend([c.saturating_sub(1), c, c + 1]);
+        }
+        for t in guesses {
+            prop_assert_eq!(
+                planned_moves(&profiles, t),
+                sorted_planned_moves(&profiles, t),
+                "t={}", t
+            );
+        }
+    }
 
     #[test]
     fn a_matches_brute_force((inst, t) in instance_and_guess()) {

@@ -40,18 +40,27 @@ use crate::schedule::{NoopShim, ScheduleShim, YieldPoint};
 /// How the engine solves each item of a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchSolver {
-    /// GREEDY (`2 − 1/m`): fastest, weakest guarantee.
+    /// GREEDY (`2 − 1/m`): fastest, weakest guarantee. A cost budget `b`
+    /// becomes the move budget `b`, which can spend more than `b` when jobs
+    /// cost more than 1 each; such an answer is replaced by the unchanged
+    /// placement (see [`BatchItem`]).
     Greedy,
     /// M-PARTITION (1.5) for move budgets; cost budgets fall through to the
     /// §3.2 cost algorithm — mirroring `lrb-sim`'s `MPartitionPolicy`.
     #[default]
     MPartition,
-    /// Cost-PARTITION (§3.2) regardless of budget kind; move budgets are
-    /// treated as unit-cost budgets.
+    /// Cost-PARTITION (§3.2) regardless of budget kind. A move budget `k`
+    /// becomes the cost budget `k` over the jobs' own costs, which can plan
+    /// more than `k` moves when jobs cost less than 1 each; such an answer
+    /// is replaced by the unchanged placement (see [`BatchItem`]).
     CostPartition,
 }
 
 /// One unit of work: an instance plus the relocation budget to solve under.
+///
+/// The engine returns only answers within the item's budget: an answer that
+/// moves more jobs (move budget) or spends more (cost budget) than allowed,
+/// like a solver error, yields the unchanged placement instead.
 ///
 /// Budgets are *per item*, so one epoch batch may mix `Budget::Moves` and
 /// `Budget::Cost` entries freely — under [`BatchSolver::MPartition`] each
@@ -570,12 +579,13 @@ where
     }
 }
 
-/// Solve one item against a worker's scratch. Errors degrade to "no moves"
-/// (the initial assignment), mirroring `lrb-sim`'s policy fallback, so a
-/// pathological item never poisons its batch. The per-worker recorder `rec`
-/// (a tracer lane in traced runs, [`NoopTracer`] otherwise) flows into the
-/// core solvers' recorded entry points, which are bit-identical to the
-/// unrecorded ones — instrumentation never changes answers.
+/// Solve one item against a worker's scratch. Errors and answers over the
+/// item's budget degrade to "no moves" (the initial assignment), mirroring
+/// `lrb-sim`'s policy fallback, so a pathological item never poisons its
+/// batch. The per-worker recorder `rec` (a tracer lane in traced runs,
+/// [`NoopTracer`] otherwise) flows into the core solvers' recorded entry
+/// points, which are bit-identical to the unrecorded ones —
+/// instrumentation never changes answers.
 fn solve_one<PR: Recorder>(
     item: &BatchItem,
     solver: BatchSolver,
@@ -583,8 +593,7 @@ fn solve_one<PR: Recorder>(
     rec: &PR,
 ) -> RebalanceOutcome {
     let inst = &item.instance;
-    let unchanged = || RebalanceOutcome::unchanged(inst);
-    match (solver, item.budget) {
+    let solved = match (solver, item.budget) {
         (BatchSolver::Greedy, budget) => {
             let k = match budget {
                 Budget::Moves(k) => k,
@@ -597,7 +606,6 @@ fn solve_one<PR: Recorder>(
                 rec,
                 scratch,
             )
-            .unwrap_or_else(|_| unchanged())
         }
         (BatchSolver::MPartition, Budget::Moves(k)) => mpartition::rebalance_scratch_recorded(
             inst,
@@ -606,19 +614,23 @@ fn solve_one<PR: Recorder>(
             rec,
             scratch,
         )
-        .map(|run| run.outcome)
-        .unwrap_or_else(|_| unchanged()),
+        .map(|run| run.outcome),
         (BatchSolver::MPartition, Budget::Cost(b))
         | (BatchSolver::CostPartition, Budget::Cost(b)) => {
-            cost_partition::rebalance_scratch_recorded(inst, b, rec, scratch)
-                .map(|run| run.outcome)
-                .unwrap_or_else(|_| unchanged())
+            cost_partition::rebalance_scratch_recorded(inst, b, rec, scratch).map(|run| run.outcome)
         }
         (BatchSolver::CostPartition, Budget::Moves(k)) => {
             cost_partition::rebalance_scratch_recorded(inst, k as u64, rec, scratch)
                 .map(|run| run.outcome)
-                .unwrap_or_else(|_| unchanged())
         }
+    };
+    let fits = |out: &RebalanceOutcome| match item.budget {
+        Budget::Moves(k) => out.moves() <= k,
+        Budget::Cost(b) => out.cost() <= b,
+    };
+    match solved {
+        Ok(out) if fits(&out) => out,
+        _ => RebalanceOutcome::unchanged(inst),
     }
 }
 
@@ -735,6 +747,7 @@ impl StealQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrb_core::model::Job;
     use lrb_instances::GeneratorConfig;
 
     fn batch(n_items: usize, seed: u64) -> Vec<BatchItem> {
@@ -850,17 +863,48 @@ mod tests {
 
     #[test]
     fn outcomes_respect_budgets() {
-        let items = batch(20, 99);
-        let report = solve_batch(&items, BatchSolver::MPartition, &EngineConfig::default());
-        for (item, out) in items.iter().zip(&report.outcomes) {
-            match item.budget {
-                Budget::Moves(k) => assert!(out.moves() <= k),
-                Budget::Cost(b) => assert!(out.cost() <= b),
+        let mut items = batch(20, 99);
+        // The same farms under cost budgets, so every solver meets both kinds.
+        let costed: Vec<BatchItem> = items
+            .iter()
+            .map(|item| BatchItem {
+                instance: item.instance.clone(),
+                budget: Budget::Cost(item.budget.as_cost()),
+            })
+            .collect();
+        items.extend(costed);
+        // Four jobs of size 4 piled on one of two processors. Costing 10
+        // each, GREEDY given the cost budget 10 as a move budget would move
+        // two of them (cost 20); costing 0 each, cost-PARTITION given the
+        // move budget 1 as a cost budget would move two of them.
+        for cost in [10, 0] {
+            for budget in [Budget::Moves(1), Budget::Cost(10)] {
+                let jobs = vec![Job::with_cost(4, cost); 4];
+                items.push(BatchItem {
+                    instance: Instance::new(jobs, vec![0; 4], 2).unwrap(),
+                    budget,
+                });
             }
-            assert!(out.makespan() <= item.instance.initial_makespan());
         }
-        assert_eq!(report.solve_nanos.len(), items.len());
-        assert!(report.solve_nanos.iter().all(|&ns| ns > 0));
+        for solver in [
+            BatchSolver::Greedy,
+            BatchSolver::MPartition,
+            BatchSolver::CostPartition,
+        ] {
+            let report = solve_batch(&items, solver, &EngineConfig::default());
+            for (i, (item, out)) in items.iter().zip(&report.outcomes).enumerate() {
+                match item.budget {
+                    Budget::Moves(k) => assert!(out.moves() <= k, "{solver:?} item {i}"),
+                    Budget::Cost(b) => assert!(out.cost() <= b, "{solver:?} item {i}"),
+                }
+                assert!(
+                    out.makespan() <= item.instance.initial_makespan(),
+                    "{solver:?} item {i}"
+                );
+            }
+            assert_eq!(report.solve_nanos.len(), items.len());
+            assert!(report.solve_nanos.iter().all(|&ns| ns > 0));
+        }
     }
 
     #[test]
