@@ -7,9 +7,10 @@
 //! arenas.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use lrb_core::greedy::{self, ReinsertOrder};
 use lrb_core::model::Budget;
-use lrb_core::scratch::Scratch;
-use lrb_core::{greedy, mpartition};
+use lrb_core::mpartition::{self, ThresholdSearch};
+use lrb_core::Ctx;
 use lrb_engine::{solve_batch, BatchItem, BatchSolver, EngineConfig};
 use lrb_harness::bench::{smoke_ladder, standard_ladder};
 
@@ -30,19 +31,20 @@ fn bench_engine_scaling(c: &mut Criterion) {
         })
     });
     c.bench_function("mpartition/scratch_reuse", |b| {
-        let mut scratch = Scratch::new();
+        let mut ctx = Ctx::default();
         b.iter(|| {
-            mpartition::rebalance_scratch(black_box(inst), k, &mut scratch)
+            mpartition::rebalance_in(black_box(inst), k, ThresholdSearch::Binary, &mut ctx)
                 .unwrap()
                 .outcome
                 .makespan()
         })
     });
     c.bench_function("greedy/scratch_reuse", |b| {
-        let mut scratch = Scratch::new();
+        let mut ctx = Ctx::default();
         b.iter(|| {
-            greedy::rebalance_scratch(black_box(inst), k, &mut scratch)
+            greedy::rebalance_in(black_box(inst), k, ReinsertOrder::Descending, &mut ctx)
                 .unwrap()
+                .outcome
                 .makespan()
         })
     });

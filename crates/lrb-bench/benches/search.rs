@@ -6,7 +6,8 @@
 //! single probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lrb_core::mpartition::{rebalance_with, ThresholdSearch};
+use lrb_core::mpartition::{rebalance_in, ThresholdSearch};
+use lrb_core::Ctx;
 use lrb_instances::generators::{GeneratorConfig, PlacementModel, SizeDistribution};
 
 fn instance(n: usize) -> lrb_core::model::Instance {
@@ -34,7 +35,13 @@ fn bench_search(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("{name}/k0"), n),
                 &inst,
-                |b, inst| b.iter(|| rebalance_with(inst, 0, search).unwrap().threshold),
+                |b, inst| {
+                    b.iter(|| {
+                        rebalance_in(inst, 0, search, &mut Ctx::default())
+                            .unwrap()
+                            .threshold
+                    })
+                },
             );
         }
     }

@@ -130,7 +130,7 @@ pub fn t16_process_migration(scale: Scale) -> Table {
 /// but realized quality is not — descending (LPT-like) ordering should
 /// dominate, and the adversarial ascending order should be worst.
 pub fn t17_greedy_order(scale: Scale) -> Table {
-    use lrb_core::greedy::{rebalance_with_order, ReinsertOrder};
+    use lrb_core::greedy::{rebalance_in, ReinsertOrder};
     let mut table = Table::new(
         "T17: GREEDY reinsertion-order ablation (ratio vs exact OPT, mean/max)",
         &["order", "cells", "mean", "max", "bound violations"],
@@ -154,7 +154,9 @@ pub fn t17_greedy_order(scale: Scale) -> Table {
             .generate(seed);
             let k = 4usize;
             let opt = lrb_exact::optimal_makespan_moves(&inst, k);
-            let (out, _) = rebalance_with_order(&inst, k, order).expect("greedy runs");
+            let out = rebalance_in(&inst, k, order, &mut lrb_core::Ctx::default())
+                .expect("greedy runs")
+                .outcome;
             let m = inst.num_procs() as u64;
             let ok = (out.makespan() as u128) * (m as u128) <= (opt as u128) * (2 * m - 1) as u128;
             (ratio(out.makespan(), opt), ok)

@@ -4,7 +4,7 @@
 use lrb_core::bounds::within_ratio;
 use lrb_core::greedy::{self, ReinsertOrder};
 use lrb_core::model::Instance;
-use lrb_core::{mpartition, partition};
+use lrb_core::{mpartition, partition, Ctx};
 use lrb_harness::{run_parallel, seed_for, Summary, Table};
 use lrb_instances::adversarial;
 
@@ -81,9 +81,14 @@ pub fn t2_greedy_tight(_scale: Scale) -> Table {
     );
     for m in 2..=12 {
         let case = adversarial::greedy_tightness(m);
-        let (out, _) =
-            greedy::rebalance_with_order(&case.instance, case.k, ReinsertOrder::Ascending)
-                .expect("greedy runs");
+        let out = greedy::rebalance_in(
+            &case.instance,
+            case.k,
+            ReinsertOrder::Ascending,
+            &mut Ctx::default(),
+        )
+        .expect("greedy runs")
+        .outcome;
         table.row(&[
             m.to_string(),
             case.opt.to_string(),

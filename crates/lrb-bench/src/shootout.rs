@@ -5,7 +5,7 @@ use std::time::Instant;
 use lrb_core::bounds;
 use lrb_core::model::{Budget, Instance};
 use lrb_core::mpartition::{self, ThresholdSearch};
-use lrb_core::{greedy, lpt};
+use lrb_core::{greedy, lpt, Ctx};
 use lrb_harness::{geo_mean, run_parallel, seed_for, Table};
 use lrb_instances::generators::{GeneratorConfig, PlacementModel, SizeDistribution};
 
@@ -170,12 +170,14 @@ pub fn t14_threshold_ablation(scale: Scale) -> Table {
                 .collect();
             let rows = run_parallel(seeds, lrb_harness::default_threads(), |&seed| {
                 let inst = medium_instance(n, 8, seed);
-                let scan =
-                    mpartition::rebalance_with(&inst, k, ThresholdSearch::Scan).expect("scan");
-                let inc = mpartition::rebalance_with(&inst, k, ThresholdSearch::Incremental)
-                    .expect("incremental");
-                let bin =
-                    mpartition::rebalance_with(&inst, k, ThresholdSearch::Binary).expect("binary");
+                let mut ctx = Ctx::default();
+                let scan = mpartition::rebalance_in(&inst, k, ThresholdSearch::Scan, &mut ctx)
+                    .expect("scan");
+                let inc =
+                    mpartition::rebalance_in(&inst, k, ThresholdSearch::Incremental, &mut ctx)
+                        .expect("incremental");
+                let bin = mpartition::rebalance_in(&inst, k, ThresholdSearch::Binary, &mut ctx)
+                    .expect("binary");
                 let agree = scan.threshold == bin.threshold
                     && scan.threshold == inc.threshold
                     && scan.outcome.makespan() == bin.outcome.makespan()

@@ -5,7 +5,7 @@ use lrb_core::greedy::ReinsertOrder;
 use lrb_core::model::Budget;
 use lrb_core::mpartition::ThresholdSearch;
 use lrb_core::ptas::{self, Precision};
-use lrb_core::{bounds, cost_partition, greedy, knapsack, mpartition};
+use lrb_core::{bounds, cost_partition, greedy, knapsack, mpartition, Ctx};
 use lrb_harness::Table;
 use lrb_instances::generators::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
 use lrb_instances::spec;
@@ -136,6 +136,7 @@ pub fn solve(args: &Args, path: &str) -> CmdResult {
     };
     args.reject_unknown().map_err(|e| e.to_string())?;
     let rec = AtomicRecorder::new();
+    let mut ctx = Ctx::new(&rec);
 
     let budget_enum = match (moves, budget) {
         (Some(k), None) => Budget::Moves(k),
@@ -150,29 +151,29 @@ pub fn solve(args: &Args, path: &str) -> CmdResult {
             let Budget::Moves(k) = budget_enum else {
                 return Err("greedy takes --moves, not --budget".into());
             };
-            greedy::rebalance_with_order_recorded(&inst, k, ReinsertOrder::Descending, &rec)
+            greedy::rebalance_in(&inst, k, ReinsertOrder::Descending, &mut ctx)
                 .map_err(|e| e.to_string())?
-                .0
+                .outcome
         }
         "mpartition" => match budget_enum {
             Budget::Moves(k) => {
-                mpartition::rebalance_with_recorded(&inst, k, search, &rec)
+                mpartition::rebalance_in(&inst, k, search, &mut ctx)
                     .map_err(|e| e.to_string())?
                     .outcome
             }
             Budget::Cost(b) => {
-                cost_partition::rebalance_recorded(&inst, b, &rec)
+                cost_partition::rebalance_in(&inst, b, &mut ctx)
                     .map_err(|e| e.to_string())?
                     .outcome
             }
         },
         "cost" => {
-            cost_partition::rebalance_recorded(&inst, cost_budget, &rec)
+            cost_partition::rebalance_in(&inst, cost_budget, &mut ctx)
                 .map_err(|e| e.to_string())?
                 .outcome
         }
         "ptas" => {
-            ptas::rebalance_recorded(&inst, cost_budget, Precision::for_epsilon(eps), &rec)
+            ptas::rebalance_in(&inst, cost_budget, Precision::for_epsilon(eps), &mut ctx)
                 .map_err(|e| e.to_string())?
                 .outcome
         }
@@ -271,15 +272,16 @@ pub fn profile(args: &Args, path: &str) -> CmdResult {
         ]);
     };
 
-    let (g, _) = greedy::rebalance_with_order_recorded(&inst, k, ReinsertOrder::Descending, &rec)
+    let mut ctx = Ctx::new(&rec);
+    let g = greedy::rebalance_in(&inst, k, ReinsertOrder::Descending, &mut ctx)
         .map_err(|e| e.to_string())?;
-    row("greedy", &g);
-    let mp = mpartition::rebalance_with_recorded(&inst, k, ThresholdSearch::Scan, &rec)
+    row("greedy", &g.outcome);
+    let mp = mpartition::rebalance_in(&inst, k, ThresholdSearch::Scan, &mut ctx)
         .map_err(|e| e.to_string())?;
     row("m-partition", &mp.outcome);
     let cost_budget = Budget::Moves(k).as_cost();
     let cp =
-        cost_partition::rebalance_recorded(&inst, cost_budget, &rec).map_err(|e| e.to_string())?;
+        cost_partition::rebalance_in(&inst, cost_budget, &mut ctx).map_err(|e| e.to_string())?;
     row("cost-partition", &cp.outcome);
 
     // Exercise the knapsack FPTAS DP on the instance's own job set: keep the
@@ -293,7 +295,7 @@ pub fn profile(args: &Args, path: &str) -> CmdResult {
             cost: j.cost,
         })
         .collect();
-    let fptas = knapsack::max_cost_keep_fptas_recorded(&items, inst.avg_load_ceil(), eps, &rec);
+    let fptas = knapsack::max_cost_keep_fptas_in(&items, inst.avg_load_ceil(), eps, &mut ctx);
     let mut notes = format!(
         "knapsack fptas: kept {} of {} items (cost {})",
         fptas.kept.len(),
@@ -303,7 +305,7 @@ pub fn profile(args: &Args, path: &str) -> CmdResult {
 
     // The PTAS is exponential in 1/eps; only profile it where it is usable.
     if inst.num_jobs() <= 64 {
-        let run = ptas::rebalance_recorded(&inst, cost_budget, Precision::for_epsilon(1.0), &rec)
+        let run = ptas::rebalance_in(&inst, cost_budget, Precision::for_epsilon(1.0), &mut ctx)
             .map_err(|e| e.to_string())?;
         row("ptas", &run.outcome);
     } else {

@@ -25,13 +25,14 @@
 
 use lrb_obs::{names, NoopRecorder, Recorder};
 
+use crate::ctx::Ctx;
 use crate::deadline::WorkBudget;
 use crate::error::{Error, Result};
 use crate::knapsack::{keep_sorted, ratio_cmp, Item, KeepScratch, DEFAULT_NODE_BUDGET};
 use crate::model::{Cost, Instance, JobId, Size};
 use crate::outcome::RebalanceOutcome;
 use crate::partition;
-use crate::scratch::{PartitionScratch, Scratch};
+use crate::scratch::PartitionScratch;
 
 /// One processor's removal costs at one makespan guess.
 #[derive(Debug, Clone, Copy)]
@@ -81,68 +82,25 @@ pub fn planned_cost(inst: &Instance, a: Size) -> Option<Cost> {
 /// assert!(run.outcome.cost() <= 1);
 /// ```
 pub fn rebalance(inst: &Instance, b: Cost) -> Result<CostPartitionRun> {
-    rebalance_recorded(inst, b, &NoopRecorder)
+    rebalance_in(inst, b, &mut Ctx::default())
 }
 
-/// [`rebalance`] with instrumentation: counts binary-search guesses
-/// (`cost_partition.guesses`), times the guess search
-/// (`cost_partition.search`) and the final build (`cost_partition.build`),
-/// and threads the recorder into the per-processor knapsacks
+/// Run cost-PARTITION in `ctx`.
+///
+/// `n` work ticks are charged per binary-search guess (each guess runs two
+/// knapsacks per processor) plus `n` for the final build. The recorder
+/// counts binary-search guesses (`cost_partition.guesses`), times the guess
+/// search (`cost_partition.search`) and the final build
+/// (`cost_partition.build`), and reaches the per-processor knapsacks
 /// (`knapsack.bb_nodes`, `knapsack.bb_fallbacks`,
-/// `knapsack.branch_and_bound`).
-pub fn rebalance_recorded<R: Recorder>(
+/// `knapsack.branch_and_bound`). The scratch keeps every buffer of the
+/// guess search and the final build warm across calls.
+pub fn rebalance_in<R: Recorder>(
     inst: &Instance,
     b: Cost,
-    rec: &R,
+    ctx: &mut Ctx<'_, R>,
 ) -> Result<CostPartitionRun> {
-    rebalance_impl(
-        inst,
-        b,
-        rec,
-        &WorkBudget::unlimited(),
-        &mut PartitionScratch::default(),
-    )
-}
-
-/// [`rebalance`] against a reusable [`Scratch`]: identical output, with
-/// every buffer of the guess search and the final build, knapsack buffers
-/// included, recycled across calls.
-pub fn rebalance_scratch(
-    inst: &Instance,
-    b: Cost,
-    scratch: &mut Scratch,
-) -> Result<CostPartitionRun> {
-    rebalance_scratch_recorded(inst, b, &NoopRecorder, scratch)
-}
-
-/// [`rebalance_scratch`] with instrumentation threaded through.
-pub fn rebalance_scratch_recorded<R: Recorder>(
-    inst: &Instance,
-    b: Cost,
-    rec: &R,
-    scratch: &mut Scratch,
-) -> Result<CostPartitionRun> {
-    rebalance_impl(
-        inst,
-        b,
-        rec,
-        &WorkBudget::unlimited(),
-        &mut scratch.partition,
-    )
-}
-
-/// Run cost-PARTITION under a [`WorkBudget`]: `n` ticks are charged per
-/// binary-search guess (each guess runs two knapsacks per processor) plus
-/// `n` for the final build, so the search cancels with [`Error::Cancelled`]
-/// once the budget is exhausted.
-pub fn rebalance_budgeted(inst: &Instance, b: Cost, work: &WorkBudget) -> Result<CostPartitionRun> {
-    rebalance_impl(
-        inst,
-        b,
-        &NoopRecorder,
-        work,
-        &mut PartitionScratch::default(),
-    )
+    rebalance_impl(inst, b, ctx.rec, &ctx.work, &mut ctx.scratch.partition)
 }
 
 fn rebalance_impl<R: Recorder>(
@@ -193,15 +151,9 @@ fn rebalance_impl<R: Recorder>(
 /// [`Error::InfeasibleGuess`] when there are more large jobs than
 /// processors.
 pub fn run_at(inst: &Instance, a: Size) -> Result<CostPartitionRun> {
-    run_at_recorded(inst, a, &NoopRecorder)
-}
-
-/// [`run_at`] with instrumentation threaded into the per-processor
-/// knapsacks.
-pub fn run_at_recorded<R: Recorder>(inst: &Instance, a: Size, rec: &R) -> Result<CostPartitionRun> {
     let mut s = PartitionScratch::default();
     order_by_ratio(inst, &mut s);
-    build_at(inst, a, rec, &mut s)
+    build_at(inst, a, &NoopRecorder, &mut s)
 }
 
 /// Whether a job of `size` is large at guess `a` (`2·size > a`), without
@@ -575,11 +527,11 @@ mod tests {
             3,
         );
         let b = inst_with_costs(&[(10, 1), (10, 9)], vec![0, 0], 2);
-        let mut scratch = Scratch::new();
+        let mut ctx = Ctx::default();
         for inst in [&a, &b, &a] {
             for budget in 0..=8 {
                 let fresh = rebalance(inst, budget).unwrap();
-                let reused = rebalance_scratch(inst, budget, &mut scratch).unwrap();
+                let reused = rebalance_in(inst, budget, &mut ctx).unwrap();
                 assert_eq!(fresh.guess, reused.guess, "b={budget}");
                 assert_eq!(fresh.planned_cost, reused.planned_cost, "b={budget}");
                 assert_eq!(
@@ -598,10 +550,18 @@ mod tests {
             vec![0, 0, 0, 1, 1, 2],
             3,
         );
-        let err = rebalance_budgeted(&inst, 6, &WorkBudget::new(1)).unwrap_err();
+        let mut tiny = Ctx {
+            work: WorkBudget::new(1),
+            ..Ctx::default()
+        };
+        let err = rebalance_in(&inst, 6, &mut tiny).unwrap_err();
         assert!(matches!(err, Error::Cancelled { .. }));
 
-        let budgeted = rebalance_budgeted(&inst, 6, &WorkBudget::unlimited()).unwrap();
+        let mut ample = Ctx {
+            work: WorkBudget::new(1_000_000),
+            ..Ctx::default()
+        };
+        let budgeted = rebalance_in(&inst, 6, &mut ample).unwrap();
         let plain = rebalance(&inst, 6).unwrap();
         assert_eq!(budgeted.outcome.assignment(), plain.outcome.assignment());
     }

@@ -22,6 +22,9 @@
 
 use std::cell::Cell;
 
+use lrb_obs::Recorder;
+
+use crate::ctx::Ctx;
 use crate::error::{Error, Result};
 use crate::greedy::{self, ReinsertOrder};
 use crate::model::{Budget, Instance};
@@ -141,13 +144,15 @@ impl SolverKind {
     }
 }
 
-/// One algorithm wrapped with a work budget / deadline.
+/// One algorithm wrapped with a work budget / deadline: the one place where
+/// a relocation [`Budget`] picks the solver and its move or cost bound.
 ///
 /// `solve` runs the algorithm with cancellation points checked against the
-/// provided [`WorkBudget`] and post-validates that the produced assignment
-/// respects the relocation budget (a non-unit-cost instance under a
-/// `Moves` budget can make the cost-based tiers overshoot; the check turns
-/// that into an error instead of a silent violation).
+/// context's [`WorkBudget`] and post-validates that the produced assignment
+/// respects the relocation budget (a non-unit-cost instance can make a
+/// tier overshoot: the cost-based tiers under a `Moves` budget, GREEDY
+/// under a `Cost` budget; the check turns that into an error instead of a
+/// silent violation).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlineSolver {
     kind: SolverKind,
@@ -164,43 +169,45 @@ impl DeadlineSolver {
         self.kind.name()
     }
 
-    /// Run the algorithm under `work`, returning a budget-respecting
-    /// outcome or the error that stopped it.
-    pub fn solve(
+    /// Run the algorithm in `ctx`, returning a budget-respecting outcome or
+    /// the error that stopped it.
+    ///
+    /// A `Moves` budget goes to M-PARTITION and a `Cost` budget to
+    /// cost-PARTITION; GREEDY gets the most jobs a `Cost` budget could pay
+    /// for ([`bounds::max_moves_within`]), and the cost-PARTITION and PTAS
+    /// tiers read a `Moves` budget as a cost bound ([`Budget::as_cost`]).
+    pub fn solve<R: Recorder>(
         &self,
         inst: &Instance,
         budget: Budget,
-        work: &WorkBudget,
+        ctx: &mut Ctx<'_, R>,
     ) -> Result<RebalanceOutcome> {
         let outcome = match self.kind {
             SolverKind::NoMove => RebalanceOutcome::unchanged(inst),
             SolverKind::Greedy => {
-                let k = match budget {
-                    Budget::Moves(k) => k,
-                    Budget::Cost(_) => bounds::max_moves_within(inst, budget),
-                };
-                greedy::rebalance_budgeted(inst, k, ReinsertOrder::Descending, work)?.0
+                let k = bounds::max_moves_within(inst, budget);
+                greedy::rebalance_in(inst, k, ReinsertOrder::Descending, ctx)?.outcome
             }
             SolverKind::MPartition => match budget {
                 Budget::Moves(k) => {
-                    mpartition::rebalance_budgeted(inst, k, ThresholdSearch::Binary, work)?.outcome
+                    mpartition::rebalance_in(inst, k, ThresholdSearch::Binary, ctx)?.outcome
                 }
-                Budget::Cost(b) => cost_partition::rebalance_budgeted(inst, b, work)?.outcome,
+                Budget::Cost(b) => cost_partition::rebalance_in(inst, b, ctx)?.outcome,
             },
             SolverKind::CostPartition => {
-                cost_partition::rebalance_budgeted(inst, budget.as_cost(), work)?.outcome
+                cost_partition::rebalance_in(inst, budget.as_cost(), ctx)?.outcome
             }
             SolverKind::Ptas(precision) => {
-                ptas::rebalance_budgeted(inst, budget.as_cost(), precision, work)?.outcome
+                ptas::rebalance_in(inst, budget.as_cost(), precision, ctx)?.outcome
             }
         };
-        if budget.allows(inst, outcome.assignment()) {
+        let (used, limit) = match budget {
+            Budget::Moves(k) => (outcome.moves() as u64, k as u64),
+            Budget::Cost(b) => (outcome.cost(), b),
+        };
+        if used <= limit {
             Ok(outcome)
         } else {
-            let (used, limit) = match budget {
-                Budget::Moves(k) => (outcome.moves() as u64, k as u64),
-                Budget::Cost(b) => (outcome.cost(), b),
-            };
             Err(Error::BudgetExceeded {
                 used,
                 budget: limit,
@@ -278,12 +285,18 @@ impl FallbackChain {
         self.tiers.iter().map(|t| t.name()).collect()
     }
 
-    /// Run the chain. Infallible: if every tier fails (cancellation,
+    /// Run the chain in `ctx`. Every tier spends from the context's one
+    /// work budget. Infallible: if every tier fails (cancellation,
     /// infeasibility, budget violation), the no-move assignment answers.
-    pub fn solve(&self, inst: &Instance, budget: Budget, work: &WorkBudget) -> FallbackReport {
+    pub fn solve<R: Recorder>(
+        &self,
+        inst: &Instance,
+        budget: Budget,
+        ctx: &mut Ctx<'_, R>,
+    ) -> FallbackReport {
         let mut failures = Vec::new();
         for (i, tier) in self.tiers.iter().enumerate() {
-            match tier.solve(inst, budget, work) {
+            match tier.solve(inst, budget, ctx) {
                 Ok(outcome) => {
                     return FallbackReport {
                         outcome,
@@ -313,6 +326,14 @@ mod tests {
 
     fn piled() -> Instance {
         Instance::from_sizes(&[9, 7, 5, 4, 3, 2], vec![0, 0, 0, 0, 0, 1], 3).unwrap()
+    }
+
+    /// A default context with a work budget of `limit` ticks.
+    fn with_work(limit: u64) -> Ctx<'static> {
+        Ctx {
+            work: WorkBudget::new(limit),
+            ..Ctx::default()
+        }
     }
 
     #[test]
@@ -345,7 +366,7 @@ mod tests {
             SolverKind::NoMove,
         ] {
             let out = DeadlineSolver::new(kind)
-                .solve(&inst, Budget::Moves(3), &WorkBudget::unlimited())
+                .solve(&inst, Budget::Moves(3), &mut Ctx::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
             assert!(inst.move_count(out.assignment()) <= 3, "{}", kind.name());
         }
@@ -361,7 +382,7 @@ mod tests {
             SolverKind::Ptas(Precision::from_q(2)),
         ] {
             let err = DeadlineSolver::new(kind)
-                .solve(&inst, Budget::Moves(3), &WorkBudget::new(1))
+                .solve(&inst, Budget::Moves(3), &mut with_work(1))
                 .unwrap_err();
             assert!(
                 matches!(err, Error::Cancelled { .. }),
@@ -371,7 +392,7 @@ mod tests {
         }
         // No-move ignores the work budget entirely.
         assert!(DeadlineSolver::new(SolverKind::NoMove)
-            .solve(&inst, Budget::Moves(3), &WorkBudget::new(0))
+            .solve(&inst, Budget::Moves(3), &mut with_work(0))
             .is_ok());
     }
 
@@ -379,7 +400,7 @@ mod tests {
     fn chain_answers_from_first_tier_given_budget() {
         let inst = piled();
         let chain = FallbackChain::standard();
-        let r = chain.solve(&inst, Budget::Moves(3), &WorkBudget::unlimited());
+        let r = chain.solve(&inst, Budget::Moves(3), &mut Ctx::default());
         assert_eq!(r.tier, "ptas");
         assert_eq!(r.tier_index, 0);
         assert!(!r.degraded());
@@ -391,7 +412,7 @@ mod tests {
     fn chain_degrades_to_no_move_on_zero_work() {
         let inst = piled();
         let chain = FallbackChain::standard();
-        let r = chain.solve(&inst, Budget::Moves(3), &WorkBudget::new(0));
+        let r = chain.solve(&inst, Budget::Moves(3), &mut with_work(0));
         assert_eq!(r.tier, "no-move");
         assert!(r.degraded());
         assert_eq!(r.failures.len(), 3);
@@ -411,7 +432,7 @@ mod tests {
         let chain = FallbackChain::standard();
         let mut seen = std::collections::BTreeSet::new();
         for w in [0, 1, 5, 20, 100, 1000, 100_000, u64::MAX] {
-            let r = chain.solve(&inst, Budget::Moves(2), &WorkBudget::new(w));
+            let r = chain.solve(&inst, Budget::Moves(2), &mut with_work(w));
             assert!(
                 Budget::Moves(2).allows(&inst, r.outcome.assignment()),
                 "w={w}"
@@ -430,8 +451,8 @@ mod tests {
         let inst = piled();
         let chain = FallbackChain::practical();
         for w in [0u64, 37, 1_000, u64::MAX] {
-            let a = chain.solve(&inst, Budget::Moves(2), &WorkBudget::new(w));
-            let b = chain.solve(&inst, Budget::Moves(2), &WorkBudget::new(w));
+            let a = chain.solve(&inst, Budget::Moves(2), &mut with_work(w));
+            let b = chain.solve(&inst, Budget::Moves(2), &mut with_work(w));
             assert_eq!(a.outcome.assignment(), b.outcome.assignment(), "w={w}");
             assert_eq!(a.tier, b.tier, "w={w}");
         }
@@ -448,7 +469,7 @@ mod tests {
         let inst = Instance::new(jobs, vec![0, 0, 0, 1], 2).unwrap();
         let chain = FallbackChain::standard();
         for b in 0..=12 {
-            let r = chain.solve(&inst, Budget::Cost(b), &WorkBudget::unlimited());
+            let r = chain.solve(&inst, Budget::Cost(b), &mut Ctx::default());
             assert!(inst.move_cost(r.outcome.assignment()) <= b, "b={b}");
         }
     }
@@ -464,8 +485,8 @@ mod tests {
         let chain = FallbackChain::standard();
         let mut hit_mid_tier = false;
         for limit in 1..200u64 {
-            let work = WorkBudget::new(limit);
-            let r = chain.solve(&inst, Budget::Moves(3), &work);
+            let mut ctx = with_work(limit);
+            let r = chain.solve(&inst, Budget::Moves(3), &mut ctx);
             // The chain is total regardless of where exhaustion lands.
             assert!(Budget::Moves(3).allows(&inst, r.outcome.assignment()));
             let Some(first) = r.failures.first() else {
@@ -492,8 +513,8 @@ mod tests {
                     };
                     assert!(c >= l, "later tiers must cancel on arrival");
                 }
-                assert!(work.is_exhausted());
-                assert_eq!(work.remaining(), 0);
+                assert!(ctx.work.is_exhausted());
+                assert_eq!(ctx.work.remaining(), 0);
             }
         }
         assert!(hit_mid_tier, "no budget exhausted inside a tier");

@@ -21,11 +21,12 @@ use std::collections::BinaryHeap;
 
 use lrb_obs::{names, NoopRecorder, Recorder};
 
+use crate::ctx::Ctx;
 use crate::deadline::WorkBudget;
 use crate::error::{Error, Result};
-use crate::model::{Instance, JobId, Size};
+use crate::model::{Instance, Size};
 use crate::outcome::RebalanceOutcome;
-use crate::scratch::{GreedyScratch, Scratch};
+use crate::scratch::GreedyScratch;
 
 /// Order in which the removal-phase jobs are reinserted in phase 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,16 +41,16 @@ pub enum ReinsertOrder {
     RemovalOrder,
 }
 
-/// Diagnostics from a `GREEDY` run, matching the quantities named in the
-/// paper's analysis.
+/// Result of a `GREEDY` run, with the quantities named in the paper's
+/// analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GreedyTrace {
+pub struct GreedyRun {
+    /// The rebalanced assignment and its bookkeeping.
+    pub outcome: RebalanceOutcome,
     /// Makespan after the removal phase; `G1 ≤ OPT` by Lemma 1.
     pub g1: Size,
     /// Final makespan; `G2 ≤ (2 − 1/m)·OPT` by Lemma 2.
     pub g2: Size,
-    /// Jobs removed in phase 1, in removal order.
-    pub removed: Vec<JobId>,
 }
 
 /// Run `GREEDY` with at most `k` moves and the default (descending)
@@ -65,85 +66,23 @@ pub struct GreedyTrace {
 /// assert!(out.makespan() <= 8); // (2 - 1/m) * OPT = 1.5 * 6 = 9, rounded down by luck
 /// ```
 pub fn rebalance(inst: &Instance, k: usize) -> Result<RebalanceOutcome> {
-    rebalance_with_order(inst, k, ReinsertOrder::Descending).map(|(o, _)| o)
+    rebalance_in(inst, k, ReinsertOrder::Descending, &mut Ctx::default()).map(|run| run.outcome)
 }
 
-/// Run `GREEDY` with an explicit reinsertion order, returning the trace.
-pub fn rebalance_with_order(
+/// Run `GREEDY` with an explicit reinsertion order in `ctx`.
+///
+/// One work tick is charged per removal and per reinsertion step. The
+/// recorder times the removal and reinsertion phases (`greedy.removal` /
+/// `greedy.reinsert`), counts removed and reinserted jobs and
+/// cross-processor moves, and observes the size of every moved job in the
+/// `greedy.move_size` histogram.
+pub fn rebalance_in<R: Recorder>(
     inst: &Instance,
     k: usize,
     order: ReinsertOrder,
-) -> Result<(RebalanceOutcome, GreedyTrace)> {
-    rebalance_with_order_recorded(inst, k, order, &NoopRecorder)
-}
-
-/// [`rebalance_with_order`] with instrumentation: times the removal and
-/// reinsertion phases (`greedy.removal` / `greedy.reinsert`), counts removed
-/// and reinserted jobs and cross-processor moves, and observes the size of
-/// every moved job in the `greedy.move_size` histogram.
-pub fn rebalance_with_order_recorded<R: Recorder>(
-    inst: &Instance,
-    k: usize,
-    order: ReinsertOrder,
-    rec: &R,
-) -> Result<(RebalanceOutcome, GreedyTrace)> {
-    let mut scratch = Scratch::new();
-    let (outcome, g1, g2) = rebalance_impl(
-        inst,
-        k,
-        order,
-        rec,
-        &WorkBudget::unlimited(),
-        &mut scratch.greedy,
-    )?;
-    let removed = scratch.greedy.removed.clone();
-    Ok((outcome, GreedyTrace { g1, g2, removed }))
-}
-
-/// Run `GREEDY` under a [`WorkBudget`]: one tick is charged per removal and
-/// per reinsertion step, so the run cancels with [`Error::Cancelled`] once
-/// the budget is exhausted instead of finishing late.
-pub fn rebalance_budgeted(
-    inst: &Instance,
-    k: usize,
-    order: ReinsertOrder,
-    work: &WorkBudget,
-) -> Result<(RebalanceOutcome, GreedyTrace)> {
-    let mut scratch = Scratch::new();
-    let (outcome, g1, g2) =
-        rebalance_impl(inst, k, order, &NoopRecorder, work, &mut scratch.greedy)?;
-    let removed = scratch.greedy.removed.clone();
-    Ok((outcome, GreedyTrace { g1, g2, removed }))
-}
-
-/// [`rebalance`] against a reusable [`Scratch`]: identical output, but every
-/// working buffer (per-processor stacks, heaps, removal lists) lives in the
-/// scratch, so repeated calls allocate only the returned assignment.
-pub fn rebalance_scratch(
-    inst: &Instance,
-    k: usize,
-    scratch: &mut Scratch,
-) -> Result<RebalanceOutcome> {
-    rebalance_scratch_recorded(inst, k, ReinsertOrder::Descending, &NoopRecorder, scratch)
-}
-
-/// [`rebalance_scratch`] with an explicit reinsertion order and recorder.
-pub fn rebalance_scratch_recorded<R: Recorder>(
-    inst: &Instance,
-    k: usize,
-    order: ReinsertOrder,
-    rec: &R,
-    scratch: &mut Scratch,
-) -> Result<RebalanceOutcome> {
-    rebalance_impl(
-        inst,
-        k,
-        order,
-        rec,
-        &WorkBudget::unlimited(),
-        &mut scratch.greedy,
-    )
-    .map(|(outcome, _, _)| outcome)
+    ctx: &mut Ctx<'_, R>,
+) -> Result<GreedyRun> {
+    rebalance_impl(inst, k, order, ctx.rec, &ctx.work, &mut ctx.scratch.greedy)
 }
 
 fn rebalance_impl<R: Recorder>(
@@ -153,7 +92,7 @@ fn rebalance_impl<R: Recorder>(
     rec: &R,
     work: &WorkBudget,
     s: &mut GreedyScratch,
-) -> Result<(RebalanceOutcome, Size, Size)> {
+) -> Result<GreedyRun> {
     let mut assignment = inst.initial().clone();
     let g1 = {
         let _t = rec.time(names::GREEDY_REMOVAL);
@@ -161,23 +100,28 @@ fn rebalance_impl<R: Recorder>(
     };
 
     // Phase 2: reinsert each removed job on the current minimum-loaded
-    // processor, via a min-heap keyed on (load, proc).
+    // processor, via a min-heap keyed on (load, proc). The order keys are
+    // (size key, removal position) pairs, so an unstable sort keeps equal
+    // sizes in removal order without a merge buffer; `!size` orders sizes
+    // descending.
     let _t = rec.time(names::GREEDY_REINSERT);
-    s.order_buf.clear();
-    s.order_buf.extend_from_slice(&s.removed);
-    match order {
-        ReinsertOrder::Descending => {
-            s.order_buf.sort_by_key(|&j| Reverse(inst.size(j)));
-        }
-        ReinsertOrder::Ascending => s.order_buf.sort_by_key(|&j| inst.size(j)),
-        ReinsertOrder::RemovalOrder => {}
+    s.order_keys.clear();
+    s.order_keys
+        .extend(s.removed.iter().enumerate().map(|(pos, &j)| match order {
+            ReinsertOrder::Descending => (!inst.size(j), pos),
+            ReinsertOrder::Ascending => (inst.size(j), pos),
+            ReinsertOrder::RemovalOrder => (0, pos),
+        }));
+    if order != ReinsertOrder::RemovalOrder {
+        s.order_keys.sort_unstable();
     }
 
     let mut heap_buf = std::mem::take(&mut s.min_heap);
     heap_buf.clear();
     heap_buf.extend(s.loads.iter().enumerate().map(|(p, &l)| Reverse((l, p))));
     let mut heap = BinaryHeap::from(heap_buf);
-    for &j in &s.order_buf {
+    for &(_, pos) in &s.order_keys {
+        let j = s.removed[pos];
         work.charge(names::GREEDY_REINSERT, 1)?;
         let Reverse((load, p)) = heap.pop().ok_or(Error::NoProcessors)?;
         let new_load = load.saturating_add(inst.size(j));
@@ -195,7 +139,7 @@ fn rebalance_impl<R: Recorder>(
     let g2 = s.loads.iter().copied().max().unwrap_or(0);
     let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
     debug_assert_eq!(outcome.makespan(), g2);
-    Ok((outcome, g1, g2))
+    Ok(GreedyRun { outcome, g1, g2 })
 }
 
 /// Phase 1 of `GREEDY`: remove the largest job from the max-loaded processor
@@ -212,9 +156,10 @@ fn removal_phase<R: Recorder>(
     s.loads.clear();
     s.loads.extend_from_slice(inst.initial_loads());
 
-    // Per-processor job stacks sorted ascending by size, so the largest job
-    // is popped from the back in O(1). Stacks are filled in job-id order and
-    // stably sorted, matching a fresh `jobs_by_proc()` build exactly.
+    // Per-processor stacks of (size, id) keys sorted ascending, so the
+    // largest job is popped from the back in O(1) and equal sizes pop in
+    // descending id order, matching a stable size sort of a fresh
+    // `jobs_by_proc()` build exactly.
     let m = inst.num_procs();
     s.per_proc.truncate(m);
     s.per_proc.resize_with(m, Vec::new);
@@ -222,10 +167,10 @@ fn removal_phase<R: Recorder>(
         jobs.clear();
     }
     for (j, &p) in inst.initial().iter().enumerate() {
-        s.per_proc[p].push(j);
+        s.per_proc[p].push((inst.size(j), j));
     }
     for jobs in &mut s.per_proc {
-        jobs.sort_by_key(|&j| inst.size(j));
+        jobs.sort_unstable();
     }
 
     // Lazy max-heap over (load, proc): stale entries are skipped when the
@@ -253,8 +198,10 @@ fn removal_phase<R: Recorder>(
         // A nonzero load implies a job on the stack; treat a mismatch (an
         // internal-invariant breach, not user input) as "nothing to remove"
         // rather than panicking.
-        let Some(j) = s.per_proc[p].pop() else { break };
-        s.loads[p] = s.loads[p].saturating_sub(inst.size(j));
+        let Some((size, j)) = s.per_proc[p].pop() else {
+            break;
+        };
+        s.loads[p] = s.loads[p].saturating_sub(size);
         s.removed.push(j);
         rec.incr(names::GREEDY_JOBS_REMOVED, 1);
         heap.push((s.loads[p], p));
@@ -355,9 +302,10 @@ mod tests {
         // configuration of value 2m − 1 while OPT = m (Theorem 1).
         for m in 2..=6 {
             let (inst, k) = tightness_instance(m);
-            let (out, trace) = rebalance_with_order(&inst, k, ReinsertOrder::Ascending).unwrap();
-            assert_eq!(trace.g1, (m - 1) as u64, "m={m}");
-            assert_eq!(out.makespan(), (2 * m - 1) as u64, "m={m}");
+            let run =
+                rebalance_in(&inst, k, ReinsertOrder::Ascending, &mut Ctx::default()).unwrap();
+            assert_eq!(run.g1, (m - 1) as u64, "m={m}");
+            assert_eq!(run.outcome.makespan(), (2 * m - 1) as u64, "m={m}");
         }
     }
 
@@ -373,7 +321,9 @@ mod tests {
                 ReinsertOrder::Ascending,
                 ReinsertOrder::RemovalOrder,
             ] {
-                let (out, _) = rebalance_with_order(&inst, k, order).unwrap();
+                let out = rebalance_in(&inst, k, order, &mut Ctx::default())
+                    .unwrap()
+                    .outcome;
                 assert!(
                     out.makespan() <= (2 * m - 1) as u64,
                     "m={m} order={order:?}"
@@ -386,9 +336,8 @@ mod tests {
     #[test]
     fn trace_g2_matches_outcome() {
         let inst = Instance::from_sizes(&[9, 1, 1, 1, 8], vec![0, 0, 0, 0, 1], 3).unwrap();
-        let (out, trace) = rebalance_with_order(&inst, 3, ReinsertOrder::RemovalOrder).unwrap();
-        assert_eq!(trace.g2, out.makespan());
-        assert_eq!(trace.removed.len(), out.moves().max(trace.removed.len()));
+        let run = rebalance_in(&inst, 3, ReinsertOrder::RemovalOrder, &mut Ctx::default()).unwrap();
+        assert_eq!(run.g2, run.outcome.makespan());
     }
 
     #[test]
@@ -401,19 +350,20 @@ mod tests {
     #[test]
     fn budgeted_run_cancels_and_matches_unbudgeted() {
         let inst = Instance::from_sizes(&[9, 1, 1, 1, 8], vec![0, 0, 0, 0, 1], 3).unwrap();
-        let err = rebalance_budgeted(&inst, 3, ReinsertOrder::Descending, &WorkBudget::new(1))
-            .unwrap_err();
+        let mut tiny = Ctx {
+            work: WorkBudget::new(1),
+            ..Ctx::default()
+        };
+        let err = rebalance_in(&inst, 3, ReinsertOrder::Descending, &mut tiny).unwrap_err();
         assert!(matches!(err, crate::error::Error::Cancelled { .. }));
 
-        let (budgeted, _) = rebalance_budgeted(
-            &inst,
-            3,
-            ReinsertOrder::Descending,
-            &WorkBudget::unlimited(),
-        )
-        .unwrap();
+        let mut ample = Ctx {
+            work: WorkBudget::new(1_000_000),
+            ..Ctx::default()
+        };
+        let budgeted = rebalance_in(&inst, 3, ReinsertOrder::Descending, &mut ample).unwrap();
         let plain = rebalance(&inst, 3).unwrap();
-        assert_eq!(budgeted.assignment(), plain.assignment());
+        assert_eq!(budgeted.outcome.assignment(), plain.assignment());
     }
 
     #[test]
@@ -435,11 +385,13 @@ mod tests {
             Instance::from_sizes(&[7, 7, 7, 2, 2, 2, 1], vec![0, 0, 0, 1, 1, 1, 2], 4).unwrap(),
             Instance::from_sizes(&[], vec![], 2).unwrap(),
         ];
-        let mut scratch = Scratch::new();
+        let mut ctx = Ctx::default();
         for inst in &insts {
             for k in 0..=inst.num_jobs() {
                 let fresh = rebalance(inst, k).unwrap();
-                let reused = rebalance_scratch(inst, k, &mut scratch).unwrap();
+                let reused = rebalance_in(inst, k, ReinsertOrder::Descending, &mut ctx)
+                    .unwrap()
+                    .outcome;
                 assert_eq!(fresh.assignment(), reused.assignment(), "k={k}");
                 assert_eq!(fresh.makespan(), reused.makespan(), "k={k}");
             }

@@ -32,9 +32,10 @@ use std::cmp::{Ordering, Reverse};
 
 use lrb_obs::{names, NoopRecorder, Recorder};
 
+use crate::ctx::Ctx;
 use crate::error::{Error, Result};
 use crate::model::{Assignment, Instance, ProcId, Size};
-use crate::mpartition;
+use crate::mpartition::{self, ThresholdSearch};
 use crate::outcome::RebalanceOutcome;
 use crate::scratch::Scratch;
 
@@ -217,43 +218,22 @@ pub struct HeteroMPartitionRun {
 /// assert!(run.scaled_makespan <= inst.initial_makespan());
 /// ```
 pub fn rebalance_greedy(inst: &Instance, speeds: &Speeds, k: usize) -> Result<HeteroRun> {
-    rebalance_greedy_recorded(inst, speeds, k, &NoopRecorder)
+    rebalance_greedy_in(inst, speeds, k, &mut Ctx::default())
 }
 
-/// [`rebalance_greedy`] with instrumentation: times the run
-/// (`hetero.greedy`) and counts cross-processor moves (`hetero.moves`).
-pub fn rebalance_greedy_recorded<R: Recorder>(
+/// [`rebalance_greedy`] in `ctx`: the scratch keeps every buffer warm, and
+/// the recorder times the run (`hetero.greedy`) and counts cross-processor
+/// moves (`hetero.moves`). Speed-scaled GREEDY charges no work ticks.
+pub fn rebalance_greedy_in<R: Recorder>(
     inst: &Instance,
     speeds: &Speeds,
     k: usize,
-    rec: &R,
+    ctx: &mut Ctx<'_, R>,
 ) -> Result<HeteroRun> {
-    let mut scratch = Scratch::new();
-    rebalance_greedy_scratch_recorded(inst, speeds, k, rec, &mut scratch)
-}
-
-/// [`rebalance_greedy`] against a reusable [`Scratch`]: identical output,
-/// no steady-state allocation beyond the returned assignment.
-pub fn rebalance_greedy_scratch(
-    inst: &Instance,
-    speeds: &Speeds,
-    k: usize,
-    scratch: &mut Scratch,
-) -> Result<HeteroRun> {
-    rebalance_greedy_scratch_recorded(inst, speeds, k, &NoopRecorder, scratch)
-}
-
-/// [`rebalance_greedy_scratch`] with a recorder.
-pub fn rebalance_greedy_scratch_recorded<R: Recorder>(
-    inst: &Instance,
-    speeds: &Speeds,
-    k: usize,
-    rec: &R,
-    scratch: &mut Scratch,
-) -> Result<HeteroRun> {
+    let rec = ctx.rec;
     speeds.matches(inst)?;
     let _t = rec.time(names::HETERO_GREEDY);
-    let s = &mut scratch.hetero;
+    let s = &mut ctx.scratch.hetero;
     let m = inst.num_procs();
     let mut assignment = inst.initial().clone();
 
@@ -382,39 +362,21 @@ pub fn rebalance_mpartition(
     speeds: &Speeds,
     k: usize,
 ) -> Result<HeteroMPartitionRun> {
-    rebalance_mpartition_recorded(inst, speeds, k, &NoopRecorder)
+    rebalance_mpartition_in(inst, speeds, k, &mut Ctx::default())
 }
 
-/// [`rebalance_mpartition`] with instrumentation: times the run
-/// (`hetero.mpartition`) and counts probed thresholds (`hetero.probes`).
-pub fn rebalance_mpartition_recorded<R: Recorder>(
+/// [`rebalance_mpartition`] in `ctx`: the scratch keeps the probe buffers
+/// warm, and the recorder times the run (`hetero.mpartition`) and counts
+/// probed thresholds (`hetero.probes`). Only the equal-speeds delegation
+/// charges work ticks, as the base solver does; the base solver's own
+/// telemetry is not recorded.
+pub fn rebalance_mpartition_in<R: Recorder>(
     inst: &Instance,
     speeds: &Speeds,
     k: usize,
-    rec: &R,
+    ctx: &mut Ctx<'_, R>,
 ) -> Result<HeteroMPartitionRun> {
-    let mut scratch = Scratch::new();
-    rebalance_mpartition_scratch_recorded(inst, speeds, k, rec, &mut scratch)
-}
-
-/// [`rebalance_mpartition`] against a reusable [`Scratch`].
-pub fn rebalance_mpartition_scratch(
-    inst: &Instance,
-    speeds: &Speeds,
-    k: usize,
-    scratch: &mut Scratch,
-) -> Result<HeteroMPartitionRun> {
-    rebalance_mpartition_scratch_recorded(inst, speeds, k, &NoopRecorder, scratch)
-}
-
-/// [`rebalance_mpartition_scratch`] with a recorder.
-pub fn rebalance_mpartition_scratch_recorded<R: Recorder>(
-    inst: &Instance,
-    speeds: &Speeds,
-    k: usize,
-    rec: &R,
-    scratch: &mut Scratch,
-) -> Result<HeteroMPartitionRun> {
+    let rec = ctx.rec;
     speeds.matches(inst)?;
     let _t = rec.time(names::HETERO_MPARTITION);
 
@@ -422,7 +384,14 @@ pub fn rebalance_mpartition_scratch_recorded<R: Recorder>(
         // Identical machines in disguise: the base ladder is both correct
         // and bit-identical by construction.
         let v = speeds.get(0);
-        let run = mpartition::rebalance_scratch(inst, k, scratch)?;
+        let run = mpartition::rebalance_impl(
+            inst,
+            k,
+            ThresholdSearch::default(),
+            &NoopRecorder,
+            &ctx.work,
+            &mut ctx.scratch,
+        )?;
         let scaled = scaled_makespan(inst, speeds, run.outcome.assignment())?;
         return Ok(HeteroMPartitionRun {
             outcome: run.outcome,
@@ -462,13 +431,13 @@ pub fn rebalance_mpartition_scratch_recorded<R: Recorder>(
     candidates.sort_by(|a, b| cmp_scaled(a.0, a.1, b.0, b.1));
     candidates.dedup_by(|a, b| cmp_scaled(a.0, a.1, b.0, b.1) == Ordering::Equal);
 
-    prepare_stacks(inst, scratch);
+    prepare_stacks(inst, &mut ctx.scratch);
     let mut probes = 0;
     let mut accepted = None;
     for &(x, v) in &candidates {
         probes += 1;
         rec.incr(names::HETERO_PROBES, 1);
-        if let Some(plan) = probe_threshold(inst, speeds, x, v, k, scratch) {
+        if let Some(plan) = probe_threshold(inst, speeds, x, v, k, &mut ctx.scratch) {
             accepted = Some(((x, v), plan));
             break;
         }

@@ -365,7 +365,8 @@ mod tests {
 
     #[test]
     fn first_feasible_agrees_with_mpartition_scan() {
-        use crate::mpartition::{rebalance_with, ThresholdSearch};
+        use crate::mpartition::{rebalance_in, ThresholdSearch};
+        use crate::Ctx;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         for _ in 0..40 {
@@ -379,7 +380,8 @@ mod tests {
             let profiles = Profiles::new(&inst);
             let mut scan = IncrementalScan::new(&inst, &profiles, inst.avg_load_ceil()).unwrap();
             let inc = scan.first_feasible(k).map(|(t, _)| t);
-            let reference = rebalance_with(&inst, k, ThresholdSearch::Scan).unwrap();
+            let reference =
+                rebalance_in(&inst, k, ThresholdSearch::Scan, &mut Ctx::default()).unwrap();
             assert_eq!(inc, Some(reference.threshold), "n={n} m={m} k={k}");
         }
     }

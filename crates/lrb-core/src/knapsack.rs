@@ -26,6 +26,8 @@ use std::cmp::Ordering;
 
 use lrb_obs::{names, NoopRecorder, Recorder};
 
+use crate::ctx::Ctx;
+
 /// An item that may be kept: its size (capacity consumption) and the value
 /// of keeping it (the relocation cost we avoid paying).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,23 +60,26 @@ pub fn max_cost_keep(items: &[Item], cap: u64) -> KeepSolution {
 
 /// [`max_cost_keep`] with an explicit node budget.
 pub fn max_cost_keep_bounded(items: &[Item], cap: u64, node_budget: u64) -> KeepSolution {
-    max_cost_keep_bounded_recorded(items, cap, node_budget, &NoopRecorder)
+    keep_bounded(items, cap, node_budget, &NoopRecorder)
 }
 
-/// [`max_cost_keep`] under a [`crate::deadline::WorkBudget`]: the
-/// branch-and-bound node budget is clamped to the remaining work, and if
-/// the clamped search could not prove optimality the consumed nodes are
-/// charged — cancelling with [`crate::error::Error::Cancelled`] when the
-/// work budget (rather than the default node budget) was the binding
-/// constraint.
-pub fn max_cost_keep_budgeted(
+/// [`max_cost_keep`] in `ctx`. The branch-and-bound node budget is clamped
+/// to the remaining work, and if the clamped search could not prove
+/// optimality the consumed nodes are charged — cancelling with
+/// [`crate::error::Error::Cancelled`] when the work budget (rather than the
+/// default node budget) was the binding constraint. The recorder counts
+/// branch-and-bound nodes expanded (`knapsack.bb_nodes`) and searches that
+/// hit the node budget (`knapsack.bb_fallbacks`), and times the search
+/// (`knapsack.branch_and_bound`).
+pub fn max_cost_keep_in<R: Recorder>(
     items: &[Item],
     cap: u64,
-    work: &crate::deadline::WorkBudget,
+    ctx: &mut Ctx<'_, R>,
 ) -> crate::error::Result<KeepSolution> {
+    let work = &ctx.work;
     work.charge("knapsack.setup", items.len() as u64)?;
     let node_budget = DEFAULT_NODE_BUDGET.min(work.remaining().max(1));
-    let sol = max_cost_keep_bounded(items, cap, node_budget);
+    let sol = keep_bounded(items, cap, node_budget, ctx.rec);
     if !sol.exact {
         // The search walked (roughly) its whole node budget before falling
         // back; charging it either records the expense or cancels the run.
@@ -83,16 +88,7 @@ pub fn max_cost_keep_budgeted(
     Ok(sol)
 }
 
-/// [`max_cost_keep_bounded`] with instrumentation: counts branch-and-bound
-/// nodes expanded (`knapsack.bb_nodes`) and searches that hit the node
-/// budget (`knapsack.bb_fallbacks`), and times the search
-/// (`knapsack.branch_and_bound`).
-pub fn max_cost_keep_bounded_recorded<R: Recorder>(
-    items: &[Item],
-    cap: u64,
-    node_budget: u64,
-    rec: &R,
-) -> KeepSolution {
+fn keep_bounded<R: Recorder>(items: &[Item], cap: u64, node_budget: u64, rec: &R) -> KeepSolution {
     // Zero-size items are always kept; oversized items never can be.
     let mut forced: Vec<usize> = Vec::new();
     let mut forced_cost = 0u64;
@@ -205,10 +201,10 @@ impl Search<'_> {
             let it = self.items[i];
             if it.size <= cap {
                 cap -= it.size;
-                bound += it.cost;
+                bound = bound.saturating_add(it.cost);
             } else {
-                bound += (it.cost as u128 * cap as u128 / it.size as u128) as u64;
-                return bound;
+                let part = (it.cost as u128 * cap as u128 / it.size as u128) as u64;
+                return bound.saturating_add(part);
             }
             i += 1;
         }
@@ -266,18 +262,20 @@ impl Search<'_> {
 /// Costs are scaled by `K = ε·max_cost/n`, then an exact DP over scaled
 /// cost values finds the minimum-size subset achieving each scaled total.
 pub fn max_cost_keep_fptas(items: &[Item], cap: u64, eps: f64) -> KeepSolution {
-    max_cost_keep_fptas_recorded(items, cap, eps, &NoopRecorder)
+    max_cost_keep_fptas_in(items, cap, eps, &mut Ctx::default())
 }
 
-/// [`max_cost_keep_fptas`] with instrumentation: counts DP cells relaxed
+/// [`max_cost_keep_fptas`] in `ctx`: the recorder counts DP cells relaxed
 /// (`knapsack.dp_cells` — one per (item, scaled-cost) pair visited) and
-/// times the table fill (`knapsack.fptas_dp`).
-pub fn max_cost_keep_fptas_recorded<R: Recorder>(
+/// times the table fill (`knapsack.fptas_dp`). The FPTAS charges no work
+/// ticks and keeps no buffers in the scratch.
+pub fn max_cost_keep_fptas_in<R: Recorder>(
     items: &[Item],
     cap: u64,
     eps: f64,
-    rec: &R,
+    ctx: &mut Ctx<'_, R>,
 ) -> KeepSolution {
+    let rec = ctx.rec;
     assert!(eps > 0.0 && eps < 1.0, "epsilon must be in (0, 1)");
     let feasible: Vec<usize> = (0..items.len()).filter(|&i| items[i].size <= cap).collect();
     let max_cost = feasible.iter().map(|&i| items[i].cost).max().unwrap_or(0);
@@ -413,11 +411,14 @@ mod tests {
         use crate::deadline::WorkBudget;
 
         let its = items(&[(6, 5), (5, 4), (4, 3), (3, 7), (2, 2)]);
-        let free = WorkBudget::unlimited();
-        let sol = max_cost_keep_budgeted(&its, 10, &free).unwrap();
+        let sol = max_cost_keep_in(&its, 10, &mut Ctx::default()).unwrap();
         assert_eq!(sol, max_cost_keep(&its, 10));
 
-        let err = max_cost_keep_budgeted(&its, 10, &WorkBudget::new(1)).unwrap_err();
+        let mut tiny = Ctx {
+            work: WorkBudget::new(1),
+            ..Ctx::default()
+        };
+        let err = max_cost_keep_in(&its, 10, &mut tiny).unwrap_err();
         assert!(matches!(err, crate::error::Error::Cancelled { .. }));
     }
 
@@ -641,7 +642,7 @@ mod tests {
         assert_eq!(its.iter().map(|it| it.size).sum::<u64>(), 289_056);
         let cap = 23_124;
         let rec = lrb_obs::AtomicRecorder::default();
-        let sol = max_cost_keep_bounded_recorded(&its, cap, DEFAULT_NODE_BUDGET, &rec);
+        let sol = max_cost_keep_in(&its, cap, &mut Ctx::new(&rec)).unwrap();
         assert!(sol.exact);
         assert_eq!(sol.kept_cost, keep_by_cost_dp(&its, cap));
         let size: u64 = sol.kept.iter().map(|&i| its[i].size).sum();
@@ -679,7 +680,7 @@ mod tests {
             })
             .collect();
         let rec = lrb_obs::AtomicRecorder::default();
-        let sol = max_cost_keep_bounded_recorded(&its, 200, 10, &rec);
+        let sol = keep_bounded(&its, 200, 10, &rec);
         assert!(!sol.exact);
         let snap = rec.snapshot();
         assert_eq!(snap.counter(names::KNAPSACK_BB_FALLBACKS), Some(1));

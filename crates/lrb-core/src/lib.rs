@@ -16,6 +16,10 @@
 //! [`bounds`] on the optimum, Graham's [`lpt`] as a full-rebalance baseline,
 //! and the exact [`knapsack`] subroutine used by the cost variants.
 //!
+//! Each algorithm has its paper-default entry point and one `*_in` entry
+//! point that also takes the algorithm's option and a [`Ctx`]: a reusable
+//! scratch arena, a work budget, and a telemetry recorder.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -31,6 +35,7 @@
 pub mod bounds;
 pub mod constrained;
 pub mod cost_partition;
+pub mod ctx;
 pub mod deadline;
 pub mod error;
 pub mod greedy;
@@ -47,11 +52,14 @@ pub mod profiles;
 pub mod ptas;
 pub mod scratch;
 
+pub use ctx::Ctx;
+
 /// Convenient glob-import of the commonly used types and entry points.
 pub mod prelude {
     pub use crate::bounds::{lower_bound, within_ratio};
     pub use crate::constrained::ConstrainedInstance;
     pub use crate::cost_partition;
+    pub use crate::ctx::Ctx;
     pub use crate::deadline::{
         DeadlineSolver, FallbackChain, FallbackReport, SolverKind, WorkBudget,
     };

@@ -276,12 +276,21 @@ impl Instance {
 
     /// Total relocation cost of `assignment` relative to the initial one.
     pub fn move_cost(&self, assignment: &[ProcId]) -> Cost {
-        self.initial
-            .iter()
-            .zip(assignment)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(j, _)| self.jobs[j].cost)
+        self.cost_of(
+            self.initial
+                .iter()
+                .zip(assignment)
+                .enumerate()
+                .filter(|(_, (a, b))| a != b)
+                .map(|(j, _)| j),
+        )
+    }
+
+    /// Total relocation cost of `jobs`, saturating at `u64::MAX`: the one
+    /// definition of what moving a set of jobs costs.
+    pub(crate) fn cost_of(&self, jobs: impl IntoIterator<Item = JobId>) -> Cost {
+        jobs.into_iter()
+            .map(|j| self.jobs[j].cost)
             .fold(0u64, u64::saturating_add)
     }
 

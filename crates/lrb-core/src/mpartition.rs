@@ -30,8 +30,9 @@
 //! counts, and the no-regression clamp copies the initial assignment only
 //! when it wins.
 
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_obs::{names, Recorder};
 
+use crate::ctx::Ctx;
 use crate::deadline::WorkBudget;
 use crate::error::{Error, Result};
 use crate::model::{Instance, Size};
@@ -81,68 +82,29 @@ pub struct MPartitionRun {
 /// assert!(run.threshold <= 6);           // Lemma 6
 /// ```
 pub fn rebalance(inst: &Instance, k: usize) -> Result<MPartitionRun> {
-    rebalance_with(inst, k, ThresholdSearch::default())
+    rebalance_in(inst, k, ThresholdSearch::default(), &mut Ctx::default())
 }
 
-/// Run M-PARTITION with an explicit search strategy.
-pub fn rebalance_with(inst: &Instance, k: usize, search: ThresholdSearch) -> Result<MPartitionRun> {
-    rebalance_with_recorded(inst, k, search, &NoopRecorder)
-}
-
-/// [`rebalance_with`] with instrumentation: times the threshold search
+/// Run M-PARTITION with an explicit search strategy in `ctx`.
+///
+/// Work ticks are charged for profile construction, each probed threshold,
+/// and the final PARTITION run. The recorder times the threshold search
 /// (`mpartition.search`) and the final PARTITION run
 /// (`mpartition.partition`), and counts — for every search strategy — how
 /// many candidate thresholds were examined versus skipped
 /// (`mpartition.candidates_examined` / `mpartition.candidates_skipped`).
-pub fn rebalance_with_recorded<R: Recorder>(
+/// The scratch keeps the profiles, the candidate ladder, and every
+/// PARTITION buffer warm across calls.
+pub fn rebalance_in<R: Recorder>(
     inst: &Instance,
     k: usize,
     search: ThresholdSearch,
-    rec: &R,
+    ctx: &mut Ctx<'_, R>,
 ) -> Result<MPartitionRun> {
-    let mut scratch = Scratch::new();
-    rebalance_impl(inst, k, search, rec, &WorkBudget::unlimited(), &mut scratch)
+    rebalance_impl(inst, k, search, ctx.rec, &ctx.work, &mut ctx.scratch)
 }
 
-/// Run M-PARTITION against a reusable [`Scratch`] (default binary search).
-///
-/// Identical output to [`rebalance`], but profiles, the candidate ladder,
-/// and every PARTITION working buffer live in `scratch` and are recycled
-/// across calls — including the multiset-keyed threshold-ladder cache, so a
-/// batch of same-job-multiset instances sorts the global size array once.
-pub fn rebalance_scratch(
-    inst: &Instance,
-    k: usize,
-    scratch: &mut Scratch,
-) -> Result<MPartitionRun> {
-    rebalance_scratch_recorded(inst, k, ThresholdSearch::default(), &NoopRecorder, scratch)
-}
-
-/// [`rebalance_scratch`] with an explicit search strategy and recorder.
-pub fn rebalance_scratch_recorded<R: Recorder>(
-    inst: &Instance,
-    k: usize,
-    search: ThresholdSearch,
-    rec: &R,
-    scratch: &mut Scratch,
-) -> Result<MPartitionRun> {
-    rebalance_impl(inst, k, search, rec, &WorkBudget::unlimited(), scratch)
-}
-
-/// Run M-PARTITION under a [`WorkBudget`]: ticks are charged for profile
-/// construction, each probed threshold, and the final PARTITION run, so the
-/// search cancels with [`Error::Cancelled`] once the budget is exhausted.
-pub fn rebalance_budgeted(
-    inst: &Instance,
-    k: usize,
-    search: ThresholdSearch,
-    work: &WorkBudget,
-) -> Result<MPartitionRun> {
-    let mut scratch = Scratch::new();
-    rebalance_impl(inst, k, search, &NoopRecorder, work, &mut scratch)
-}
-
-fn rebalance_impl<R: Recorder>(
+pub(crate) fn rebalance_impl<R: Recorder>(
     inst: &Instance,
     k: usize,
     search: ThresholdSearch,
@@ -290,14 +252,18 @@ mod tests {
     use super::*;
     use crate::bounds::within_ratio;
 
+    fn with_search(inst: &Instance, k: usize, search: ThresholdSearch) -> MPartitionRun {
+        rebalance_in(inst, k, search, &mut Ctx::default()).unwrap()
+    }
+
     #[test]
     fn all_searches_agree_on_threshold() {
         let inst = Instance::from_sizes(&[9, 7, 5, 4, 3, 2, 1, 8], vec![0, 0, 0, 0, 1, 1, 2, 2], 3)
             .unwrap();
         for k in 0..=8 {
-            let scan = rebalance_with(&inst, k, ThresholdSearch::Scan).unwrap();
-            let inc = rebalance_with(&inst, k, ThresholdSearch::Incremental).unwrap();
-            let bin = rebalance_with(&inst, k, ThresholdSearch::Binary).unwrap();
+            let scan = with_search(&inst, k, ThresholdSearch::Scan);
+            let inc = with_search(&inst, k, ThresholdSearch::Incremental);
+            let bin = with_search(&inst, k, ThresholdSearch::Binary);
             assert_eq!(scan.threshold, bin.threshold, "k={k}");
             assert_eq!(scan.threshold, inc.threshold, "k={k}");
             assert_eq!(scan.outcome.makespan(), bin.outcome.makespan(), "k={k}");
@@ -312,8 +278,8 @@ mod tests {
         let sizes: Vec<u64> = (1..=40).collect();
         let initial = vec![0usize; 40];
         let inst = Instance::from_sizes(&sizes, initial, 4).unwrap();
-        let scan = rebalance_with(&inst, 0, ThresholdSearch::Scan).unwrap();
-        let bin = rebalance_with(&inst, 0, ThresholdSearch::Binary).unwrap();
+        let scan = with_search(&inst, 0, ThresholdSearch::Scan);
+        let bin = with_search(&inst, 0, ThresholdSearch::Binary);
         assert!(
             bin.probes < scan.probes,
             "binary {} vs scan {}",
@@ -400,11 +366,19 @@ mod tests {
             ThresholdSearch::Incremental,
             ThresholdSearch::Binary,
         ] {
-            let err = rebalance_budgeted(&inst, 2, search, &WorkBudget::new(1)).unwrap_err();
+            let mut tiny = Ctx {
+                work: WorkBudget::new(1),
+                ..Ctx::default()
+            };
+            let err = rebalance_in(&inst, 2, search, &mut tiny).unwrap_err();
             assert!(matches!(err, Error::Cancelled { .. }), "{search:?}");
 
-            let budgeted = rebalance_budgeted(&inst, 2, search, &WorkBudget::unlimited()).unwrap();
-            let plain = rebalance_with(&inst, 2, search).unwrap();
+            let mut ample = Ctx {
+                work: WorkBudget::new(1_000_000),
+                ..Ctx::default()
+            };
+            let budgeted = rebalance_in(&inst, 2, search, &mut ample).unwrap();
+            let plain = with_search(&inst, 2, search);
             assert_eq!(
                 budgeted.outcome.assignment(),
                 plain.outcome.assignment(),
@@ -422,11 +396,11 @@ mod tests {
             .unwrap();
         // Different multiset (and shape): must invalidate it.
         let other = Instance::from_sizes(&[6, 6, 5], vec![0, 0, 1], 2).unwrap();
-        let mut scratch = crate::scratch::Scratch::new();
+        let mut ctx = Ctx::default();
         for inst in [&base, &alt, &base, &other] {
             for k in 0..=4 {
                 let fresh = rebalance(inst, k).unwrap();
-                let reused = rebalance_scratch(inst, k, &mut scratch).unwrap();
+                let reused = rebalance_in(inst, k, ThresholdSearch::Binary, &mut ctx).unwrap();
                 assert_eq!(fresh.threshold, reused.threshold, "k={k}");
                 assert_eq!(fresh.probes, reused.probes, "k={k}");
                 assert_eq!(
@@ -436,8 +410,8 @@ mod tests {
                 );
             }
         }
-        assert!(scratch.ladder_hits() > 0);
-        assert!(scratch.ladder_misses() >= 2);
+        assert!(ctx.scratch.ladder_hits() > 0);
+        assert!(ctx.scratch.ladder_misses() >= 2);
     }
 
     #[test]
@@ -452,7 +426,7 @@ mod tests {
                 ThresholdSearch::Incremental,
                 ThresholdSearch::Binary,
             ] {
-                let run = rebalance_with(&inst, 1, search).unwrap();
+                let run = with_search(&inst, 1, search);
                 let assignment = run.outcome.assignment();
                 assert_eq!(assignment.len(), sizes.len(), "{sizes:?} {search:?}");
                 assert!(assignment.iter().all(|&p| p < 2), "{sizes:?} {search:?}");

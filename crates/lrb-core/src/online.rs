@@ -34,11 +34,11 @@
 //!   Maack (arXiv:2209.00565), composing with [`crate::hetero::Speeds`];
 //!   on equal speeds it is bit-identical to [`ProportionalBank`].
 
-use crate::cost_partition;
+use crate::ctx::Ctx;
+use crate::deadline::{DeadlineSolver, SolverKind};
 use crate::error::{Error, Result};
 use crate::incremental::SizeMultiset;
 use crate::model::{Budget, Instance, Job, ProcId, Size};
-use crate::mpartition;
 use crate::outcome::RebalanceOutcome;
 use crate::scratch::Scratch;
 
@@ -657,10 +657,11 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
     /// Run a full rebalance event: accrue the bank, solve the current
     /// snapshot with the effective budget, and commit the result.
     ///
-    /// `Budget::Moves` solves via [`mpartition`] (and reuses the primed
-    /// threshold ladder — an *incremental update*); `Budget::Cost` solves
-    /// via [`cost_partition`] (a *full rebuild*, since the cost solver's
-    /// knapsack state is not cached across events).
+    /// The solve is [`SolverKind::MPartition`]'s [`DeadlineSolver`]:
+    /// `Budget::Moves` solves via [`crate::mpartition`] (and reuses the
+    /// primed threshold ladder — an *incremental update*); `Budget::Cost`
+    /// solves via [`crate::cost_partition`] (a *full rebuild*, since the cost
+    /// solver's knapsack state is not cached across events).
     pub fn rebalance(&mut self, requested: Budget) -> Result<RebalanceStep> {
         let banked_before = self.bank.balance();
         let effective = self.begin_rebalance(requested);
@@ -684,12 +685,13 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
             .ladder
             .prime(self.multiset.fingerprint(), self.multiset.sizes_asc());
         let hits_before = self.scratch.ladder_hits();
-        let outcome = match effective {
-            Budget::Moves(k) => mpartition::rebalance_scratch(&inst, k, &mut self.scratch)?.outcome,
-            Budget::Cost(b) => {
-                cost_partition::rebalance_scratch(&inst, b, &mut self.scratch)?.outcome
-            }
+        let mut ctx = Ctx {
+            scratch: std::mem::take(&mut self.scratch),
+            ..Ctx::default()
         };
+        let solved = DeadlineSolver::new(SolverKind::MPartition).solve(&inst, effective, &mut ctx);
+        self.scratch = ctx.scratch;
+        let outcome = solved?;
         let incremental = self.scratch.ladder_hits() > hits_before;
         if incremental {
             self.stats.incremental_updates += 1;
@@ -817,6 +819,7 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
 mod tests {
     use super::*;
     use crate::hetero::Speeds;
+    use crate::{cost_partition, mpartition};
 
     fn arrive(r: &mut OnlineRebalancer, key: JobKey, size: Size, proc: ProcId) {
         r.arrive(key, Job::unit(size), proc).unwrap();

@@ -29,7 +29,7 @@ impl RebalanceOutcome {
     pub fn from_assignment(inst: &Instance, assignment: Assignment) -> Result<Self> {
         let makespan = inst.makespan_of(&assignment)?;
         let moved = inst.moved_jobs(&assignment);
-        let cost = moved.iter().map(|&j| inst.cost(j)).sum();
+        let cost = inst.cost_of(moved.iter().copied());
         Ok(RebalanceOutcome {
             assignment,
             makespan,
@@ -130,6 +130,19 @@ mod tests {
         assert_eq!(out.makespan(), inst.initial_makespan());
         assert!(out.moved().is_empty());
         assert_eq!(out.cost(), 0);
+    }
+
+    #[test]
+    fn moved_cost_saturates_like_the_budget_check() {
+        let big = (1u64 << 63) + 1;
+        let jobs = vec![
+            crate::model::Job::with_cost(4, big),
+            crate::model::Job::with_cost(4, big),
+        ];
+        let inst = Instance::new(jobs, vec![0, 0], 2).unwrap();
+        let out = RebalanceOutcome::from_assignment(&inst, vec![1, 1]).unwrap();
+        assert_eq!(out.cost(), u64::MAX);
+        assert_eq!(out.cost(), inst.move_cost(out.assignment()));
     }
 
     #[test]

@@ -28,6 +28,7 @@ use std::collections::BinaryHeap;
 
 use lrb_obs::{names, NoopRecorder, Recorder};
 
+use crate::ctx::Ctx;
 use crate::error::{Error, Result};
 use crate::model::{Instance, JobId, ProcId, Size};
 use crate::outcome::RebalanceOutcome;
@@ -114,40 +115,37 @@ fn sum_smallest(vals: &mut [i64], k: usize) -> i64 {
 /// Returns [`Error::InfeasibleGuess`] when there are more large jobs than
 /// processors, which certifies `t < OPT`.
 pub fn run(inst: &Instance, t: Size) -> Result<PartitionRun> {
-    let profiles = Profiles::new(inst);
-    run_with_profiles(inst, &profiles, t)
+    run_in(inst, t, &mut Ctx::default())
 }
 
-/// [`run`] against precomputed profiles (used by M-PARTITION to avoid
-/// rebuilding them per guess).
+/// [`run`] against precomputed profiles.
 pub fn run_with_profiles(inst: &Instance, profiles: &Profiles, t: Size) -> Result<PartitionRun> {
-    run_with_profiles_recorded(inst, profiles, t, &NoopRecorder)
+    run_impl(
+        inst,
+        profiles,
+        t,
+        &NoopRecorder,
+        &mut PartitionScratch::default(),
+    )
 }
 
-/// [`run_with_profiles`] with instrumentation: each of the paper's six steps
-/// is timed as its own phase (`partition.step1_strip` …
-/// `partition.step6_reinsert`) and the planned large/small removals are
-/// counted (`partition.large_removed` / `partition.small_removed`).
-pub fn run_with_profiles_recorded<R: Recorder>(
-    inst: &Instance,
-    profiles: &Profiles,
-    t: Size,
-    rec: &R,
-) -> Result<PartitionRun> {
-    run_impl(inst, profiles, t, rec, &mut PartitionScratch::default())
-}
-
-/// [`run_with_profiles_recorded`] against a reusable [`Scratch`]: identical
-/// output, with every working buffer (selection ranking, removal lists, the
-/// reinsertion heap) recycled across calls.
-pub fn run_with_profiles_scratch_recorded<R: Recorder>(
-    inst: &Instance,
-    profiles: &Profiles,
-    t: Size,
-    rec: &R,
-    scratch: &mut Scratch,
-) -> Result<PartitionRun> {
-    run_impl(inst, profiles, t, rec, &mut scratch.partition)
+/// Run PARTITION at makespan guess `t` in `ctx`.
+///
+/// The profiles and every working buffer (selection ranking, removal
+/// lists, the reinsertion heap) live in the scratch. The recorder times
+/// each of the paper's six steps as its own phase (`partition.step1_strip`
+/// … `partition.step6_reinsert`) and counts the planned large/small
+/// removals (`partition.large_removed` / `partition.small_removed`).
+/// PARTITION charges no work ticks.
+pub fn run_in<R: Recorder>(inst: &Instance, t: Size, ctx: &mut Ctx<'_, R>) -> Result<PartitionRun> {
+    let Scratch {
+        profiles,
+        ladder,
+        partition,
+        ..
+    } = &mut ctx.scratch;
+    profiles.rebuild(inst, ladder);
+    run_impl(inst, profiles, t, ctx.rec, partition)
 }
 
 pub(crate) fn run_impl<R: Recorder>(

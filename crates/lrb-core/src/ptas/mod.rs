@@ -22,9 +22,10 @@ pub mod dp;
 pub mod grid;
 pub mod view;
 
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_obs::{names, Recorder};
 
 use crate::bounds;
+use crate::ctx::Ctx;
 use crate::deadline::WorkBudget;
 use crate::error::{Error, Result};
 use crate::model::{Budget, Cost, Instance, Size};
@@ -94,33 +95,25 @@ impl Precision {
 /// assert!(run.outcome.cost() <= 1);
 /// ```
 pub fn rebalance(inst: &Instance, budget: Cost, precision: Precision) -> Result<PtasRun> {
-    rebalance_recorded(inst, budget, precision, &NoopRecorder)
+    rebalance_in(inst, budget, precision, &mut Ctx::default())
 }
 
-/// [`rebalance`] with instrumentation: times the per-guess pipeline stages
+/// Run the PTAS in `ctx`.
+///
+/// `n` work ticks are charged per guess for grid/view construction and one
+/// per DP state expanded (the DP's state budget is additionally clamped to
+/// the remaining work). The recorder times the per-guess pipeline stages
 /// (`ptas.grid` for grid/view construction, `ptas.dp` for the configuration
 /// DP, `ptas.assemble` for assignment assembly) and counts guesses probed
-/// (`ptas.guesses`) and DP states expanded (`ptas.dp_states`).
-pub fn rebalance_recorded<R: Recorder>(
+/// (`ptas.guesses`) and DP states expanded (`ptas.dp_states`). The PTAS
+/// keeps no buffers in the scratch.
+pub fn rebalance_in<R: Recorder>(
     inst: &Instance,
     budget: Cost,
     precision: Precision,
-    rec: &R,
+    ctx: &mut Ctx<'_, R>,
 ) -> Result<PtasRun> {
-    rebalance_impl(inst, budget, precision, rec, &WorkBudget::unlimited())
-}
-
-/// Run the PTAS under a [`WorkBudget`]: `n` ticks are charged per guess for
-/// grid/view construction and one tick per DP state expanded (the DP's
-/// state budget is additionally clamped to the remaining work), so the run
-/// cancels with [`Error::Cancelled`] once the budget is exhausted.
-pub fn rebalance_budgeted(
-    inst: &Instance,
-    budget: Cost,
-    precision: Precision,
-    work: &WorkBudget,
-) -> Result<PtasRun> {
-    rebalance_impl(inst, budget, precision, &NoopRecorder, work)
+    rebalance_impl(inst, budget, precision, ctx.rec, &ctx.work)
 }
 
 fn rebalance_impl<R: Recorder>(
@@ -291,12 +284,18 @@ mod tests {
     #[test]
     fn budgeted_run_cancels_and_matches_unbudgeted() {
         let inst = Instance::from_sizes(&[9, 7, 6, 5, 4, 3], vec![0, 0, 0, 1, 1, 2], 3).unwrap();
-        let err =
-            rebalance_budgeted(&inst, 3, Precision::from_q(5), &WorkBudget::new(1)).unwrap_err();
+        let mut tiny = Ctx {
+            work: WorkBudget::new(1),
+            ..Ctx::default()
+        };
+        let err = rebalance_in(&inst, 3, Precision::from_q(5), &mut tiny).unwrap_err();
         assert!(matches!(err, Error::Cancelled { .. }));
 
-        let budgeted =
-            rebalance_budgeted(&inst, 3, Precision::from_q(5), &WorkBudget::unlimited()).unwrap();
+        let mut ample = Ctx {
+            work: WorkBudget::new(1_000_000),
+            ..Ctx::default()
+        };
+        let budgeted = rebalance_in(&inst, 3, Precision::from_q(5), &mut ample).unwrap();
         let plain = rebalance(&inst, 3, Precision::from_q(5)).unwrap();
         assert_eq!(budgeted.outcome.assignment(), plain.outcome.assignment());
     }

@@ -14,9 +14,9 @@
 //! thresholds depend on the *job-size multiset* (doubled sizes) and on the
 //! *placement* (prefix sums). The multiset part — the global ascending size
 //! array — is cached across calls keyed by an order-independent fingerprint,
-//! so a batch of same-multiset instances (e.g. the same jobs under many
-//! candidate placements) re-sorts the sizes once instead of per instance.
-//! See DESIGN.md §9 for the memory layout and invalidation rules.
+//! so consecutive solves over the same multiset (an online farm whose
+//! rebalancer primes it) skip the re-sort. See DESIGN.md §9 for the memory
+//! layout and invalidation rules.
 
 use std::cmp::Reverse;
 
@@ -27,11 +27,10 @@ use crate::profiles::{ProcCounts, Profiles};
 
 /// Per-worker reusable buffers for the core solvers.
 ///
-/// Create one per thread (it is deliberately `!Sync`-agnostic plain data —
-/// share nothing, reuse everything) and pass it to the `*_scratch` entry
-/// points of [`crate::greedy`], [`crate::mpartition`], [`crate::partition`],
-/// and [`crate::cost_partition`]. Buffers grow to the largest instance seen
-/// and stay at that capacity; call sites never need to size anything.
+/// Create one per thread (plain data — share nothing, reuse everything)
+/// inside a [`crate::Ctx`] and pass that to the `*_in` entry points. Buffers
+/// grow to the largest instance seen and stay at that capacity; call sites
+/// never need to size anything.
 #[derive(Debug, Default)]
 pub struct Scratch {
     pub(crate) greedy: GreedyScratch,
@@ -64,16 +63,16 @@ impl Scratch {
 pub(crate) struct GreedyScratch {
     /// Live per-processor loads.
     pub loads: Vec<Size>,
-    /// Per-processor job stacks, ascending by size (largest popped first).
-    pub per_proc: Vec<Vec<JobId>>,
+    /// Per-processor `(size, id)` stacks, ascending (largest popped first).
+    pub per_proc: Vec<Vec<(Size, JobId)>>,
     /// Backing storage for the removal-phase lazy max-heap.
     pub max_heap: Vec<(Size, ProcId)>,
     /// Backing storage for the reinsertion min-heap.
     pub min_heap: Vec<Reverse<(Size, ProcId)>>,
     /// Jobs removed in phase 1, in removal order.
     pub removed: Vec<JobId>,
-    /// Removed jobs re-sorted into the requested reinsertion order.
-    pub order_buf: Vec<JobId>,
+    /// `(size key, removal position)` pairs in the reinsertion order.
+    pub order_keys: Vec<(Size, usize)>,
 }
 
 /// Buffers for the speed-scaled (uniform-machine) solvers in
@@ -313,12 +312,13 @@ mod tests {
 
     #[test]
     fn scratch_reuse_grows_but_never_shrinks_buffers() {
-        let mut scratch = Scratch::new();
+        use crate::greedy::{rebalance_in, ReinsertOrder};
+        let mut ctx = crate::Ctx::default();
         let big = Instance::from_sizes(&[9, 8, 7, 6, 5, 4, 3, 2], vec![0; 8], 4).unwrap();
         let small = Instance::from_sizes(&[2, 1], vec![0, 0], 2).unwrap();
-        crate::greedy::rebalance_scratch(&big, 4, &mut scratch).unwrap();
-        let cap = scratch.greedy.removed.capacity();
-        crate::greedy::rebalance_scratch(&small, 1, &mut scratch).unwrap();
-        assert!(scratch.greedy.removed.capacity() >= cap);
+        rebalance_in(&big, 4, ReinsertOrder::Descending, &mut ctx).unwrap();
+        let cap = ctx.scratch.greedy.removed.capacity();
+        rebalance_in(&small, 1, ReinsertOrder::Descending, &mut ctx).unwrap();
+        assert!(ctx.scratch.greedy.removed.capacity() >= cap);
     }
 }

@@ -3,50 +3,51 @@
 //! Solves many [`Instance`]s concurrently on `std::thread::scope` workers.
 //! Two ideas carry the throughput:
 //!
-//! * **Scratch reuse.** Every worker owns one [`lrb_core::Scratch`] and
-//!   drives the `*_scratch` entry points of the core solvers, so after
-//!   warm-up the GREEDY / M-PARTITION hot paths allocate nothing per solve
-//!   beyond the returned assignment. The scratch's threshold-ladder cache
-//!   additionally amortizes the global size sort across same-job-multiset
-//!   instances in a batch.
+//! * **Scratch reuse.** Every worker owns one [`lrb_core::scratch::Scratch`]
+//!   and solves each item through [`DeadlineSolver::solve`] in a
+//!   [`lrb_core::Ctx`] holding it, so after warm-up the GREEDY /
+//!   M-PARTITION / cost-PARTITION hot paths allocate nothing per solve
+//!   beyond the returned outcome. The scratch survives across
+//!   [`StreamEngine`] epochs.
 //! * **Work stealing.** The batch is split into contiguous per-worker
 //!   stripes; a worker drains its own stripe with a single `fetch_add` and,
-//!   when empty, steals from the victim with the most remaining items. This
-//!   keeps same-multiset neighbors on the same worker (warm ladder cache)
-//!   while still absorbing skewed per-item solve times.
+//!   when empty, steals from the victim with the most remaining items,
+//!   absorbing skewed per-item solve times.
 //!
 //! Results are written into input-order slots, and each item's outcome
-//! depends only on the item itself (the scratch entry points are
-//! bit-identical to their allocating twins — enforced by tests in
-//! `lrb-core`), so a batch result is **bit-identical for any thread
-//! count**. That property is what lets `lrb-sim` run epoch batches through
-//! the engine without perturbing simulation traces, and it is re-checked
-//! here and by the metamorphic suite at the workspace root.
+//! depends only on the item itself (a warm scratch never changes an answer
+//! — enforced by tests in `lrb-core`), so a batch result is
+//! **bit-identical for any thread count**. That property is what lets
+//! `lrb-sim` run epoch batches through the engine without perturbing
+//! simulation traces, and it is re-checked here and by the metamorphic
+//! suite at the workspace root.
 
 pub mod schedule;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use lrb_core::hetero::Speeds;
+use lrb_core::deadline::{DeadlineSolver, SolverKind, WorkBudget};
+use lrb_core::hetero::{self, Speeds};
 use lrb_core::model::{Budget, Instance};
 use lrb_core::outcome::RebalanceOutcome;
 use lrb_core::scratch::Scratch;
-use lrb_core::{cost_partition, greedy, hetero, mpartition};
+use lrb_core::Ctx;
 use lrb_obs::{names, NoopRecorder, NoopTracer, Recorder, TraceCollector, Tracer};
 
 use crate::schedule::{NoopShim, ScheduleShim, YieldPoint};
 
-/// How the engine solves each item of a batch.
+/// How the engine solves each item of a batch: the [`SolverKind`] whose
+/// [`DeadlineSolver`] turns the item's budget into a solver call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchSolver {
     /// GREEDY (`2 − 1/m`): fastest, weakest guarantee. A cost budget `b`
-    /// becomes the move budget `b`, which can spend more than `b` when jobs
-    /// cost more than 1 each; such an answer is replaced by the unchanged
-    /// placement (see [`BatchItem`]).
+    /// becomes the most jobs whose costs fit in `b`, which can spend more
+    /// than `b` when GREEDY moves dearer jobs; such an answer is replaced by
+    /// the unchanged placement (see [`BatchItem`]).
     Greedy,
     /// M-PARTITION (1.5) for move budgets; cost budgets fall through to the
-    /// §3.2 cost algorithm — mirroring `lrb-sim`'s `MPartitionPolicy`.
+    /// §3.2 cost algorithm.
     #[default]
     MPartition,
     /// Cost-PARTITION (§3.2) regardless of budget kind. A move budget `k`
@@ -54,6 +55,16 @@ pub enum BatchSolver {
     /// more than `k` moves when jobs cost less than 1 each; such an answer
     /// is replaced by the unchanged placement (see [`BatchItem`]).
     CostPartition,
+}
+
+impl BatchSolver {
+    fn kind(self) -> SolverKind {
+        match self {
+            BatchSolver::Greedy => SolverKind::Greedy,
+            BatchSolver::MPartition => SolverKind::MPartition,
+            BatchSolver::CostPartition => SolverKind::CostPartition,
+        }
+    }
 }
 
 /// One unit of work: an instance plus the relocation budget to solve under.
@@ -197,7 +208,7 @@ pub fn solve_hetero_batch_recorded<R: Recorder + Sync>(
         rec,
         &NoopShim,
         &mut tracers,
-        |item: &HeteroBatchItem, scratch, tracer| solve_one_hetero(item, solver, scratch, tracer),
+        |item: &HeteroBatchItem, ctx| solve_one_hetero(item, solver, ctx),
     )
 }
 
@@ -227,7 +238,7 @@ pub fn solve_batch_traced(
         &NoopRecorder,
         &NoopShim,
         collector.workers_mut(),
-        |item: &BatchItem, scratch, tracer| solve_one(item, solver, scratch, tracer),
+        |item: &BatchItem, ctx| solve_one(item, solver, ctx),
     );
     collector.main().exit();
     report
@@ -253,7 +264,7 @@ pub fn solve_batch_shimmed<S: ScheduleShim>(
         &NoopRecorder,
         shim,
         &mut tracers,
-        |item: &BatchItem, scratch, tracer| solve_one(item, solver, scratch, tracer),
+        |item: &BatchItem, ctx| solve_one(item, solver, ctx),
     )
 }
 
@@ -329,7 +340,7 @@ impl StreamEngine {
             &NoopRecorder,
             &NoopShim,
             collector.workers_mut(),
-            |item: &BatchItem, scratch, tracer| solve_one(item, solver, scratch, tracer),
+            |item: &BatchItem, ctx| solve_one(item, solver, ctx),
         );
         collector.main().exit();
         report
@@ -380,15 +391,16 @@ fn run_batch<R: Recorder + Sync>(
         rec,
         &NoopShim,
         &mut tracers,
-        |item: &BatchItem, scratch, tracer| solve_one(item, solver, scratch, tracer),
+        |item: &BatchItem, ctx| solve_one(item, solver, ctx),
     )
 }
 
 /// [`run_batch`] with schedule-injection hooks and per-worker tracer lanes;
 /// `NoopShim` and [`NoopTracer`] compile them away, so the production path
 /// is unchanged. Tracer lane `w` is handed `&mut`-exclusively to worker `w`
-/// exactly like its [`Scratch`], and doubles as the per-worker recorder for
-/// solver phases (the `Tracer + Recorder` bound).
+/// exactly like its [`Scratch`]; the worker's [`Ctx`] holds both, so the
+/// lane doubles as the recorder for solver phases (the `Tracer + Recorder`
+/// bound).
 ///
 /// Generic over the item type and per-item solve function so the base and
 /// speed-scaled batch paths share one runner — striping, stealing, and
@@ -409,7 +421,7 @@ where
     R: Recorder + Sync,
     S: ScheduleShim,
     T: Tracer + Recorder + Send,
-    F: Fn(&I, &mut Scratch, &T) -> RebalanceOutcome + Sync,
+    F: Fn(&I, &mut Ctx<'_, T>) -> RebalanceOutcome + Sync,
 {
     let _batch = rec.time(names::ENGINE_BATCH);
     let n = items.len();
@@ -421,8 +433,8 @@ where
     let before_misses: u64 = scratches.iter().map(Scratch::ladder_misses).sum();
 
     if threads <= 1 || n <= 1 {
-        let scratch = &mut scratches[0];
         let tracer = &tracers[0];
+        let mut ctx = worker_ctx(&mut scratches[0], tracer);
         let _worker = tracer.span_with(names::ENGINE_WORKER, 0, true);
         let mut outcomes = Vec::with_capacity(n);
         let mut solve_nanos = Vec::with_capacity(n);
@@ -431,13 +443,14 @@ where
             let start = Instant::now();
             let out = {
                 let _solve = tracer.span_with(names::ENGINE_SOLVE, i as u64, false);
-                solve(item, scratch, tracer)
+                solve(item, &mut ctx)
             };
             outcomes.push(out);
             let nanos = (start.elapsed().as_nanos() as u64).max(1);
             rec.observe(names::ENGINE_SOLVE_NANOS, nanos);
             solve_nanos.push(nanos);
         }
+        scratches[0] = ctx.scratch;
         let ladder_hits = scratches.iter().map(Scratch::ladder_hits).sum::<u64>() - before_hits;
         let ladder_misses =
             scratches.iter().map(Scratch::ladder_misses).sum::<u64>() - before_misses;
@@ -475,6 +488,7 @@ where
                 let steals = &steals;
                 scope.spawn(move || {
                     let tracer = &*tracer;
+                    let mut ctx = worker_ctx(scratch, tracer);
                     let _worker = tracer.span_with(names::ENGINE_WORKER, w as u64, true);
                     let mut local: Vec<(usize, RebalanceOutcome, u64)> = Vec::new();
                     loop {
@@ -533,7 +547,7 @@ where
                         let start = Instant::now();
                         let out = {
                             let _solve = tracer.span_with(names::ENGINE_SOLVE, i as u64, false);
-                            solve(&items[i], scratch, tracer)
+                            solve(&items[i], &mut ctx)
                         };
                         let nanos = (start.elapsed().as_nanos() as u64).max(1);
                         if R::ENABLED {
@@ -544,6 +558,7 @@ where
                             shim.yield_point(w, YieldPoint::AfterSolve);
                         }
                     }
+                    *scratch = ctx.scratch;
                     local
                 })
             })
@@ -579,87 +594,48 @@ where
     }
 }
 
-/// Solve one item against a worker's scratch. Errors and answers over the
-/// item's budget degrade to "no moves" (the initial assignment), mirroring
-/// `lrb-sim`'s policy fallback, so a pathological item never poisons its
-/// batch. The per-worker recorder `rec` (a tracer lane in traced runs,
-/// [`NoopTracer`] otherwise) flows into the core solvers' recorded entry
-/// points, which are bit-identical to the unrecorded ones —
-/// instrumentation never changes answers.
-fn solve_one<PR: Recorder>(
-    item: &BatchItem,
-    solver: BatchSolver,
-    scratch: &mut Scratch,
-    rec: &PR,
-) -> RebalanceOutcome {
-    let inst = &item.instance;
-    let solved = match (solver, item.budget) {
-        (BatchSolver::Greedy, budget) => {
-            let k = match budget {
-                Budget::Moves(k) => k,
-                Budget::Cost(b) => b as usize,
-            };
-            greedy::rebalance_scratch_recorded(
-                inst,
-                k,
-                greedy::ReinsertOrder::Descending,
-                rec,
-                scratch,
-            )
-        }
-        (BatchSolver::MPartition, Budget::Moves(k)) => mpartition::rebalance_scratch_recorded(
-            inst,
-            k,
-            mpartition::ThresholdSearch::default(),
-            rec,
-            scratch,
-        )
-        .map(|run| run.outcome),
-        (BatchSolver::MPartition, Budget::Cost(b))
-        | (BatchSolver::CostPartition, Budget::Cost(b)) => {
-            cost_partition::rebalance_scratch_recorded(inst, b, rec, scratch).map(|run| run.outcome)
-        }
-        (BatchSolver::CostPartition, Budget::Moves(k)) => {
-            cost_partition::rebalance_scratch_recorded(inst, k as u64, rec, scratch)
-                .map(|run| run.outcome)
-        }
-    };
-    let fits = |out: &RebalanceOutcome| match item.budget {
-        Budget::Moves(k) => out.moves() <= k,
-        Budget::Cost(b) => out.cost() <= b,
-    };
-    match solved {
-        Ok(out) if fits(&out) => out,
-        _ => RebalanceOutcome::unchanged(inst),
+/// A worker's context: its warm scratch (moved out for the batch and back
+/// by the worker) and its recorder lane, never cancelling.
+fn worker_ctx<'t, T: Recorder>(scratch: &mut Scratch, lane: &'t T) -> Ctx<'t, T> {
+    Ctx {
+        scratch: std::mem::take(scratch),
+        work: WorkBudget::unlimited(),
+        rec: lane,
     }
 }
 
-/// Solve one speed-scaled item against a worker's scratch. Errors (e.g. a
+/// Solve one item in a worker's context. Errors and answers over the item's
+/// budget degrade to "no moves" (the initial assignment), so a pathological
+/// item never poisons its batch. The context's recorder (a tracer lane in
+/// traced runs, [`NoopTracer`] otherwise) never changes an answer.
+fn solve_one<R: Recorder>(
+    item: &BatchItem,
+    solver: BatchSolver,
+    ctx: &mut Ctx<'_, R>,
+) -> RebalanceOutcome {
+    DeadlineSolver::new(solver.kind())
+        .solve(&item.instance, item.budget, ctx)
+        .unwrap_or_else(|_| RebalanceOutcome::unchanged(&item.instance))
+}
+
+/// Solve one speed-scaled item in a worker's context. Errors (e.g. a
 /// speeds/instance length mismatch) degrade to "no moves", mirroring
 /// [`solve_one`], so a pathological item never poisons its batch.
-fn solve_one_hetero<PR: Recorder>(
+fn solve_one_hetero<R: Recorder>(
     item: &HeteroBatchItem,
     solver: HeteroBatchSolver,
-    scratch: &mut Scratch,
-    rec: &PR,
+    ctx: &mut Ctx<'_, R>,
 ) -> RebalanceOutcome {
-    let inst = &item.instance;
-    match solver {
+    let (inst, speeds, k) = (&item.instance, &item.speeds, item.moves);
+    let solved = match solver {
         HeteroBatchSolver::Greedy => {
-            hetero::rebalance_greedy_scratch_recorded(inst, &item.speeds, item.moves, rec, scratch)
-                .map(|run| run.outcome)
-                .unwrap_or_else(|_| RebalanceOutcome::unchanged(inst))
+            hetero::rebalance_greedy_in(inst, speeds, k, ctx).map(|run| run.outcome)
         }
-        HeteroBatchSolver::MPartition => hetero::rebalance_mpartition_scratch_recorded(
-            inst,
-            &item.speeds,
-            item.moves,
-            rec,
-            scratch,
-        )
-        .map(|run| run.outcome)
-        .unwrap_or_else(|_| RebalanceOutcome::unchanged(inst)),
-    }
+        HeteroBatchSolver::MPartition => {
+            hetero::rebalance_mpartition_in(inst, speeds, k, ctx).map(|run| run.outcome)
+        }
+    };
+    solved.unwrap_or_else(|_| RebalanceOutcome::unchanged(inst))
 }
 
 /// Striped work queue with stealing.
@@ -748,6 +724,7 @@ impl StealQueue {
 mod tests {
     use super::*;
     use lrb_core::model::Job;
+    use lrb_core::{cost_partition, mpartition};
     use lrb_instances::GeneratorConfig;
 
     fn batch(n_items: usize, seed: u64) -> Vec<BatchItem> {
@@ -886,6 +863,16 @@ mod tests {
                 });
             }
         }
+        // Two moved jobs costing 2^63 + 1 each cost more than u64 holds; the
+        // reported cost saturates instead of wrapping under the budget.
+        let huge = (1u64 << 63) + 1;
+        for budget in [Budget::Moves(2), Budget::Cost(5)] {
+            let jobs = [huge, 0, huge, 0].map(|cost| Job::with_cost(4, cost));
+            items.push(BatchItem {
+                instance: Instance::new(jobs.to_vec(), vec![0; 4], 2).unwrap(),
+                budget,
+            });
+        }
         for solver in [
             BatchSolver::Greedy,
             BatchSolver::MPartition,
@@ -905,6 +892,21 @@ mod tests {
             assert_eq!(report.solve_nanos.len(), items.len());
             assert!(report.solve_nanos.iter().all(|&ns| ns > 0));
         }
+    }
+
+    #[test]
+    fn greedy_spends_a_cost_budget_on_the_jobs_it_can_pay_for() {
+        // Four size-4 jobs costing 10 each, piled on one of two processors:
+        // a cost budget of 10 pays for one move, which lowers the makespan
+        // from 16 to 12.
+        let jobs = vec![Job::with_cost(4, 10); 4];
+        let items = [BatchItem {
+            instance: Instance::new(jobs, vec![0; 4], 2).unwrap(),
+            budget: Budget::Cost(10),
+        }];
+        let report = solve_batch(&items, BatchSolver::Greedy, &EngineConfig::with_threads(1));
+        let out = &report.outcomes[0];
+        assert_eq!((out.moves(), out.cost(), out.makespan()), (1, 10, 12));
     }
 
     #[test]

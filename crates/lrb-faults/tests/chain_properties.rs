@@ -4,6 +4,7 @@
 
 use lrb_core::deadline::{FallbackChain, WorkBudget};
 use lrb_core::model::{Budget, Instance};
+use lrb_core::Ctx;
 use lrb_faults::{FaultConfig, FaultPlan};
 use lrb_sim::{run_farm_faulty, FallbackPolicy, FarmConfig};
 use proptest::collection::vec;
@@ -61,7 +62,10 @@ proptest! {
         (inst, budget, ticks) in chain_inputs()
     ) {
         let chain = FallbackChain::standard();
-        let report = chain.solve(&inst, budget, &WorkBudget::new(ticks));
+        let report = chain.solve(&inst, budget, &mut Ctx {
+            work: WorkBudget::new(ticks),
+            ..Ctx::default()
+        });
         prop_assert!(inst.makespan_of(report.outcome.assignment()).is_ok());
         prop_assert!(budget.allows(&inst, report.outcome.assignment()));
     }
@@ -71,8 +75,14 @@ proptest! {
     #[test]
     fn fallback_chain_is_deterministic((inst, budget, ticks) in chain_inputs()) {
         let chain = FallbackChain::standard();
-        let a = chain.solve(&inst, budget, &WorkBudget::new(ticks));
-        let b = chain.solve(&inst, budget, &WorkBudget::new(ticks));
+        let a = chain.solve(&inst, budget, &mut Ctx {
+            work: WorkBudget::new(ticks),
+            ..Ctx::default()
+        });
+        let b = chain.solve(&inst, budget, &mut Ctx {
+            work: WorkBudget::new(ticks),
+            ..Ctx::default()
+        });
         prop_assert_eq!(a.outcome.assignment(), b.outcome.assignment());
         prop_assert_eq!(a.tier, b.tier);
         prop_assert_eq!(a.tier_index, b.tier_index);

@@ -9,9 +9,6 @@
 //! without `'static` gymnastics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
-
-use lrb_obs::{names, NoopRecorder, Recorder};
 
 /// Run `f` over every input cell, in parallel, returning outputs in input
 /// order. `threads = 0` or `1` runs inline (useful under test).
@@ -21,44 +18,12 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    run_parallel_recorded(inputs, threads, &NoopRecorder, f)
-}
-
-/// [`run_parallel`] with instrumentation: records per-cell wall time
-/// (histogram `harness.cell_nanos`), time each worker spends waiting between
-/// finishing one cell and starting the next (histogram
-/// `harness.queue_wait_nanos`), cell/worker counters, and the overall
-/// `harness.run_parallel` phase.
-pub fn run_parallel_recorded<I, O, F, R>(inputs: Vec<I>, threads: usize, rec: &R, f: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-    R: Recorder + Sync,
-{
-    let _phase = rec.time(names::HARNESS_RUN_PARALLEL);
-    rec.incr(names::HARNESS_CELLS, inputs.len() as u64);
-
     if threads <= 1 || inputs.len() <= 1 {
-        rec.incr(names::HARNESS_WORKERS, 1);
-        return inputs
-            .iter()
-            .map(|input| {
-                let start = R::ENABLED.then(Instant::now);
-                let out = f(input);
-                if let Some(t) = start {
-                    let nanos = (t.elapsed().as_nanos() as u64).max(1);
-                    rec.observe(names::HARNESS_CELL_NANOS, nanos);
-                    rec.record_duration(names::HARNESS_CELL, nanos);
-                }
-                out
-            })
-            .collect();
+        return inputs.iter().map(f).collect();
     }
 
     let n = inputs.len();
     let threads = threads.min(n);
-    rec.incr(names::HARNESS_WORKERS, threads as u64);
     let next = AtomicUsize::new(0);
 
     // Workers claim cell indices from the atomic counter and buffer
@@ -70,27 +35,12 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let mut local: Vec<(usize, O)> = Vec::new();
-                    let mut idle_since = R::ENABLED.then(Instant::now);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        if let Some(t) = idle_since {
-                            rec.observe(
-                                names::HARNESS_QUEUE_WAIT_NANOS,
-                                t.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        let start = R::ENABLED.then(Instant::now);
-                        let out = f(&inputs[i]);
-                        if let Some(t) = start {
-                            let nanos = (t.elapsed().as_nanos() as u64).max(1);
-                            rec.observe(names::HARNESS_CELL_NANOS, nanos);
-                            rec.record_duration(names::HARNESS_CELL, nanos);
-                        }
-                        local.push((i, out));
-                        idle_since = R::ENABLED.then(Instant::now);
+                        local.push((i, f(&inputs[i])));
                     }
                     local
                 })
@@ -130,7 +80,6 @@ pub fn seed_for(master: u64, cell: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrb_obs::AtomicRecorder;
 
     #[test]
     fn preserves_input_order() {
@@ -176,20 +125,6 @@ mod tests {
     fn more_threads_than_work_is_fine() {
         let out = run_parallel(vec![1u64, 2], 64, |&x| x);
         assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn recorded_run_counts_cells_and_times_them() {
-        let rec = AtomicRecorder::new();
-        let inputs: Vec<u64> = (0..40).collect();
-        let out = run_parallel_recorded(inputs, 4, &rec, |&x| x + 1);
-        assert_eq!(out.len(), 40);
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter(names::HARNESS_CELLS), Some(40));
-        assert_eq!(snap.counter(names::HARNESS_WORKERS), Some(4));
-        assert_eq!(snap.histogram(names::HARNESS_CELL_NANOS).unwrap().count, 40);
-        assert_eq!(snap.phase(names::HARNESS_RUN_PARALLEL).unwrap().calls, 1);
-        assert!(snap.phase(names::HARNESS_RUN_PARALLEL).unwrap().total_nanos > 0);
     }
 
     #[test]

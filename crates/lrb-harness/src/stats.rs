@@ -63,8 +63,8 @@ impl Summary {
         1.96 * self.stddev / (self.n as f64).sqrt()
     }
 
-    /// Summarize an [`lrb_obs`] log2-bucketed histogram (e.g. the per-cell
-    /// timings recorded by `runner::run_parallel_recorded`).
+    /// Summarize an [`lrb_obs`] log2-bucketed histogram (e.g. the engine's
+    /// per-item solve latencies).
     ///
     /// `n`, `mean`, `min`, and `max` are exact (the snapshot tracks count,
     /// sum, and extrema); `median`, `p95`, and `stddev` are bucket-resolution

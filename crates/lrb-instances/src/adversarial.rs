@@ -90,12 +90,12 @@ mod tests {
 
     #[test]
     fn greedy_hits_worst_case_with_adversarial_order() {
-        use lrb_core::greedy::{rebalance_with_order, ReinsertOrder};
+        use lrb_core::greedy::{rebalance_in, ReinsertOrder};
         for m in 2..=6 {
             let case = greedy_tightness(m);
-            let (out, _) =
-                rebalance_with_order(&case.instance, case.k, ReinsertOrder::Ascending).unwrap();
-            assert_eq!(out.makespan(), case.worst, "m={m}");
+            let ctx = &mut lrb_core::Ctx::default();
+            let run = rebalance_in(&case.instance, case.k, ReinsertOrder::Ascending, ctx).unwrap();
+            assert_eq!(run.outcome.makespan(), case.worst, "m={m}");
         }
     }
 

@@ -6,8 +6,8 @@
 //!
 //! - [`NoopRecorder`]: a zero-sized type whose methods are empty and whose
 //!   `ENABLED` flag is `false`, so monomorphized call sites compile to
-//!   nothing. Un-instrumented public APIs delegate through it, keeping the
-//!   disabled path free (see `benches/obs_overhead.rs` in `lrb-bench`).
+//!   nothing. A default `lrb_core::Ctx` records through it, keeping the
+//!   disabled path free (see `benches/noop_overhead.rs` in `lrb-bench`).
 //! - [`AtomicRecorder`]: a thread-safe recorder backed by atomics, suitable
 //!   for sharing across the parallel harness.
 //!

@@ -108,19 +108,6 @@ pub const FAULT_RECOVERY: &str = "fault.recovery";
 /// Instant event: a site was evacuated off a crashed processor (tracing).
 pub const FAULT_EVACUATION: &str = "fault.evacuation";
 
-/// Whole parallel-run wall-clock phase in the harness.
-pub const HARNESS_RUN_PARALLEL: &str = "harness.run_parallel";
-/// Experiment cells submitted to the harness.
-pub const HARNESS_CELLS: &str = "harness.cells";
-/// Harness worker threads spawned.
-pub const HARNESS_WORKERS: &str = "harness.workers";
-/// Per-cell wall time in nanoseconds (histogram).
-pub const HARNESS_CELL_NANOS: &str = "harness.cell_nanos";
-/// Per-cell wall-clock phase.
-pub const HARNESS_CELL: &str = "harness.cell";
-/// Time a worker waited between cells (histogram).
-pub const HARNESS_QUEUE_WAIT_NANOS: &str = "harness.queue_wait_nanos";
-
 /// Items solved by the batch engine.
 pub const ENGINE_ITEMS: &str = "engine.items";
 /// Worker threads the engine actually spawned.

@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 use lrb_core::deadline::{FallbackChain, WorkBudget};
 use lrb_core::model::Budget;
 use lrb_core::online::{BankConfig, OnlineRebalancer};
+use lrb_core::Ctx;
 use lrb_engine::{BatchItem, BatchSolver, EngineConfig, StreamEngine};
 use lrb_faults::{FaultConfig, FaultPlan};
 
@@ -546,8 +547,11 @@ impl ServeState {
                     };
                 }
                 let inst = farm.instance();
-                let work = WorkBudget::new(work_limit);
-                let report = FallbackChain::practical().solve(&inst, effective, &work);
+                let mut ctx = Ctx {
+                    work: WorkBudget::new(work_limit),
+                    ..Ctx::default()
+                };
+                let report = FallbackChain::practical().solve(&inst, effective, &mut ctx);
                 let degraded = report.degraded();
                 match farm.commit_assignment(report.outcome.assignment(), effective) {
                     Ok(commit) => {

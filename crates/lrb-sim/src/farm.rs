@@ -488,6 +488,25 @@ mod tests {
     }
 
     #[test]
+    fn greedy_policy_stays_within_cost_budgets() {
+        // Load-proportional costs make GREEDY's largest jobs the dearest,
+        // so the jobs it picks can cost more than the budget pays for.
+        for b in [1, 3, 10, 50] {
+            for seed in 0..5 {
+                let mut c = FarmConfig::default_farm(60, 6);
+                c.epochs = 60;
+                c.seed = seed;
+                c.budget = Budget::Cost(b);
+                c.migration_cost = MigrationCost::ProportionalToLoad { divisor: 20 };
+                let r = run(&c, &mut GreedyPolicy);
+                for e in &r.epochs {
+                    assert!(e.migration_cost <= b, "b={b} seed={seed} epoch {}", e.epoch);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn no_fault_plan_reproduces_the_faultless_report_bit_for_bit() {
         let c = cfg();
         let clean = run(&c, &mut MPartitionPolicy);

@@ -27,9 +27,10 @@
 
 use std::time::Instant;
 
+use lrb_core::deadline::{DeadlineSolver, SolverKind};
 use lrb_core::model::{Budget, Instance, Job};
 use lrb_core::online::{BankConfig, Event, JobKey, OnlineRebalancer, OnlineStats};
-use lrb_core::{cost_partition, mpartition};
+use lrb_core::Ctx;
 use lrb_engine::{BatchItem, BatchSolver, EngineConfig, StreamEngine};
 use lrb_faults::FaultPlan;
 use lrb_instances::SizeDistribution;
@@ -453,13 +454,9 @@ pub fn run_farm_online_faulty_recorded<R: Recorder>(
                 .collect();
             let proj_inst = Instance::new(proj_jobs, proj_init, up.len())
                 .expect("evacuated placement lives on up servers");
-            let solved = match effective {
-                Budget::Moves(k) => {
-                    mpartition::rebalance(&proj_inst, k).map(|run| run.outcome.into_assignment())
-                }
-                Budget::Cost(b) => cost_partition::rebalance(&proj_inst, b)
-                    .map(|run| run.outcome.into_assignment()),
-            };
+            let solved = DeadlineSolver::new(SolverKind::MPartition)
+                .solve(&proj_inst, effective, &mut Ctx::default())
+                .map(|out| out.into_assignment());
             match solved {
                 Ok(proj_asg) => {
                     let mapped: Vec<usize> = proj_asg.iter().map(|&q| up[q]).collect();

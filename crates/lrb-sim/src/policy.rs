@@ -6,10 +6,10 @@
 //! assignment. The simulator enforces that the returned assignment is
 //! well-formed and within budget.
 
-use lrb_core::deadline::{FallbackChain, WorkBudget};
+use lrb_core::deadline::{DeadlineSolver, FallbackChain, SolverKind, WorkBudget};
 use lrb_core::lpt;
 use lrb_core::model::{Assignment, Budget, Instance};
-use lrb_core::{cost_partition, greedy, mpartition};
+use lrb_core::Ctx;
 
 /// A per-epoch rebalancing policy.
 pub trait Policy {
@@ -53,7 +53,9 @@ impl Policy for NoRebalance {
     }
 }
 
-/// The paper's `GREEDY` (§2) each epoch.
+/// The paper's `GREEDY` (§2) each epoch. Under a cost budget it moves at
+/// most the jobs the budget could pay for, and an answer that still
+/// overspends leaves every job in place.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GreedyPolicy;
 
@@ -63,14 +65,12 @@ impl Policy for GreedyPolicy {
     }
 
     fn rebalance(&mut self, inst: &Instance, budget: Budget) -> Assignment {
-        let k = budget_as_moves(inst, budget);
-        greedy::rebalance(inst, k)
-            .map(|o| o.into_assignment())
-            .unwrap_or_else(|_| inst.initial().clone())
+        solve_or_stay(SolverKind::Greedy, inst, budget)
     }
 }
 
-/// The paper's `M-PARTITION` (§3) each epoch — the headline policy.
+/// The paper's `M-PARTITION` (§3) each epoch — the headline policy. Cost
+/// budgets go to the §3.2 cost algorithm.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MPartitionPolicy;
 
@@ -80,15 +80,17 @@ impl Policy for MPartitionPolicy {
     }
 
     fn rebalance(&mut self, inst: &Instance, budget: Budget) -> Assignment {
-        match budget {
-            Budget::Moves(k) => mpartition::rebalance(inst, k)
-                .map(|r| r.outcome.into_assignment())
-                .unwrap_or_else(|_| inst.initial().clone()),
-            Budget::Cost(b) => cost_partition::rebalance(inst, b)
-                .map(|r| r.outcome.into_assignment())
-                .unwrap_or_else(|_| inst.initial().clone()),
-        }
+        solve_or_stay(SolverKind::MPartition, inst, budget)
     }
+}
+
+/// `kind`'s [`DeadlineSolver`] answer, or the unchanged placement when it
+/// fails.
+fn solve_or_stay(kind: SolverKind, inst: &Instance, budget: Budget) -> Assignment {
+    DeadlineSolver::new(kind)
+        .solve(inst, budget, &mut Ctx::default())
+        .map(|o| o.into_assignment())
+        .unwrap_or_else(|_| inst.initial().clone())
 }
 
 /// Reschedule everything from scratch with LPT, ignoring the budget (the
@@ -230,7 +232,14 @@ impl Policy for FallbackPolicy {
             Some(ticks) => WorkBudget::new(ticks),
             None => WorkBudget::unlimited(),
         };
-        let report = self.chain.solve(inst, budget, &work);
+        let report = self.chain.solve(
+            inst,
+            budget,
+            &mut Ctx {
+                work,
+                ..Ctx::default()
+            },
+        );
         self.last_tier = if report.degraded() {
             report.tier
         } else {
@@ -245,15 +254,6 @@ impl Policy for FallbackPolicy {
 
     fn provenance(&self) -> &'static str {
         self.last_tier
-    }
-}
-
-/// Interpret a budget as a move count (cost budgets fall back to the number
-/// of cheapest jobs that fit, matching `lrb_core::bounds`).
-pub fn budget_as_moves(inst: &Instance, budget: Budget) -> usize {
-    match budget {
-        Budget::Moves(k) => k,
-        Budget::Cost(_) => lrb_core::bounds::max_moves_within(inst, budget),
     }
 }
 

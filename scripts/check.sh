@@ -130,9 +130,10 @@ run cargo run -q --release --offline -p lrb-lint --bin lrb-lint -- --root .
 run cargo run -q --release --offline -p lrb-lint --bin lrb-lint -- \
     --schedules --seeds 0..8 --threads 2,4
 
-# Zero-cost tracing gate: the NoopTracer-monomorphized hot loop must stay
-# within 2% of the untraced loop (the bench asserts and aborts otherwise).
-run cargo bench -q -p lrb-bench --bench trace_overhead --offline
+# Zero-cost observer gate: the NoopRecorder- and NoopTracer-monomorphized
+# hot loops must each stay within 2% of the plain loop (the bench asserts
+# and aborts otherwise).
+run cargo bench -q -p lrb-bench --bench noop_overhead --offline
 
 run cargo fmt --all --check
 

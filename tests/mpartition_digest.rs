@@ -8,8 +8,8 @@
 //!   re-solved every epoch under the move bank's grant, as an online fleet
 //!   does.
 //!
-//! Every farm is solved through both `rebalance` and `rebalance_scratch`
-//! (one scratch per digest, so the fleet's solves also reuse a warm one).
+//! Every farm is solved through both `rebalance` and `rebalance_in` (one
+//! context per digest, so the fleet's solves also reuse a warm scratch).
 //! Each digest folds `(threshold, probes, planned_moves, selected,
 //! assignment)` of every solve. The values were recorded with the plain
 //! implementation (a profile sort through id lookups, five small-job
@@ -18,9 +18,9 @@
 //! answers must reproduce them bit for bit.
 
 use load_rebalance::core::model::{Budget, Job};
-use load_rebalance::core::mpartition::{self, MPartitionRun};
+use load_rebalance::core::mpartition::{self, MPartitionRun, ThresholdSearch};
 use load_rebalance::core::online::{BankConfig, Event, OnlineRebalancer};
-use load_rebalance::core::scratch::Scratch;
+use load_rebalance::core::Ctx;
 use load_rebalance::instances::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
 use load_rebalance::sim::{OnlineWorkload, OnlineWorkloadConfig};
 
@@ -61,7 +61,7 @@ fn fold_run(hash: &mut u64, run: &MPartitionRun) {
 
 fn batch_digest(n: usize) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
-    let mut scratch = Scratch::new();
+    let mut ctx = Ctx::default();
     for (law, sizes) in [
         SizeDistribution::Uniform { lo: 1, hi: 1000 },
         SizeDistribution::Pareto {
@@ -83,7 +83,8 @@ fn batch_digest(n: usize) -> u64 {
         .generate(2_000 + n as u64 * 10 + law as u64);
         for k in [0, 1, n / 16, n / 4, n] {
             let fresh = mpartition::rebalance(&inst, k).unwrap();
-            let reused = mpartition::rebalance_scratch(&inst, k, &mut scratch).unwrap();
+            let reused =
+                mpartition::rebalance_in(&inst, k, ThresholdSearch::Binary, &mut ctx).unwrap();
             fold_run(&mut hash, &fresh);
             fold_run(&mut hash, &reused);
         }
@@ -93,7 +94,7 @@ fn batch_digest(n: usize) -> u64 {
 
 fn fleet_digest() -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
-    let mut scratch = Scratch::new();
+    let mut ctx = Ctx::default();
     for farm_seed in 0..FLEET_FARMS {
         let cfg = OnlineWorkloadConfig {
             num_procs: 8,
@@ -131,7 +132,8 @@ fn fleet_digest() -> u64 {
             };
             let inst = farm.instance();
             let fresh = mpartition::rebalance(&inst, k).unwrap();
-            let reused = mpartition::rebalance_scratch(&inst, k, &mut scratch).unwrap();
+            let reused =
+                mpartition::rebalance_in(&inst, k, ThresholdSearch::Binary, &mut ctx).unwrap();
             fold_run(&mut hash, &fresh);
             fold_run(&mut hash, &reused);
             farm.commit_assignment(reused.outcome.assignment(), budget)

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use load_rebalance::core::bounds::within_ratio;
 use load_rebalance::core::model::{Budget, Instance, Job};
 use load_rebalance::core::mpartition::{self, ThresholdSearch};
-use load_rebalance::core::{cost_partition, greedy};
+use load_rebalance::core::{cost_partition, greedy, Ctx};
 
 /// Strategy: a small instance plus a move budget.
 fn small_instance() -> impl Strategy<Value = (Instance, usize)> {
@@ -77,9 +77,10 @@ proptest! {
     /// binary search relies on; see DESIGN.md section 5).
     #[test]
     fn threshold_searches_agree((inst, k) in small_instance()) {
-        let scan = mpartition::rebalance_with(&inst, k, ThresholdSearch::Scan).unwrap();
-        let inc = mpartition::rebalance_with(&inst, k, ThresholdSearch::Incremental).unwrap();
-        let bin = mpartition::rebalance_with(&inst, k, ThresholdSearch::Binary).unwrap();
+        let ctx = &mut Ctx::default();
+        let scan = mpartition::rebalance_in(&inst, k, ThresholdSearch::Scan, ctx).unwrap();
+        let inc = mpartition::rebalance_in(&inst, k, ThresholdSearch::Incremental, ctx).unwrap();
+        let bin = mpartition::rebalance_in(&inst, k, ThresholdSearch::Binary, ctx).unwrap();
         prop_assert_eq!(scan.threshold, bin.threshold);
         prop_assert_eq!(scan.threshold, inc.threshold);
         prop_assert_eq!(scan.outcome.makespan(), bin.outcome.makespan());
