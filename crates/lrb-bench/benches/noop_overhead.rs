@@ -1,9 +1,8 @@
-//! Zero-cost check for the no-op observers: code instrumented with
-//! [`Recorder`] or [`Tracer`] calls, monomorphized over `NoopRecorder` or
-//! `NoopTracer`, must run at the speed of uninstrumented code. Each
-//! instrumented hot loop is timed against the identical plain loop and the
-//! medians must agree within 2% (the bench aborts otherwise). Then, for
-//! context, GREEDY runs through its `Ctx` entry under both recorders, and
+//! Zero-cost check for the no-op observer: a hot loop making every call of
+//! the [`Tracer`] trait, monomorphized over `NoopTracer`, must run at the
+//! speed of the identical uninstrumented loop — the medians must agree
+//! within 2% (the bench aborts otherwise). Then, for context, the loop and
+//! GREEDY's `Ctx` entry run untraced and under a live `AtomicRecorder`, and
 //! the batch engine runs untraced and under a live collector.
 
 use std::time::Instant;
@@ -11,10 +10,10 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lrb_core::greedy::{self, ReinsertOrder};
 use lrb_core::Ctx;
-use lrb_engine::{solve_batch, solve_batch_traced, BatchItem, BatchSolver, EngineConfig};
+use lrb_engine::{solve_batch, solve_batch_in, BatchItem, BatchSolver, EngineConfig};
 use lrb_harness::bench::smoke_ladder;
 use lrb_instances::generators::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
-use lrb_obs::{AtomicRecorder, NoopRecorder, NoopTracer, Recorder, TraceCollector, Tracer};
+use lrb_obs::{AtomicRecorder, NoopTracer, TraceCollector, Tracer};
 
 /// The uninstrumented hot loop.
 fn plain_sum(data: &[u64]) -> u64 {
@@ -25,24 +24,15 @@ fn plain_sum(data: &[u64]) -> u64 {
     acc
 }
 
-/// The same loop with per-iteration recorder traffic.
-fn recorded_sum<R: Recorder>(data: &[u64], rec: &R) -> u64 {
+/// The same loop making every call of the `Tracer` trait per iteration: a
+/// span with a payload, a counter, a histogram observation and an instant.
+fn observed_sum<T: Tracer>(data: &[u64], obs: &T) -> u64 {
     let mut acc = 0u64;
     for &v in data {
-        rec.incr("bench.iterations", 1);
-        rec.observe("bench.values", v);
-        acc = acc.wrapping_add(v).rotate_left(7) ^ v;
-    }
-    acc
-}
-
-/// The same loop with per-iteration span traffic: a guard opened and
-/// dropped, plus an instant.
-fn traced_sum<T: Tracer>(data: &[u64], tracer: &T) -> u64 {
-    let mut acc = 0u64;
-    for &v in data {
-        let _span = tracer.span_with("bench.iteration", v, false);
-        tracer.instant("bench.value", v, false);
+        let _span = obs.span_with("bench.iteration", v, false);
+        obs.incr("bench.iterations", 1);
+        obs.observe("bench.values", v);
+        obs.instant("bench.value", v, false);
         acc = acc.wrapping_add(v).rotate_left(7) ^ v;
     }
     acc
@@ -85,22 +75,18 @@ fn bench_noop_overhead(c: &mut Criterion) {
     let data: Vec<u64> = (0..65_536u64)
         .map(|i| i.wrapping_mul(2_654_435_761) % 1_000)
         .collect();
-    assert_free("NoopRecorder", &data, |d| recorded_sum(d, &NoopRecorder));
-    assert_free("NoopTracer", &data, |d| traced_sum(d, &NoopTracer));
+    assert_free("NoopTracer", &data, |d| observed_sum(d, &NoopTracer));
 
     c.bench_function("hot_loop/plain", |b| b.iter(|| plain_sum(black_box(&data))));
-    c.bench_function("hot_loop/noop_recorded", |b| {
-        b.iter(|| recorded_sum(black_box(&data), &NoopRecorder))
+    c.bench_function("hot_loop/noop_tracer", |b| {
+        b.iter(|| observed_sum(black_box(&data), &NoopTracer))
     });
-    c.bench_function("hot_loop/atomic_recorded", |b| {
+    c.bench_function("hot_loop/live_recorder", |b| {
         let rec = AtomicRecorder::new();
-        b.iter(|| recorded_sum(black_box(&data), &rec))
-    });
-    c.bench_function("hot_loop/noop_traced", |b| {
-        b.iter(|| traced_sum(black_box(&data), &NoopTracer))
+        b.iter(|| observed_sum(black_box(&data), &rec))
     });
 
-    // A real instrumented algorithm under both recorders.
+    // A real instrumented algorithm, untraced and under a live recorder.
     let inst = GeneratorConfig {
         n: 200,
         m: 8,
@@ -112,7 +98,7 @@ fn bench_noop_overhead(c: &mut Criterion) {
         costs: CostModel::Unit,
     }
     .generate(7);
-    c.bench_function("greedy/noop_recorder", |b| {
+    c.bench_function("greedy/untraced", |b| {
         let mut ctx = Ctx::default();
         b.iter(|| {
             greedy::rebalance_in(&inst, 20, ReinsertOrder::Descending, &mut ctx)
@@ -121,7 +107,7 @@ fn bench_noop_overhead(c: &mut Criterion) {
                 .makespan()
         })
     });
-    c.bench_function("greedy/atomic_recorder", |b| {
+    c.bench_function("greedy/live_recorder", |b| {
         let rec = AtomicRecorder::new();
         let mut ctx = Ctx::new(&rec);
         b.iter(|| {
@@ -152,12 +138,12 @@ fn bench_noop_overhead(c: &mut Criterion) {
     });
     c.bench_function("engine_batch/live_collector", |b| {
         b.iter(|| {
-            let mut collector = TraceCollector::new(2);
-            solve_batch_traced(
+            let collector = TraceCollector::new(1);
+            solve_batch_in(
                 black_box(&items),
                 BatchSolver::MPartition,
                 &cfg,
-                &mut collector,
+                collector.main(),
             )
             .outcomes
             .len()

@@ -15,10 +15,9 @@
 use std::time::Instant;
 
 use criterion::black_box;
-use lrb_engine::{solve_batch_recorded, BatchItem, BatchSolver, EngineConfig};
+use lrb_engine::{solve_batch, BatchItem, BatchSolver, EngineConfig};
 use lrb_harness::bench::{smoke_ladder, standard_ladder, BenchBatch};
 use lrb_harness::stats::percentile_sorted;
-use lrb_obs::AtomicRecorder;
 use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`BenchReport`]; bump on breaking field changes.
@@ -130,7 +129,6 @@ pub fn run(threads: &[usize], seed: u64, repeats: usize, smoke: bool) -> BenchRe
     let mut thread_curve = Vec::with_capacity(threads.len());
     let mut base_wall: Option<u64> = None;
     for &t in threads {
-        let rec = AtomicRecorder::new();
         let cfg = EngineConfig::with_threads(t);
         let mut wall_nanos = 0u64;
         let mut latencies: Vec<f64> = Vec::with_capacity(items_per_pass * repeats);
@@ -140,12 +138,7 @@ pub fn run(threads: &[usize], seed: u64, repeats: usize, smoke: bool) -> BenchRe
         for _ in 0..repeats {
             for items in &batches {
                 let started = Instant::now();
-                let report = black_box(solve_batch_recorded(
-                    items,
-                    BatchSolver::MPartition,
-                    &cfg,
-                    &rec,
-                ));
+                let report = black_box(solve_batch(items, BatchSolver::MPartition, &cfg));
                 wall_nanos += (started.elapsed().as_nanos() as u64).max(1);
                 latencies.extend(report.solve_nanos.iter().map(|&ns| ns as f64));
                 steals += report.steals;

@@ -10,9 +10,9 @@
 
 use lrb_faults::{FaultConfig, FaultPlan};
 use lrb_harness::scenarios::{crash_sweep, FaultScenario};
-use lrb_obs::Recorder;
+use lrb_obs::Tracer;
 use lrb_sim::{
-    run_farm_faulty_recorded, FallbackPolicy, FarmConfig, MPartitionPolicy, Policy, SimReport,
+    run_farm_faulty_in, FallbackPolicy, FarmConfig, MPartitionPolicy, Policy, SimReport,
 };
 use serde::{Deserialize, Serialize};
 
@@ -91,11 +91,11 @@ pub struct ChaosReport {
 
 /// Run the sweep: every [`crash_sweep`] scenario of `base`, each under the
 /// M-PARTITION policy and the fallback chain.
-pub fn sweep<R: Recorder>(
+pub fn sweep<T: Tracer>(
     farm: &FarmConfig,
     base: &FaultConfig,
     moves: usize,
-    rec: &R,
+    obs: &T,
 ) -> ChaosReport {
     let mut points = Vec::new();
     for scenario in crash_sweep(base) {
@@ -105,7 +105,7 @@ pub fn sweep<R: Recorder>(
             Box::new(FallbackPolicy::practical()),
         ];
         for mut policy in policies {
-            let report = run_farm_faulty_recorded(farm, policy.as_mut(), &plan, rec);
+            let report = run_farm_faulty_in(farm, policy.as_mut(), &plan, obs);
             points.push(ChaosPoint::from_report(&scenario, &report));
         }
     }

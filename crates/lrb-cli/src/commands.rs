@@ -367,7 +367,7 @@ pub fn simulate(args: &Args) -> CmdResult {
         Box::new(FullRebalance),
     ];
     for mut p in policies {
-        let r = lrb_sim::run_farm_recorded(&cfg, p.as_mut(), &rec);
+        let r = lrb_sim::run_farm_in(&cfg, p.as_mut(), &rec);
         table.row(&[
             r.policy.clone(),
             format!("{:.3}", r.mean_imbalance()),
@@ -762,8 +762,8 @@ USAGE:
               [--speeds 1,1,..] [--seed S] [--smoke] [--out FILE]
   lrb bench [--threads 1,2,4,8] [--seed S] [--repeat R] [--smoke] [--out FILE]
             [--baseline FILE [--threshold T] [--compare FILE]]
-  lrb trace [--scenario smoke_ladder|standard_ladder|chaos|online] [--threads T]
-            [--seed S] [--out FILE]
+  lrb trace [--scenario smoke_ladder|standard_ladder|chaos|online|lint]
+            [--threads T] [--seed S] [--out FILE]
   lrb online [--servers M] [--epochs E] [--initial-jobs J] [--arrival-rate R]
              [--lifetime L] [--moves K | --budget B] [--seed S] [--out FILE]
              [--bank-accrual A] [--bank-cap C] [--bank-initial I]
@@ -792,7 +792,8 @@ BENCH:
 
 TRACE:
   runs a scenario under the structured span tracer (engine worker
-  claim/steal/solve spans, simulator epoch and fault events) and exports a
+  claim/steal/solve spans, simulator epoch and fault events, lint analyzer
+  parse/graph/pass spans) and exports a
   Chrome trace-event JSON timeline (TRACE_1.json) loadable in Perfetto;
   prints per-span totals, the attributed wall-time fraction, and the
   thread-count-invariant determinism hash
@@ -931,7 +932,7 @@ pub fn bench_cmd(args: &Args) -> CmdResult {
     Ok(out)
 }
 
-/// `lrb trace [--scenario smoke_ladder|standard_ladder|chaos|online]
+/// `lrb trace [--scenario smoke_ladder|standard_ladder|chaos|online|lint]
 /// [--threads T] [--seed S] [--out FILE]` — run a scenario under the span
 /// tracer and export the timeline as Chrome trace-event JSON (loadable in
 /// Perfetto / `chrome://tracing`). Prints the per-span summary; `--out`

@@ -31,7 +31,7 @@ use lrb_core::online::{
 };
 use lrb_exact::IncrementalOracle;
 use lrb_instances::generators::SizeDistribution;
-use lrb_obs::{names, Recorder};
+use lrb_obs::{names, Tracer};
 use lrb_sim::adversary::{AdaptiveAdversary, Adversary, GreedyPunisher, RandomOrderAdversary};
 use serde::{Deserialize, Serialize};
 
@@ -138,14 +138,14 @@ fn make_adversary(kind: &str, cfg: &CompeteRunConfig) -> Box<dyn Adversary> {
 /// oracle. `speeds = Some(..)` scores with the speed-scaled makespan and
 /// the speed-aware oracle (the Maack cells); `None` scores identical
 /// machines.
-fn run_cell<P: MigrationPolicy, R: Recorder + Sync>(
+fn run_cell<P: MigrationPolicy, T: Tracer>(
     mut rebalancer: OnlineRebalancer<P>,
     initial_grant: u64,
     requested: Budget,
     adversary: &mut dyn Adversary,
     speeds: Option<&Speeds>,
     cfg: &CompeteRunConfig,
-    rec: &R,
+    obs: &T,
 ) -> Result<CompeteCell, String> {
     let mut oracle = match speeds {
         Some(s) => IncrementalOracle::with_speeds(s.clone()),
@@ -185,10 +185,10 @@ fn run_cell<P: MigrationPolicy, R: Recorder + Sync>(
             .map_err(|e| format!("{policy}/{}: rebalance: {e}", adversary.name()))?;
         total_moves = total_moves.saturating_add(step.outcome.moves() as u64);
         total_cost = total_cost.saturating_add(step.outcome.cost());
-        rec.incr(names::COMPETE_MOVES, step.outcome.moves() as u64);
+        obs.incr(names::COMPETE_MOVES, step.outcome.moves() as u64);
 
         let opt = oracle.opt();
-        rec.incr(names::COMPETE_ORACLE_SOLVES, 1);
+        obs.incr(names::COMPETE_ORACLE_SOLVES, 1);
         let realized = match speeds {
             Some(s) => hetero::scaled_makespan_of(rebalancer.loads(), s),
             None => rebalancer.makespan(),
@@ -200,11 +200,11 @@ fn run_cell<P: MigrationPolicy, R: Recorder + Sync>(
             worst = worst.max(ratio);
             ratio_sum += u128::from(ratio);
             scored += 1;
-            rec.observe(names::COMPETE_RATIO, ratio);
+            obs.observe(names::COMPETE_RATIO, ratio);
         }
     }
-    rec.incr(names::COMPETE_EPOCHS, cfg.epochs as u64);
-    rec.incr(names::COMPETE_CELLS, 1);
+    obs.incr(names::COMPETE_EPOCHS, cfg.epochs as u64);
+    obs.incr(names::COMPETE_CELLS, 1);
 
     let bank = rebalancer.bank();
     let certificate = initial_grant.saturating_add(bank.total_accrued());
@@ -230,7 +230,7 @@ fn run_cell<P: MigrationPolicy, R: Recorder + Sync>(
 /// Deterministic in `cfg`. Fails loudly if any cell overspends its
 /// certificate, or if the Maack cells break the `8/3` envelope on
 /// uniform speeds.
-pub fn run<R: Recorder + Sync>(cfg: &CompeteRunConfig, rec: &R) -> Result<CompeteReport, String> {
+pub fn run<T: Tracer>(cfg: &CompeteRunConfig, obs: &T) -> Result<CompeteReport, String> {
     let speeds = Speeds::new(cfg.speeds.clone()).map_err(|e| format!("--speeds: {e}"))?;
     if speeds.len() != cfg.procs {
         return Err(format!(
@@ -266,7 +266,7 @@ pub fn run<R: Recorder + Sync>(cfg: &CompeteRunConfig, rec: &R) -> Result<Compet
             adv.as_mut(),
             None,
             cfg,
-            rec,
+            obs,
         )?);
     }
     for adv_kind in ADVERSARIES {
@@ -279,7 +279,7 @@ pub fn run<R: Recorder + Sync>(cfg: &CompeteRunConfig, rec: &R) -> Result<Compet
             adv.as_mut(),
             None,
             cfg,
-            rec,
+            obs,
         )?);
     }
     for adv_kind in ADVERSARIES {
@@ -292,7 +292,7 @@ pub fn run<R: Recorder + Sync>(cfg: &CompeteRunConfig, rec: &R) -> Result<Compet
             adv.as_mut(),
             Some(&speeds),
             cfg,
-            rec,
+            obs,
         )?);
     }
 

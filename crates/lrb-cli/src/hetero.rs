@@ -6,7 +6,7 @@
 //!
 //! * `solvers` — seeded instance batches solved by the speed-scaled GREEDY
 //!   and M-PARTITION through the work-stealing batch engine
-//!   ([`lrb_engine::solve_hetero_batch_recorded`]); quality is reported
+//!   ([`lrb_engine::solve_hetero_batch_in`]); quality is reported
 //!   against the speed-scaled lower bound
 //!   `max(⌈total/Σv⌉, ⌈s_max/v_max⌉)`, which the exact oracle can never
 //!   beat, so the ratios are conservative.
@@ -18,10 +18,10 @@
 //!   solve on the final survivor set, divergence recorded and bounded.
 
 use lrb_core::hetero::{self, Speeds};
-use lrb_engine::{solve_hetero_batch_recorded, EngineConfig, HeteroBatchItem, HeteroBatchSolver};
+use lrb_engine::{solve_hetero_batch_in, EngineConfig, HeteroBatchItem, HeteroBatchSolver};
 use lrb_faults::pathind;
 use lrb_instances::generators::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
-use lrb_obs::Recorder;
+use lrb_obs::Tracer;
 use lrb_sim::stochastic::{self, StochasticConfig, StochasticWorkload};
 use serde::{Deserialize, Serialize};
 
@@ -154,12 +154,12 @@ fn solver_name(solver: HeteroBatchSolver) -> &'static str {
     }
 }
 
-fn solver_point<R: Recorder + Sync>(
+fn solver_point<T: Tracer + Send>(
     items: &[HeteroBatchItem],
     solver: HeteroBatchSolver,
-    rec: &R,
+    obs: &T,
 ) -> Result<HeteroSolverPoint, String> {
-    let report = solve_hetero_batch_recorded(items, solver, &EngineConfig::default(), rec);
+    let report = solve_hetero_batch_in(items, solver, &EngineConfig::default(), obs);
     let mut point = HeteroSolverPoint {
         solver: solver_name(solver).to_string(),
         instances: items.len(),
@@ -189,7 +189,7 @@ fn solver_point<R: Recorder + Sync>(
 }
 
 /// Run all three sections and assemble the report. Deterministic in `cfg`.
-pub fn run<R: Recorder + Sync>(cfg: &HeteroRunConfig, rec: &R) -> Result<HeteroReport, String> {
+pub fn run<T: Tracer + Send>(cfg: &HeteroRunConfig, obs: &T) -> Result<HeteroReport, String> {
     let speeds = Speeds::new(cfg.speeds.clone()).map_err(|e| format!("--speeds: {e}"))?;
     if speeds.len() != cfg.procs {
         return Err(format!(
@@ -215,8 +215,8 @@ pub fn run<R: Recorder + Sync>(cfg: &HeteroRunConfig, rec: &R) -> Result<HeteroR
         })
         .collect();
     let solvers = vec![
-        solver_point(&items, HeteroBatchSolver::Greedy, rec)?,
-        solver_point(&items, HeteroBatchSolver::MPartition, rec)?,
+        solver_point(&items, HeteroBatchSolver::Greedy, obs)?,
+        solver_point(&items, HeteroBatchSolver::MPartition, obs)?,
     ];
 
     // Stochastic section.

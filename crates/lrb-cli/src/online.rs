@@ -1,7 +1,7 @@
 //! The `online` subcommand: streaming arrivals/departures with a banked
 //! move budget.
 //!
-//! Drives [`lrb_sim::run_farm_online_recorded`] — an [`OnlineRebalancer`]
+//! Drives [`lrb_sim::run_farm_online_in`] — an [`OnlineRebalancer`]
 //! fed by a seeded churn stream, rebalanced once per epoch under the
 //! amortized move bank — and emits a schema-versioned JSON report
 //! (`ONLINE_1.json` by convention) with the run's summary counters plus a
@@ -10,8 +10,8 @@
 //! [`OnlineRebalancer`]: lrb_core::online::OnlineRebalancer
 
 use lrb_core::model::Budget;
-use lrb_obs::Recorder;
-use lrb_sim::{run_farm_online_recorded, OnlineRunReport, OnlineWorkloadConfig};
+use lrb_obs::Tracer;
+use lrb_sim::{run_farm_online_in, OnlineRunReport, OnlineWorkloadConfig};
 use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`OnlineReport`]; bump on breaking field changes.
@@ -155,8 +155,8 @@ impl OnlineReport {
 }
 
 /// Run one online farm and package the report.
-pub fn run<R: Recorder>(cfg: &OnlineWorkloadConfig, rec: &R) -> OnlineReport {
-    let run = run_farm_online_recorded(cfg, rec);
+pub fn run<T: Tracer>(cfg: &OnlineWorkloadConfig, obs: &T) -> OnlineReport {
+    let run = run_farm_online_in(cfg, obs);
     OnlineReport::from_run(cfg, &run)
 }
 
@@ -199,14 +199,14 @@ pub fn render(report: &OnlineReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrb_obs::NoopRecorder;
+    use lrb_obs::NoopTracer;
 
     #[test]
     fn report_curve_matches_the_run() {
         let mut cfg = OnlineWorkloadConfig::default_online(4);
         cfg.epochs = 12;
         cfg.seed = 7;
-        let report = run(&cfg, &NoopRecorder);
+        let report = run(&cfg, &NoopTracer);
         assert_eq!(report.schema_version, ONLINE_SCHEMA_VERSION);
         assert_eq!(report.epoch_curve.len(), 12);
         assert_eq!(report.rebalances, 12);

@@ -17,12 +17,11 @@
 //! kinds, and payloads of all non-scheduling events and is identical for a
 //! fixed scenario/seed at any thread count.
 
-use lrb_engine::{solve_batch_traced, BatchItem, BatchSolver, EngineConfig};
+use lrb_engine::{solve_batch_in, BatchItem, BatchSolver, EngineConfig};
 use lrb_harness::bench::{smoke_ladder, standard_ladder, BenchBatch};
-use lrb_obs::{names, NoopRecorder, Trace, TraceCollector, Tracer, TRACE_SCHEMA_VERSION};
+use lrb_obs::{names, Trace, TraceCollector, Tracer, TRACE_SCHEMA_VERSION};
 use lrb_sim::{
-    run_farm_faulty_traced, run_farm_online_recorded, FarmConfig, MPartitionPolicy,
-    OnlineWorkloadConfig,
+    run_farm_faulty_in, run_farm_online_in, FarmConfig, MPartitionPolicy, OnlineWorkloadConfig,
 };
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -77,10 +76,11 @@ fn require_spans(run: TraceRun, container: &'static str) -> Result<TraceRun, Str
     Ok(run)
 }
 
-/// Drive a bench ladder through the traced batch engine.
+/// Drive a bench ladder through the batch engine, observed by the
+/// collector's main lane; each engine worker forks its own lane.
 fn ladder_trace(ladder: Vec<BenchBatch>, scenario: &str, threads: usize, seed: u64) -> TraceRun {
     let cfg = EngineConfig::with_threads(threads);
-    let mut collector = TraceCollector::new(threads.max(1));
+    let collector = TraceCollector::new(1);
     for batch in &ladder {
         let items: Vec<BatchItem> = batch
             .instances
@@ -90,7 +90,7 @@ fn ladder_trace(ladder: Vec<BenchBatch>, scenario: &str, threads: usize, seed: u
                 budget: batch.budget,
             })
             .collect();
-        solve_batch_traced(&items, BatchSolver::MPartition, &cfg, &mut collector);
+        solve_batch_in(&items, BatchSolver::MPartition, &cfg, collector.main());
     }
     let trace = collector.finish(scenario, seed, threads, "m-partition");
     let attributed = trace.attributed_fraction(
@@ -116,7 +116,7 @@ fn chaos_trace(seed: u64) -> TraceRun {
     let main = collector.main();
     {
         let _run = main.span(names::SIM_RUN);
-        run_farm_faulty_traced(&farm, &mut MPartitionPolicy, &plan, main, main);
+        run_farm_faulty_in(&farm, &mut MPartitionPolicy, &plan, main);
     }
     let trace = collector.finish("chaos", seed, 1, "m-partition");
     let attributed = trace.attributed_fraction(names::SIM_RUN, &[names::SIM_EPOCH]);
@@ -133,7 +133,7 @@ fn online_trace(seed: u64) -> TraceRun {
     let main = collector.main();
     {
         let _run = main.span(names::SIM_RUN);
-        run_farm_online_recorded(&cfg, main);
+        run_farm_online_in(&cfg, main);
     }
     let trace = collector.finish("online", seed, 1, "online-m-partition");
     let attributed = trace.attributed_fraction(names::SIM_RUN, &[names::SIM_EPOCH]);
@@ -165,7 +165,7 @@ fn lint_trace(seed: u64) -> Result<TraceRun, String> {
     let root = workspace_root()?;
     let collector = TraceCollector::new(1);
     let main = collector.main();
-    lrb_lint::analyze_workspace(&root, &NoopRecorder, main)
+    lrb_lint::analyze_workspace(&root, main)
         .map_err(|e| format!("lint walk under {}: {e}", root.display()))?;
     let trace = collector.finish("lint", seed, 1, "semantic-lint");
     let attributed = trace.attributed_fraction(
@@ -218,7 +218,8 @@ pub struct TraceMeta {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct TraceArgs {
-    /// Per-lane sequence number.
+    /// Per-lane sequence number; with the event's `tid` it identifies
+    /// the event within the trace.
     pub seq: u64,
     /// Span payload.
     pub v: u64,
@@ -414,6 +415,11 @@ mod tests {
             let run = run("smoke_ladder", 2, seed).unwrap();
             assert_eq!(run.trace.scenario, "smoke_ladder");
             assert!(run.trace.span_count() > 0);
+            // Each batch of the ladder forks the same worker tids; span ids
+            // must still be unique within the trace.
+            let ids: std::collections::BTreeSet<(u32, u64)> =
+                run.trace.events.iter().map(|e| (e.tid, e.seq)).collect();
+            assert_eq!(ids.len(), run.trace.events.len(), "repeated (tid, seq)");
             best = best.max(run.attributed);
             if best >= 0.95 {
                 let summary = render(&run);

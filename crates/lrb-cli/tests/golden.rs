@@ -322,6 +322,31 @@ fn trace_determinism_hash_is_stable_across_reruns_and_thread_counts() {
     assert_eq!(base, hash_of(4, "det-t4.json"), "threads changed the hash");
 }
 
+/// The determinism hash of each `lrb trace --seed 7` scenario. It digests
+/// the name, kind and payload of every non-scheduling event, so a change
+/// that drops, renames or adds a span or instant moves it.
+const PINNED_TRACE_HASHES: &[(&str, u64)] = &[
+    ("smoke_ladder", 0x84b2_ea06_55ae_9697),
+    ("standard_ladder", 0x67f0_fd25_7c4e_4e8d),
+    ("chaos", 0xff76_a252_d3ae_ac6c),
+    ("online", 0xe989_11a9_d22e_7d12),
+];
+
+#[test]
+fn trace_determinism_hashes_match_the_pinned_values() {
+    for &(scenario, want) in PINNED_TRACE_HASHES {
+        for threads in [1, 2, 4] {
+            let run = lrb_cli::trace::run(scenario, threads, 7).unwrap();
+            assert_eq!(
+                run.trace.determinism_hash(),
+                want,
+                "{scenario} at {threads} threads: got {:#018x}",
+                run.trace.determinism_hash()
+            );
+        }
+    }
+}
+
 #[test]
 fn validators_reject_injected_unknown_fields() {
     let path = tmpfile("inject-online.json");
@@ -488,7 +513,7 @@ fn lint_reports_validate_and_reject_drift() {
          // lint: allow(checked-arith, golden fixture)\n    \
          Some(load + 1)\n}\n",
     )];
-    let analysis = lrb_lint::analyze_sources(&files, &lrb_obs::NoopRecorder, &lrb_obs::NoopTracer);
+    let analysis = lrb_lint::analyze_sources(&files, &lrb_obs::NoopTracer);
     let json = lrb_lint::report_json(&analysis);
     let report: LintReport = decode(&json).unwrap();
     assert!(!report.findings.is_empty() && !report.suppressions.sites.is_empty());

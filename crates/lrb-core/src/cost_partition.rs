@@ -23,7 +23,7 @@
 //! returned plan never violates the budget — it can only make the chosen
 //! makespan guess slightly conservative (the paper's `ε`).
 
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_obs::{names, NoopTracer, Tracer};
 
 use crate::ctx::Ctx;
 use crate::deadline::WorkBudget;
@@ -65,7 +65,7 @@ pub struct CostPartitionRun {
 pub fn planned_cost(inst: &Instance, a: Size) -> Option<Cost> {
     let mut s = PartitionScratch::default();
     order_by_ratio(inst, &mut s);
-    plan_costs(inst, a, &NoopRecorder, &mut s).map(|l_t| select(&mut s, l_t))
+    plan_costs(inst, a, &NoopTracer, &mut s).map(|l_t| select(&mut s, l_t))
 }
 
 /// Run the §3.2 algorithm: minimize makespan subject to a total relocation
@@ -88,14 +88,14 @@ pub fn rebalance(inst: &Instance, b: Cost) -> Result<CostPartitionRun> {
 /// Run cost-PARTITION in `ctx`.
 ///
 /// `n` work ticks are charged per binary-search guess (each guess runs two
-/// knapsacks per processor) plus `n` for the final build. The recorder
+/// knapsacks per processor) plus `n` for the final build. The observer
 /// counts binary-search guesses (`cost_partition.guesses`), times the guess
 /// search (`cost_partition.search`) and the final build
 /// (`cost_partition.build`), and reaches the per-processor knapsacks
 /// (`knapsack.bb_nodes`, `knapsack.bb_fallbacks`,
 /// `knapsack.branch_and_bound`). The scratch keeps every buffer of the
 /// guess search and the final build warm across calls.
-pub fn rebalance_in<R: Recorder>(
+pub fn rebalance_in<R: Tracer>(
     inst: &Instance,
     b: Cost,
     ctx: &mut Ctx<'_, R>,
@@ -103,7 +103,7 @@ pub fn rebalance_in<R: Recorder>(
     rebalance_impl(inst, b, ctx.rec, &ctx.work, &mut ctx.scratch.partition)
 }
 
-fn rebalance_impl<R: Recorder>(
+fn rebalance_impl<R: Tracer>(
     inst: &Instance,
     b: Cost,
     rec: &R,
@@ -120,7 +120,7 @@ fn rebalance_impl<R: Recorder>(
     }
     // Integer binary search for the smallest guess whose plan fits the
     // budget. The initial makespan always fits (cost 0), so `hi` is valid.
-    let search_timer = rec.time(names::COST_PARTITION_SEARCH);
+    let search_timer = rec.span(names::COST_PARTITION_SEARCH);
     order_by_ratio(inst, s);
     let lo0 = inst.avg_load_ceil().min(inst.initial_makespan());
     let hi0 = inst.initial_makespan();
@@ -136,7 +136,7 @@ fn rebalance_impl<R: Recorder>(
     }
     drop(search_timer);
     work.charge(names::COST_PARTITION_BUILD, inst.num_jobs() as u64)?;
-    let _t = rec.time(names::COST_PARTITION_BUILD);
+    let _t = rec.span(names::COST_PARTITION_BUILD);
     build_at(inst, lo, rec, s).map(|mut run| {
         // No-regression clamp (mirrors M-PARTITION).
         run.outcome = run.outcome.or_unchanged(inst);
@@ -153,7 +153,7 @@ fn rebalance_impl<R: Recorder>(
 pub fn run_at(inst: &Instance, a: Size) -> Result<CostPartitionRun> {
     let mut s = PartitionScratch::default();
     order_by_ratio(inst, &mut s);
-    build_at(inst, a, &NoopRecorder, &mut s)
+    build_at(inst, a, &NoopTracer, &mut s)
 }
 
 /// Whether a job of `size` is large at guess `a` (`2·size > a`), without
@@ -243,7 +243,7 @@ fn split(inst: &Instance, jobs: &[JobId], a: Size, items: &mut Vec<Item>) -> (Co
 
 /// One processor's plan costs at guess `a`: two keep-knapsacks over its
 /// small jobs, with caps `⌊a/2⌋` and `a`.
-fn plan_proc<R: Recorder>(
+fn plan_proc<R: Tracer>(
     inst: &Instance,
     jobs: &[JobId],
     a: Size,
@@ -271,7 +271,7 @@ fn plan_proc<R: Recorder>(
 
 /// Fill `s.plans` with every processor's plan costs at guess `a` and return
 /// `L_T`; `None`, with no knapsack run, if `L_T > m`.
-fn plan_costs<R: Recorder>(
+fn plan_costs<R: Tracer>(
     inst: &Instance,
     a: Size,
     rec: &R,
@@ -313,7 +313,7 @@ fn select(s: &mut PartitionScratch, l_t: usize) -> Cost {
 }
 
 /// Build the assignment at guess `a` from the ratio order in `s`.
-fn build_at<R: Recorder>(
+fn build_at<R: Tracer>(
     inst: &Instance,
     a: Size,
     rec: &R,

@@ -1,7 +1,7 @@
 //! [`Ctx`]: the per-call context that every solver's `*_in` entry point
 //! takes next to the algorithm's option.
 
-use lrb_obs::{NoopRecorder, Recorder};
+use lrb_obs::{NoopTracer, Tracer};
 
 use crate::deadline::WorkBudget;
 use crate::scratch::Scratch;
@@ -9,8 +9,10 @@ use crate::scratch::Scratch;
 /// The three per-call arguments that never change an answer: a [`Scratch`]
 /// arena, so a warm worker reuses every working buffer; a [`WorkBudget`],
 /// so a deadline cancels a solve with [`crate::error::Error::Cancelled`]
-/// instead of finishing late; and a [`Recorder`] for the solver's counters,
-/// histograms and phase timings.
+/// instead of finishing late; and a [`Tracer`] observer for the solver's
+/// counters, histograms and phase spans. The observer decides what the
+/// telemetry becomes: totals in an `AtomicRecorder`, a timeline in a
+/// `ThreadTracer` lane, nothing in the [`NoopTracer`].
 ///
 /// `Ctx::default()` allocates nothing, never cancels and records nothing;
 /// each paper-default entry point is its `*_in` call in a fresh default
@@ -29,7 +31,7 @@ use crate::scratch::Scratch;
 /// assert!(greedy::rebalance_in(&inst, 2, ReinsertOrder::Descending, &mut ctx).is_err());
 /// ```
 #[derive(Debug)]
-pub struct Ctx<'r, R: Recorder = NoopRecorder> {
+pub struct Ctx<'r, R: Tracer = NoopTracer> {
     /// Reusable working buffers: a pure cache.
     pub scratch: Scratch,
     /// Work ticks the solves may spend before they cancel.
@@ -38,7 +40,7 @@ pub struct Ctx<'r, R: Recorder = NoopRecorder> {
     pub rec: &'r R,
 }
 
-impl<'r, R: Recorder> Ctx<'r, R> {
+impl<'r, R: Tracer> Ctx<'r, R> {
     /// A context recording into `rec`, with a cold scratch and an unlimited
     /// work budget.
     pub fn new(rec: &'r R) -> Self {
@@ -52,6 +54,6 @@ impl<'r, R: Recorder> Ctx<'r, R> {
 
 impl Default for Ctx<'_> {
     fn default() -> Self {
-        Ctx::new(&NoopRecorder)
+        Ctx::new(&NoopTracer)
     }
 }

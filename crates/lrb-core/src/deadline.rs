@@ -22,7 +22,7 @@
 
 use std::cell::Cell;
 
-use lrb_obs::Recorder;
+use lrb_obs::Tracer;
 
 use crate::ctx::Ctx;
 use crate::error::{Error, Result};
@@ -176,7 +176,7 @@ impl DeadlineSolver {
     /// cost-PARTITION; GREEDY gets the most jobs a `Cost` budget could pay
     /// for ([`bounds::max_moves_within`]), and the cost-PARTITION and PTAS
     /// tiers read a `Moves` budget as a cost bound ([`Budget::as_cost`]).
-    pub fn solve<R: Recorder>(
+    pub fn solve<R: Tracer>(
         &self,
         inst: &Instance,
         budget: Budget,
@@ -288,7 +288,7 @@ impl FallbackChain {
     /// Run the chain in `ctx`. Every tier spends from the context's one
     /// work budget. Infallible: if every tier fails (cancellation,
     /// infeasibility, budget violation), the no-move assignment answers.
-    pub fn solve<R: Recorder>(
+    pub fn solve<R: Tracer>(
         &self,
         inst: &Instance,
         budget: Budget,

@@ -19,7 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_obs::{names, NoopTracer, Tracer};
 
 use crate::ctx::Ctx;
 use crate::deadline::WorkBudget;
@@ -72,11 +72,11 @@ pub fn rebalance(inst: &Instance, k: usize) -> Result<RebalanceOutcome> {
 /// Run `GREEDY` with an explicit reinsertion order in `ctx`.
 ///
 /// One work tick is charged per removal and per reinsertion step. The
-/// recorder times the removal and reinsertion phases (`greedy.removal` /
+/// observer times the removal and reinsertion phases (`greedy.removal` /
 /// `greedy.reinsert`), counts removed and reinserted jobs and
 /// cross-processor moves, and observes the size of every moved job in the
 /// `greedy.move_size` histogram.
-pub fn rebalance_in<R: Recorder>(
+pub fn rebalance_in<R: Tracer>(
     inst: &Instance,
     k: usize,
     order: ReinsertOrder,
@@ -85,7 +85,7 @@ pub fn rebalance_in<R: Recorder>(
     rebalance_impl(inst, k, order, ctx.rec, &ctx.work, &mut ctx.scratch.greedy)
 }
 
-fn rebalance_impl<R: Recorder>(
+fn rebalance_impl<R: Tracer>(
     inst: &Instance,
     k: usize,
     order: ReinsertOrder,
@@ -95,7 +95,7 @@ fn rebalance_impl<R: Recorder>(
 ) -> Result<GreedyRun> {
     let mut assignment = inst.initial().clone();
     let g1 = {
-        let _t = rec.time(names::GREEDY_REMOVAL);
+        let _t = rec.span(names::GREEDY_REMOVAL);
         removal_phase(inst, k, rec, work, s)?
     };
 
@@ -104,7 +104,7 @@ fn rebalance_impl<R: Recorder>(
     // (size key, removal position) pairs, so an unstable sort keeps equal
     // sizes in removal order without a merge buffer; `!size` orders sizes
     // descending.
-    let _t = rec.time(names::GREEDY_REINSERT);
+    let _t = rec.span(names::GREEDY_REINSERT);
     s.order_keys.clear();
     s.order_keys
         .extend(s.removed.iter().enumerate().map(|(pos, &j)| match order {
@@ -146,7 +146,7 @@ fn rebalance_impl<R: Recorder>(
 /// `k` times (stopping early once all loads are zero). Leaves the removed
 /// jobs (in removal order) in `s.removed` and the residual per-processor
 /// loads in `s.loads`; returns the resulting makespan `G1`.
-fn removal_phase<R: Recorder>(
+fn removal_phase<R: Tracer>(
     inst: &Instance,
     k: usize,
     rec: &R,
@@ -216,15 +216,9 @@ fn removal_phase<R: Recorder>(
 /// most `k` jobs has makespan at least this value.
 pub fn g1_lower_bound(inst: &Instance, k: usize) -> Size {
     let mut scratch = GreedyScratch::default();
-    removal_phase(
-        inst,
-        k,
-        &NoopRecorder,
-        &WorkBudget::unlimited(),
-        &mut scratch,
-    )
-    // lint: allow(no-panic-core, WorkBudget::unlimited() makes cancellation unreachable)
-    .expect("unlimited work budget never cancels")
+    removal_phase(inst, k, &NoopTracer, &WorkBudget::unlimited(), &mut scratch)
+        // lint: allow(no-panic-core, WorkBudget::unlimited() makes cancellation unreachable)
+        .expect("unlimited work budget never cancels")
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 
 use std::cmp::{Ordering, Reverse};
 
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_obs::{names, NoopTracer, Tracer};
 
 use crate::ctx::Ctx;
 use crate::error::{Error, Result};
@@ -222,9 +222,9 @@ pub fn rebalance_greedy(inst: &Instance, speeds: &Speeds, k: usize) -> Result<He
 }
 
 /// [`rebalance_greedy`] in `ctx`: the scratch keeps every buffer warm, and
-/// the recorder times the run (`hetero.greedy`) and counts cross-processor
+/// the observer times the run (`hetero.greedy`) and counts cross-processor
 /// moves (`hetero.moves`). Speed-scaled GREEDY charges no work ticks.
-pub fn rebalance_greedy_in<R: Recorder>(
+pub fn rebalance_greedy_in<R: Tracer>(
     inst: &Instance,
     speeds: &Speeds,
     k: usize,
@@ -232,7 +232,7 @@ pub fn rebalance_greedy_in<R: Recorder>(
 ) -> Result<HeteroRun> {
     let rec = ctx.rec;
     speeds.matches(inst)?;
-    let _t = rec.time(names::HETERO_GREEDY);
+    let _t = rec.span(names::HETERO_GREEDY);
     let s = &mut ctx.scratch.hetero;
     let m = inst.num_procs();
     let mut assignment = inst.initial().clone();
@@ -366,11 +366,11 @@ pub fn rebalance_mpartition(
 }
 
 /// [`rebalance_mpartition`] in `ctx`: the scratch keeps the probe buffers
-/// warm, and the recorder times the run (`hetero.mpartition`) and counts
+/// warm, and the observer times the run (`hetero.mpartition`) and counts
 /// probed thresholds (`hetero.probes`). Only the equal-speeds delegation
 /// charges work ticks, as the base solver does; the base solver's own
 /// telemetry is not recorded.
-pub fn rebalance_mpartition_in<R: Recorder>(
+pub fn rebalance_mpartition_in<R: Tracer>(
     inst: &Instance,
     speeds: &Speeds,
     k: usize,
@@ -378,7 +378,7 @@ pub fn rebalance_mpartition_in<R: Recorder>(
 ) -> Result<HeteroMPartitionRun> {
     let rec = ctx.rec;
     speeds.matches(inst)?;
-    let _t = rec.time(names::HETERO_MPARTITION);
+    let _t = rec.span(names::HETERO_MPARTITION);
 
     if speeds.all_equal() {
         // Identical machines in disguise: the base ladder is both correct
@@ -388,7 +388,7 @@ pub fn rebalance_mpartition_in<R: Recorder>(
             inst,
             k,
             ThresholdSearch::default(),
-            &NoopRecorder,
+            &NoopTracer,
             &ctx.work,
             &mut ctx.scratch,
         )?;

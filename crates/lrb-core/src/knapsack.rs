@@ -24,7 +24,7 @@
 
 use std::cmp::Ordering;
 
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_obs::{names, NoopTracer, Tracer};
 
 use crate::ctx::Ctx;
 
@@ -60,18 +60,18 @@ pub fn max_cost_keep(items: &[Item], cap: u64) -> KeepSolution {
 
 /// [`max_cost_keep`] with an explicit node budget.
 pub fn max_cost_keep_bounded(items: &[Item], cap: u64, node_budget: u64) -> KeepSolution {
-    keep_bounded(items, cap, node_budget, &NoopRecorder)
+    keep_bounded(items, cap, node_budget, &NoopTracer)
 }
 
 /// [`max_cost_keep`] in `ctx`. The branch-and-bound node budget is clamped
 /// to the remaining work, and if the clamped search could not prove
 /// optimality the consumed nodes are charged — cancelling with
 /// [`crate::error::Error::Cancelled`] when the work budget (rather than the
-/// default node budget) was the binding constraint. The recorder counts
+/// default node budget) was the binding constraint. The observer counts
 /// branch-and-bound nodes expanded (`knapsack.bb_nodes`) and searches that
 /// hit the node budget (`knapsack.bb_fallbacks`), and times the search
 /// (`knapsack.branch_and_bound`).
-pub fn max_cost_keep_in<R: Recorder>(
+pub fn max_cost_keep_in<R: Tracer>(
     items: &[Item],
     cap: u64,
     ctx: &mut Ctx<'_, R>,
@@ -88,7 +88,7 @@ pub fn max_cost_keep_in<R: Recorder>(
     Ok(sol)
 }
 
-fn keep_bounded<R: Recorder>(items: &[Item], cap: u64, node_budget: u64, rec: &R) -> KeepSolution {
+fn keep_bounded<R: Tracer>(items: &[Item], cap: u64, node_budget: u64, rec: &R) -> KeepSolution {
     // Zero-size items are always kept; oversized items never can be.
     let mut forced: Vec<usize> = Vec::new();
     let mut forced_cost = 0u64;
@@ -136,7 +136,7 @@ pub(crate) struct KeepScratch {
 /// search proved it optimal within `node_budget`. `sorted` must be in
 /// [`ratio_cmp`] order with every size in `1..=cap`. With `want_set`,
 /// `scratch.best` ends holding the positions of a kept set of that cost.
-pub(crate) fn keep_sorted<R: Recorder>(
+pub(crate) fn keep_sorted<R: Tracer>(
     sorted: &[Item],
     cap: u64,
     node_budget: u64,
@@ -161,7 +161,7 @@ pub(crate) fn keep_sorted<R: Recorder>(
             .fold(0u64, |acc, it| acc.saturating_add(it.cost));
         return (total_cost, true);
     }
-    let _t = rec.time(names::KNAPSACK_BB);
+    let _t = rec.span(names::KNAPSACK_BB);
     scratch.current.clear();
     let mut search = Search {
         items: sorted,
@@ -265,11 +265,11 @@ pub fn max_cost_keep_fptas(items: &[Item], cap: u64, eps: f64) -> KeepSolution {
     max_cost_keep_fptas_in(items, cap, eps, &mut Ctx::default())
 }
 
-/// [`max_cost_keep_fptas`] in `ctx`: the recorder counts DP cells relaxed
+/// [`max_cost_keep_fptas`] in `ctx`: the observer counts DP cells relaxed
 /// (`knapsack.dp_cells` — one per (item, scaled-cost) pair visited) and
 /// times the table fill (`knapsack.fptas_dp`). The FPTAS charges no work
 /// ticks and keeps no buffers in the scratch.
-pub fn max_cost_keep_fptas_in<R: Recorder>(
+pub fn max_cost_keep_fptas_in<R: Tracer>(
     items: &[Item],
     cap: u64,
     eps: f64,
@@ -301,7 +301,7 @@ pub fn max_cost_keep_fptas_in<R: Recorder>(
     // dp[v] = minimum size achieving scaled cost exactly v, with parent
     // pointers for reconstruction.
     const INF: u64 = u64::MAX;
-    let dp_timer = rec.time(names::KNAPSACK_FPTAS_DP);
+    let dp_timer = rec.span(names::KNAPSACK_FPTAS_DP);
     let mut dp_cells = 0u64;
     let mut dp = vec![INF; total_scaled.saturating_add(1)];
     let mut choice: Vec<Vec<bool>> = Vec::with_capacity(feasible.len());
@@ -615,7 +615,7 @@ mod tests {
                 DEFAULT_NODE_BUDGET,
                 true,
                 &mut scratch,
-                &NoopRecorder,
+                &NoopTracer,
             );
             assert!(exact);
             assert_eq!(

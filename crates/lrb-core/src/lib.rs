@@ -18,7 +18,7 @@
 //!
 //! Each algorithm has its paper-default entry point and one `*_in` entry
 //! point that also takes the algorithm's option and a [`Ctx`]: a reusable
-//! scratch arena, a work budget, and a telemetry recorder.
+//! scratch arena, a work budget, and a telemetry observer.
 //!
 //! ## Quick example
 //!

@@ -30,7 +30,7 @@
 //! counts, and the no-regression clamp copies the initial assignment only
 //! when it wins.
 
-use lrb_obs::{names, Recorder};
+use lrb_obs::{names, Tracer};
 
 use crate::ctx::Ctx;
 use crate::deadline::WorkBudget;
@@ -88,14 +88,14 @@ pub fn rebalance(inst: &Instance, k: usize) -> Result<MPartitionRun> {
 /// Run M-PARTITION with an explicit search strategy in `ctx`.
 ///
 /// Work ticks are charged for profile construction, each probed threshold,
-/// and the final PARTITION run. The recorder times the threshold search
+/// and the final PARTITION run. The observer times the threshold search
 /// (`mpartition.search`) and the final PARTITION run
 /// (`mpartition.partition`), and counts — for every search strategy — how
 /// many candidate thresholds were examined versus skipped
 /// (`mpartition.candidates_examined` / `mpartition.candidates_skipped`).
 /// The scratch keeps the profiles, the candidate ladder, and every
 /// PARTITION buffer warm across calls.
-pub fn rebalance_in<R: Recorder>(
+pub fn rebalance_in<R: Tracer>(
     inst: &Instance,
     k: usize,
     search: ThresholdSearch,
@@ -104,7 +104,7 @@ pub fn rebalance_in<R: Recorder>(
     rebalance_impl(inst, k, search, ctx.rec, &ctx.work, &mut ctx.scratch)
 }
 
-pub(crate) fn rebalance_impl<R: Recorder>(
+pub(crate) fn rebalance_impl<R: Tracer>(
     inst: &Instance,
     k: usize,
     search: ThresholdSearch,
@@ -140,7 +140,7 @@ pub(crate) fn rebalance_impl<R: Recorder>(
         // Timed on every solve (cache hits included) so the phase's call
         // count — and hence a trace's determinism hash — is independent of
         // which worker's warm ladder served the item.
-        let _ladder_build = rec.time(names::MPARTITION_LADDER_BUILD);
+        let _ladder_build = rec.span(names::MPARTITION_LADDER_BUILD);
         profiles.rebuild(inst, ladder);
     }
     // Start at the paper's average-load guess — but because the search only
@@ -166,7 +166,7 @@ pub(crate) fn rebalance_impl<R: Recorder>(
         ))
     };
 
-    let search_timer = rec.time(names::MPARTITION_SEARCH);
+    let search_timer = rec.span(names::MPARTITION_SEARCH);
     let idx = match search {
         ThresholdSearch::Scan => {
             let mut idx = None;
@@ -230,7 +230,7 @@ pub(crate) fn rebalance_impl<R: Recorder>(
     let t = cands[idx];
     work.charge(names::MPARTITION_PARTITION, inst.num_jobs() as u64)?;
     let run = {
-        let _t = rec.time(names::MPARTITION_PARTITION);
+        let _t = rec.span(names::MPARTITION_PARTITION);
         partition::run_impl(inst, profiles, t, rec, pscratch)?
     };
     debug_assert!(run.stats.planned_moves <= k);

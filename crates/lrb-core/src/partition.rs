@@ -26,7 +26,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_obs::{names, NoopTracer, Tracer};
 
 use crate::ctx::Ctx;
 use crate::error::{Error, Result};
@@ -124,7 +124,7 @@ pub fn run_with_profiles(inst: &Instance, profiles: &Profiles, t: Size) -> Resul
         inst,
         profiles,
         t,
-        &NoopRecorder,
+        &NoopTracer,
         &mut PartitionScratch::default(),
     )
 }
@@ -132,12 +132,12 @@ pub fn run_with_profiles(inst: &Instance, profiles: &Profiles, t: Size) -> Resul
 /// Run PARTITION at makespan guess `t` in `ctx`.
 ///
 /// The profiles and every working buffer (selection ranking, removal
-/// lists, the reinsertion heap) live in the scratch. The recorder times
+/// lists, the reinsertion heap) live in the scratch. The observer times
 /// each of the paper's six steps as its own phase (`partition.step1_strip`
 /// … `partition.step6_reinsert`) and counts the planned large/small
 /// removals (`partition.large_removed` / `partition.small_removed`).
 /// PARTITION charges no work ticks.
-pub fn run_in<R: Recorder>(inst: &Instance, t: Size, ctx: &mut Ctx<'_, R>) -> Result<PartitionRun> {
+pub fn run_in<R: Tracer>(inst: &Instance, t: Size, ctx: &mut Ctx<'_, R>) -> Result<PartitionRun> {
     let Scratch {
         profiles,
         ladder,
@@ -148,7 +148,7 @@ pub fn run_in<R: Recorder>(inst: &Instance, t: Size, ctx: &mut Ctx<'_, R>) -> Re
     run_impl(inst, profiles, t, ctx.rec, partition)
 }
 
-pub(crate) fn run_impl<R: Recorder>(
+pub(crate) fn run_impl<R: Tracer>(
     inst: &Instance,
     profiles: &Profiles,
     t: Size,
@@ -175,7 +175,7 @@ pub(crate) fn run_impl<R: Recorder>(
     // large is the first one past the small prefix. One counts() call per
     // processor serves Steps 1-4.
     // kept_large[p] = Some(job) for processors holding a large after Step 1.
-    let step1 = rec.time(names::PARTITION_STEP1_STRIP);
+    let step1 = rec.span(names::PARTITION_STEP1_STRIP);
     s.counts.clear();
     for p in 0..m {
         let counts = profiles.counts(p, t);
@@ -198,7 +198,7 @@ pub(crate) fn run_impl<R: Recorder>(
     // Step 2 + 3: rank processors by c_i and select L_T of them. The keys
     // (c_i, no-large, p) are distinct, so selecting the L_T smallest picks
     // the set a full sort would.
-    let step2 = rec.time(names::PARTITION_STEP2_RANK);
+    let step2 = rec.span(names::PARTITION_STEP2_RANK);
     s.cs.clear();
     s.cs.extend(
         s.counts
@@ -221,7 +221,7 @@ pub(crate) fn run_impl<R: Recorder>(
         if s.is_selected[p] {
             // Step 3: shed the a_i largest small jobs (end of the small
             // prefix), keeping the large job if present.
-            let _t = rec.time(names::PARTITION_STEP3_SHED_SELECTED);
+            let _t = rec.span(names::PARTITION_STEP3_SHED_SELECTED);
             for &j in &jobs[small.saturating_sub(a)..small] {
                 s.removed_small.push(j);
                 s.loads[p] = s.loads[p].saturating_sub(inst.size(j));
@@ -230,7 +230,7 @@ pub(crate) fn run_impl<R: Recorder>(
         } else {
             // Step 4: shed the kept large (mandatory) plus largest-first
             // small jobs until the small total fits in t.
-            let _t = rec.time(names::PARTITION_STEP4_SHED_UNSELECTED);
+            let _t = rec.span(names::PARTITION_STEP4_SHED_UNSELECTED);
             let mut small_removals = b;
             if let Some(j) = s.kept_large[p].take() {
                 s.homeless_large.push(j);
@@ -252,7 +252,7 @@ pub(crate) fn run_impl<R: Recorder>(
 
     // Step 5 (covers the paper's Steps 4-5 reassignments): the homeless
     // large jobs go to the selected large-free processors.
-    let step5 = rec.time(names::PARTITION_STEP5_PLACE_LARGE);
+    let step5 = rec.span(names::PARTITION_STEP5_PLACE_LARGE);
     s.free_procs.extend(
         selected
             .iter()
@@ -262,7 +262,7 @@ pub(crate) fn run_impl<R: Recorder>(
     place_large(inst, s, &mut assignment);
     drop(step5);
 
-    let step6 = rec.time(names::PARTITION_STEP6_REINSERT);
+    let step6 = rec.span(names::PARTITION_STEP6_REINSERT);
     reinsert_small(inst, s, &mut assignment)?;
     drop(step6);
 

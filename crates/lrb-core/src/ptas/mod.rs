@@ -22,7 +22,7 @@ pub mod dp;
 pub mod grid;
 pub mod view;
 
-use lrb_obs::{names, Recorder};
+use lrb_obs::{names, Tracer};
 
 use crate::bounds;
 use crate::ctx::Ctx;
@@ -102,12 +102,12 @@ pub fn rebalance(inst: &Instance, budget: Cost, precision: Precision) -> Result<
 ///
 /// `n` work ticks are charged per guess for grid/view construction and one
 /// per DP state expanded (the DP's state budget is additionally clamped to
-/// the remaining work). The recorder times the per-guess pipeline stages
+/// the remaining work). The observer times the per-guess pipeline stages
 /// (`ptas.grid` for grid/view construction, `ptas.dp` for the configuration
 /// DP, `ptas.assemble` for assignment assembly) and counts guesses probed
 /// (`ptas.guesses`) and DP states expanded (`ptas.dp_states`). The PTAS
 /// keeps no buffers in the scratch.
-pub fn rebalance_in<R: Recorder>(
+pub fn rebalance_in<R: Tracer>(
     inst: &Instance,
     budget: Cost,
     precision: Precision,
@@ -116,7 +116,7 @@ pub fn rebalance_in<R: Recorder>(
     rebalance_impl(inst, budget, precision, ctx.rec, &ctx.work)
 }
 
-fn rebalance_impl<R: Recorder>(
+fn rebalance_impl<R: Tracer>(
     inst: &Instance,
     budget: Cost,
     precision: Precision,
@@ -162,7 +162,7 @@ fn rebalance_impl<R: Recorder>(
         rec.incr(names::PTAS_GUESSES, 1);
         work.charge(names::PTAS_GRID, inst.num_jobs() as u64)?;
         let view = {
-            let _t = rec.time(names::PTAS_GRID);
+            let _t = rec.span(names::PTAS_GRID);
             View::new(inst, t, q)
         };
         // Clamp the DP's state budget to the remaining work so a tight
@@ -171,14 +171,14 @@ fn rebalance_impl<R: Recorder>(
         let state_budget =
             dp::DEFAULT_STATE_BUDGET.min(usize::try_from(work.remaining()).unwrap_or(usize::MAX));
         let solved = {
-            let _t = rec.time(names::PTAS_DP);
+            let _t = rec.span(names::PTAS_DP);
             dp::solve_bounded(&view, state_budget)
         };
         match solved {
             DpOutcome::Solved(sol) if sol.cost <= budget => {
                 work.charge(names::PTAS_DP, sol.states as u64)?;
                 rec.incr(names::PTAS_DP_STATES, sol.states as u64);
-                let _t = rec.time(names::PTAS_ASSEMBLE);
+                let _t = rec.span(names::PTAS_ASSEMBLE);
                 let outcome = assemble::assemble(inst, &view, &sol)?.or_unchanged(inst);
                 return Ok(PtasRun {
                     outcome,

@@ -14,6 +14,13 @@
 //!   when empty, steals from the victim with the most remaining items,
 //!   absorbing skewed per-item solve times.
 //!
+//! One observer serves metrics and timelines alike: [`solve_batch_in`]
+//! takes any [`Tracer`], hands each worker its own [`Tracer::fork`] lane,
+//! and folds the lanes back after the join. Under an
+//! [`lrb_obs::AtomicRecorder`] that yields `engine.*` totals plus every
+//! solver's own telemetry; under a [`lrb_obs::ThreadTracer`] lane, one
+//! timeline lane per worker.
+//!
 //! Results are written into input-order slots, and each item's outcome
 //! depends only on the item itself (a warm scratch never changes an answer
 //! — enforced by tests in `lrb-core`), so a batch result is
@@ -33,7 +40,7 @@ use lrb_core::model::{Budget, Instance};
 use lrb_core::outcome::RebalanceOutcome;
 use lrb_core::scratch::Scratch;
 use lrb_core::Ctx;
-use lrb_obs::{names, NoopRecorder, NoopTracer, Recorder, TraceCollector, Tracer};
+use lrb_obs::{names, NoopTracer, Tracer};
 
 use crate::schedule::{NoopShim, ScheduleShim, YieldPoint};
 
@@ -157,26 +164,32 @@ pub struct BatchReport {
     pub ladder_misses: u64,
 }
 
-/// Solve every item with the default (uninstrumented) recorder.
+/// Solve every item with no observer ([`solve_batch_in`] under
+/// [`NoopTracer`]).
 pub fn solve_batch(items: &[BatchItem], solver: BatchSolver, cfg: &EngineConfig) -> BatchReport {
-    solve_batch_recorded(items, solver, cfg, &NoopRecorder)
+    solve_batch_in(items, solver, cfg, &NoopTracer)
 }
 
-/// [`solve_batch`] with instrumentation: emits the `engine.*` counters and
-/// histograms named in [`lrb_obs::names`] (steals, queue depth at steal
-/// time, per-item solve latency, ladder cache traffic).
-pub fn solve_batch_recorded<R: Recorder + Sync>(
+/// [`solve_batch`] observed by `obs`. The batch gets an `engine.batch` span
+/// (payload = item count) and the `engine.*` counters and histograms named
+/// in [`lrb_obs::names`] (steals, queue depth at steal time, per-item solve
+/// latency, ladder cache traffic). Each worker runs in its own
+/// [`Tracer::fork`] of `obs`, folded back after the join: claim, steal and
+/// queue-wait spans go to the scheduling lane, each item gets an
+/// `engine.solve` span, and the solvers' own telemetry lands in the same
+/// lane. Outcomes are bit-identical to [`solve_batch`] under any observer.
+pub fn solve_batch_in<T: Tracer + Send>(
     items: &[BatchItem],
     solver: BatchSolver,
     cfg: &EngineConfig,
-    rec: &R,
+    obs: &T,
 ) -> BatchReport {
     let threads = cfg.resolved_threads(items.len());
     let mut scratches: Vec<Scratch> = (0..threads).map(|_| Scratch::new()).collect();
-    run_batch(items, solver, threads, &mut scratches, rec)
+    run_batch(items, solver, threads, &mut scratches, obs)
 }
 
-/// Solve a speed-scaled batch with the default (uninstrumented) recorder.
+/// Solve a speed-scaled batch with no observer.
 ///
 /// Same striping, stealing, scratch reuse, and input-order result slots as
 /// [`solve_batch`] — the hetero path runs through the identical generic
@@ -187,61 +200,27 @@ pub fn solve_hetero_batch(
     solver: HeteroBatchSolver,
     cfg: &EngineConfig,
 ) -> BatchReport {
-    solve_hetero_batch_recorded(items, solver, cfg, &NoopRecorder)
+    solve_hetero_batch_in(items, solver, cfg, &NoopTracer)
 }
 
-/// [`solve_hetero_batch`] with instrumentation (`engine.*` plus the solver's
-/// own `hetero.*` names).
-pub fn solve_hetero_batch_recorded<R: Recorder + Sync>(
+/// [`solve_hetero_batch`] observed by `obs`, exactly as in
+/// [`solve_batch_in`]: `engine.*` plus the solvers' own `hetero.*` names.
+pub fn solve_hetero_batch_in<T: Tracer + Send>(
     items: &[HeteroBatchItem],
     solver: HeteroBatchSolver,
     cfg: &EngineConfig,
-    rec: &R,
+    obs: &T,
 ) -> BatchReport {
     let threads = cfg.resolved_threads(items.len());
     let mut scratches: Vec<Scratch> = (0..threads).map(|_| Scratch::new()).collect();
-    let mut tracers = vec![NoopTracer; threads];
     run_batch_with(
         items,
         threads,
         &mut scratches,
-        rec,
         &NoopShim,
-        &mut tracers,
+        obs,
         |item: &HeteroBatchItem, ctx| solve_one_hetero(item, solver, ctx),
     )
-}
-
-/// [`solve_batch`] with span tracing: per-worker claim/steal/queue-wait and
-/// per-item solve spans land in the collector's lanes, the whole batch gets
-/// an `engine.batch` span on the main lane, and solver phases flow in
-/// through the collector's [`Recorder`] bridge. Outcomes are bit-identical
-/// to [`solve_batch`]; only the timeline is new.
-pub fn solve_batch_traced(
-    items: &[BatchItem],
-    solver: BatchSolver,
-    cfg: &EngineConfig,
-    collector: &mut TraceCollector,
-) -> BatchReport {
-    let threads = cfg
-        .resolved_threads(items.len())
-        .min(collector.worker_count())
-        .max(1);
-    let mut scratches: Vec<Scratch> = (0..threads).map(|_| Scratch::new()).collect();
-    collector
-        .main()
-        .enter(names::ENGINE_BATCH, items.len() as u64, false);
-    let report = run_batch_with(
-        items,
-        threads,
-        &mut scratches,
-        &NoopRecorder,
-        &NoopShim,
-        collector.workers_mut(),
-        |item: &BatchItem, ctx| solve_one(item, solver, ctx),
-    );
-    collector.main().exit();
-    report
 }
 
 /// [`solve_batch`] under an explicit [`ScheduleShim`] — the entry point for
@@ -256,14 +235,12 @@ pub fn solve_batch_shimmed<S: ScheduleShim>(
 ) -> BatchReport {
     let threads = cfg.resolved_threads(items.len());
     let mut scratches: Vec<Scratch> = (0..threads).map(|_| Scratch::new()).collect();
-    let mut tracers = vec![NoopTracer; threads];
     run_batch_with(
         items,
         threads,
         &mut scratches,
-        &NoopRecorder,
         shim,
-        &mut tracers,
+        &NoopTracer,
         |item: &BatchItem, ctx| solve_one(item, solver, ctx),
     )
 }
@@ -275,7 +252,7 @@ pub fn solve_batch_shimmed<S: ScheduleShim>(
 /// in lockstep: the warm threshold-ladder and profile buffers amortize
 /// allocation and sorting across the whole stream, while per-epoch results
 /// stay **bit-identical for any thread count** (and to [`solve_batch`])
-/// because the scratch entry points never change answers, only speed.
+/// because a warm scratch never changes an answer, only speed.
 #[derive(Debug)]
 pub struct StreamEngine {
     solver: BatchSolver,
@@ -296,54 +273,19 @@ impl StreamEngine {
         }
     }
 
-    /// Solve one epoch's batch with the default recorder.
-    pub fn solve_epoch(&mut self, items: &[BatchItem]) -> BatchReport {
-        self.solve_epoch_recorded(items, &NoopRecorder)
-    }
-
     /// Solve one epoch's batch; ladder hit/miss telemetry in the returned
     /// report is the *delta* contributed by this epoch (warm scratches carry
     /// cache state across epochs).
-    pub fn solve_epoch_recorded<R: Recorder + Sync>(
-        &mut self,
-        items: &[BatchItem],
-        rec: &R,
-    ) -> BatchReport {
+    pub fn solve_epoch(&mut self, items: &[BatchItem]) -> BatchReport {
         self.epochs += 1;
         let threads = self.threads.clamp(1, items.len().max(1));
-        run_batch(items, self.solver, threads, &mut self.scratches, rec)
-    }
-
-    /// Solve one epoch's batch with span tracing: the epoch gets an
-    /// `engine.epoch` span (payload = 1-based epoch number) on the main
-    /// lane, workers emit claim/steal/solve spans into their lanes, and the
-    /// warm scratches behave exactly as in [`solve_epoch`].
-    pub fn solve_epoch_traced(
-        &mut self,
-        items: &[BatchItem],
-        collector: &mut TraceCollector,
-    ) -> BatchReport {
-        self.epochs += 1;
-        let threads = self
-            .threads
-            .clamp(1, items.len().max(1))
-            .min(collector.worker_count())
-            .max(1);
-        collector
-            .main()
-            .enter(names::ENGINE_EPOCH, self.epochs, false);
-        let solver = self.solver;
-        let report = run_batch_with(
+        run_batch(
             items,
+            self.solver,
             threads,
             &mut self.scratches,
-            &NoopRecorder,
-            &NoopShim,
-            collector.workers_mut(),
-            |item: &BatchItem, ctx| solve_one(item, solver, ctx),
-        );
-        collector.main().exit();
-        report
+            &NoopTracer,
+        )
     }
 
     /// The solver every epoch runs with.
@@ -376,86 +318,83 @@ impl StreamEngine {
 /// from `scratches` (one per worker; `threads <= scratches.len()`). Ladder
 /// telemetry in the report is the delta accumulated by this call, so warm
 /// scratches ([`StreamEngine`]) report per-epoch cache traffic.
-fn run_batch<R: Recorder + Sync>(
+fn run_batch<T: Tracer + Send>(
     items: &[BatchItem],
     solver: BatchSolver,
     threads: usize,
     scratches: &mut [Scratch],
-    rec: &R,
+    obs: &T,
 ) -> BatchReport {
-    let mut tracers = vec![NoopTracer; threads];
     run_batch_with(
         items,
         threads,
         scratches,
-        rec,
         &NoopShim,
-        &mut tracers,
+        obs,
         |item: &BatchItem, ctx| solve_one(item, solver, ctx),
     )
 }
 
-/// [`run_batch`] with schedule-injection hooks and per-worker tracer lanes;
-/// `NoopShim` and [`NoopTracer`] compile them away, so the production path
-/// is unchanged. Tracer lane `w` is handed `&mut`-exclusively to worker `w`
-/// exactly like its [`Scratch`]; the worker's [`Ctx`] holds both, so the
-/// lane doubles as the recorder for solver phases (the `Tracer + Recorder`
-/// bound).
+/// [`run_batch`] with schedule-injection hooks; `NoopShim` and
+/// [`NoopTracer`] compile them away, so the production path is unchanged.
+/// Worker `w` owns lane `w + 1` of `obs` ([`Tracer::fork`]) exactly like
+/// its [`Scratch`]; its [`Ctx`] holds both, so the lane also receives the
+/// solvers' telemetry. The lanes fold back into `obs`
+/// ([`Tracer::absorb`]) in worker order after the join.
 ///
 /// Generic over the item type and per-item solve function so the base and
 /// speed-scaled batch paths share one runner — striping, stealing, and
 /// input-order slots are defined exactly once, and any thread-count
 /// bit-identity argument covers both.
-#[allow(clippy::too_many_arguments)]
-fn run_batch_with<I, R, S, T, F>(
+fn run_batch_with<I, S, T, F>(
     items: &[I],
     threads: usize,
     scratches: &mut [Scratch],
-    rec: &R,
     shim: &S,
-    tracers: &mut [T],
+    obs: &T,
     solve: F,
 ) -> BatchReport
 where
     I: Sync,
-    R: Recorder + Sync,
     S: ScheduleShim,
-    T: Tracer + Recorder + Send,
+    T: Tracer + Send,
     F: Fn(&I, &mut Ctx<'_, T>) -> RebalanceOutcome + Sync,
 {
-    let _batch = rec.time(names::ENGINE_BATCH);
     let n = items.len();
-    rec.incr(names::ENGINE_ITEMS, n as u64);
-    rec.incr(names::ENGINE_WORKERS, threads as u64);
+    let _batch = obs.span_with(names::ENGINE_BATCH, n as u64, false);
+    obs.incr(names::ENGINE_ITEMS, n as u64);
+    obs.incr(names::ENGINE_WORKERS, threads as u64);
     debug_assert!(threads >= 1 && threads <= scratches.len());
-    debug_assert!(threads <= tracers.len());
     let before_hits: u64 = scratches.iter().map(Scratch::ladder_hits).sum();
     let before_misses: u64 = scratches.iter().map(Scratch::ladder_misses).sum();
 
     if threads <= 1 || n <= 1 {
-        let tracer = &tracers[0];
-        let mut ctx = worker_ctx(&mut scratches[0], tracer);
-        let _worker = tracer.span_with(names::ENGINE_WORKER, 0, true);
+        let lane = obs.fork(1);
         let mut outcomes = Vec::with_capacity(n);
         let mut solve_nanos = Vec::with_capacity(n);
-        for (i, item) in items.iter().enumerate() {
-            // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
-            let start = Instant::now();
-            let out = {
-                let _solve = tracer.span_with(names::ENGINE_SOLVE, i as u64, false);
-                solve(item, &mut ctx)
-            };
-            outcomes.push(out);
-            let nanos = (start.elapsed().as_nanos() as u64).max(1);
-            rec.observe(names::ENGINE_SOLVE_NANOS, nanos);
-            solve_nanos.push(nanos);
+        {
+            let mut ctx = worker_ctx(&mut scratches[0], &lane);
+            let _worker = lane.span_with(names::ENGINE_WORKER, 0, true);
+            for (i, item) in items.iter().enumerate() {
+                // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
+                let start = Instant::now();
+                let out = {
+                    let _solve = lane.span_with(names::ENGINE_SOLVE, i as u64, false);
+                    solve(item, &mut ctx)
+                };
+                outcomes.push(out);
+                let nanos = (start.elapsed().as_nanos() as u64).max(1);
+                lane.observe(names::ENGINE_SOLVE_NANOS, nanos);
+                solve_nanos.push(nanos);
+            }
+            scratches[0] = ctx.scratch;
         }
-        scratches[0] = ctx.scratch;
+        obs.absorb(lane);
         let ladder_hits = scratches.iter().map(Scratch::ladder_hits).sum::<u64>() - before_hits;
         let ladder_misses =
             scratches.iter().map(Scratch::ladder_misses).sum::<u64>() - before_misses;
-        rec.incr(names::ENGINE_LADDER_HITS, ladder_hits);
-        rec.incr(names::ENGINE_LADDER_MISSES, ladder_misses);
+        obs.incr(names::ENGINE_LADDER_HITS, ladder_hits);
+        obs.incr(names::ENGINE_LADDER_MISSES, ladder_misses);
         return BatchReport {
             outcomes,
             solve_nanos,
@@ -481,100 +420,103 @@ where
         let solve = &solve;
         let handles: Vec<_> = scratches[..threads]
             .iter_mut()
-            .zip(tracers[..threads].iter_mut())
             .enumerate()
-            .map(|(w, (scratch, tracer))| {
+            .map(|(w, scratch)| {
                 let queue = &queue;
                 let steals = &steals;
+                let lane = obs.fork(w as u32 + 1);
                 scope.spawn(move || {
-                    let tracer = &*tracer;
-                    let mut ctx = worker_ctx(scratch, tracer);
-                    let _worker = tracer.span_with(names::ENGINE_WORKER, w as u64, true);
                     let mut local: Vec<(usize, RebalanceOutcome, u64)> = Vec::new();
-                    loop {
-                        if S::ACTIVE {
-                            shim.yield_point(w, YieldPoint::BeforeClaim);
-                        }
-                        let own = if S::ACTIVE && shim.steal_first(w) {
-                            None
-                        } else {
-                            let _claim = tracer.span_with(names::ENGINE_CLAIM, w as u64, true);
-                            queue.claim_own(w)
-                        };
-                        let i = match own {
-                            Some(i) => i,
-                            None => {
-                                if S::ACTIVE {
-                                    shim.yield_point(w, YieldPoint::BeforeSteal);
-                                }
-                                let stolen = {
-                                    let _wait =
-                                        tracer.span_with(names::ENGINE_QUEUE_WAIT, w as u64, true);
-                                    queue.steal(w)
-                                };
-                                match stolen {
-                                    Some((i, depth)) => {
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        tracer.instant(
-                                            names::ENGINE_STEAL_EVENT,
-                                            depth as u64,
+                    {
+                        let mut ctx = worker_ctx(scratch, &lane);
+                        let _worker = lane.span_with(names::ENGINE_WORKER, w as u64, true);
+                        loop {
+                            if S::ACTIVE {
+                                shim.yield_point(w, YieldPoint::BeforeClaim);
+                            }
+                            let own = if S::ACTIVE && shim.steal_first(w) {
+                                None
+                            } else {
+                                let _claim = lane.span_with(names::ENGINE_CLAIM, w as u64, true);
+                                queue.claim_own(w)
+                            };
+                            let i = match own {
+                                Some(i) => i,
+                                None => {
+                                    if S::ACTIVE {
+                                        shim.yield_point(w, YieldPoint::BeforeSteal);
+                                    }
+                                    let stolen = {
+                                        let _wait = lane.span_with(
+                                            names::ENGINE_QUEUE_WAIT,
+                                            w as u64,
                                             true,
                                         );
-                                        if R::ENABLED {
-                                            rec.incr(names::ENGINE_STEALS, 1);
-                                            rec.observe(names::ENGINE_QUEUE_DEPTH, depth as u64);
+                                        queue.steal(w)
+                                    };
+                                    match stolen {
+                                        Some((i, depth)) => {
+                                            steals.fetch_add(1, Ordering::Relaxed);
+                                            lane.instant(
+                                                names::ENGINE_STEAL_EVENT,
+                                                depth as u64,
+                                                true,
+                                            );
+                                            lane.incr(names::ENGINE_STEALS, 1);
+                                            lane.observe(names::ENGINE_QUEUE_DEPTH, depth as u64);
+                                            i
                                         }
-                                        i
-                                    }
-                                    None => {
-                                        // A steal-first worker may still own
-                                        // unclaimed items; drain them before
-                                        // exiting so no index is orphaned.
-                                        let _claim =
-                                            tracer.span_with(names::ENGINE_CLAIM, w as u64, true);
-                                        match queue.claim_own(w) {
-                                            Some(i) => i,
-                                            None => break,
+                                        None => {
+                                            // A steal-first worker may still
+                                            // own unclaimed items; drain them
+                                            // before exiting so no index is
+                                            // orphaned.
+                                            let _claim =
+                                                lane.span_with(names::ENGINE_CLAIM, w as u64, true);
+                                            match queue.claim_own(w) {
+                                                Some(i) => i,
+                                                None => break,
+                                            }
                                         }
                                     }
                                 }
+                            };
+                            if S::ACTIVE {
+                                shim.yield_point(w, YieldPoint::AfterClaim);
                             }
-                        };
-                        if S::ACTIVE {
-                            shim.yield_point(w, YieldPoint::AfterClaim);
+                            // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
+                            let start = Instant::now();
+                            let out = {
+                                let _solve = lane.span_with(names::ENGINE_SOLVE, i as u64, false);
+                                solve(&items[i], &mut ctx)
+                            };
+                            let nanos = (start.elapsed().as_nanos() as u64).max(1);
+                            lane.observe(names::ENGINE_SOLVE_NANOS, nanos);
+                            local.push((i, out, nanos));
+                            if S::ACTIVE {
+                                shim.yield_point(w, YieldPoint::AfterSolve);
+                            }
                         }
-                        // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
-                        let start = Instant::now();
-                        let out = {
-                            let _solve = tracer.span_with(names::ENGINE_SOLVE, i as u64, false);
-                            solve(&items[i], &mut ctx)
-                        };
-                        let nanos = (start.elapsed().as_nanos() as u64).max(1);
-                        if R::ENABLED {
-                            rec.observe(names::ENGINE_SOLVE_NANOS, nanos);
-                        }
-                        local.push((i, out, nanos));
-                        if S::ACTIVE {
-                            shim.yield_point(w, YieldPoint::AfterSolve);
-                        }
+                        *scratch = ctx.scratch;
                     }
-                    *scratch = ctx.scratch;
-                    local
+                    (local, lane)
                 })
             })
             .collect();
         for handle in handles {
             // lint: allow(no-panic-core, a worker panic is already fatal; re-raising on join is the only honest exit)
-            for (i, out, nanos) in handle.join().expect("engine worker panicked") {
+            let (local, lane) = handle.join().expect("engine worker panicked");
+            for (i, out, nanos) in local {
                 slots[i] = Some((out, nanos));
             }
+            obs.absorb(lane);
         }
     });
 
     let ladder_hits = scratches.iter().map(Scratch::ladder_hits).sum::<u64>() - before_hits;
     let ladder_misses = scratches.iter().map(Scratch::ladder_misses).sum::<u64>() - before_misses;
-    rec.incr(names::ENGINE_LADDER_HITS, ladder_hits);
-    rec.incr(names::ENGINE_LADDER_MISSES, ladder_misses);
+    obs.incr(names::ENGINE_LADDER_HITS, ladder_hits);
+    obs.incr(names::ENGINE_LADDER_MISSES, ladder_misses);
 
     let mut outcomes = Vec::with_capacity(n);
     let mut solve_nanos = Vec::with_capacity(n);
@@ -595,8 +537,8 @@ where
 }
 
 /// A worker's context: its warm scratch (moved out for the batch and back
-/// by the worker) and its recorder lane, never cancelling.
-fn worker_ctx<'t, T: Recorder>(scratch: &mut Scratch, lane: &'t T) -> Ctx<'t, T> {
+/// by the worker) and its observer lane, never cancelling.
+fn worker_ctx<'t, T: Tracer>(scratch: &mut Scratch, lane: &'t T) -> Ctx<'t, T> {
     Ctx {
         scratch: std::mem::take(scratch),
         work: WorkBudget::unlimited(),
@@ -606,12 +548,12 @@ fn worker_ctx<'t, T: Recorder>(scratch: &mut Scratch, lane: &'t T) -> Ctx<'t, T>
 
 /// Solve one item in a worker's context. Errors and answers over the item's
 /// budget degrade to "no moves" (the initial assignment), so a pathological
-/// item never poisons its batch. The context's recorder (a tracer lane in
-/// traced runs, [`NoopTracer`] otherwise) never changes an answer.
-fn solve_one<R: Recorder>(
+/// item never poisons its batch. The context's observer never changes an
+/// answer.
+fn solve_one<T: Tracer>(
     item: &BatchItem,
     solver: BatchSolver,
-    ctx: &mut Ctx<'_, R>,
+    ctx: &mut Ctx<'_, T>,
 ) -> RebalanceOutcome {
     DeadlineSolver::new(solver.kind())
         .solve(&item.instance, item.budget, ctx)
@@ -621,10 +563,10 @@ fn solve_one<R: Recorder>(
 /// Solve one speed-scaled item in a worker's context. Errors (e.g. a
 /// speeds/instance length mismatch) degrade to "no moves", mirroring
 /// [`solve_one`], so a pathological item never poisons its batch.
-fn solve_one_hetero<R: Recorder>(
+fn solve_one_hetero<T: Tracer>(
     item: &HeteroBatchItem,
     solver: HeteroBatchSolver,
-    ctx: &mut Ctx<'_, R>,
+    ctx: &mut Ctx<'_, T>,
 ) -> RebalanceOutcome {
     let (inst, speeds, k) = (&item.instance, &item.speeds, item.moves);
     let solved = match solver {
@@ -726,6 +668,7 @@ mod tests {
     use lrb_core::model::Job;
     use lrb_core::{cost_partition, mpartition};
     use lrb_instances::GeneratorConfig;
+    use lrb_obs::TraceCollector;
 
     fn batch(n_items: usize, seed: u64) -> Vec<BatchItem> {
         (0..n_items)
@@ -943,22 +886,77 @@ mod tests {
 
     #[test]
     fn engine_emits_counters_when_recorded() {
-        let rec = lrb_obs::AtomicRecorder::new();
+        // A base M-PARTITION batch plus hetero GREEDY and M-PARTITION
+        // batches with unequal speeds, all into one recorder per thread
+        // count.
         let items = batch(10, 3);
-        let report = solve_batch_recorded(
-            &items,
-            BatchSolver::MPartition,
-            &EngineConfig::with_threads(2),
-            &rec,
-        );
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter(names::ENGINE_ITEMS), Some(10));
-        assert_eq!(snap.counter(names::ENGINE_WORKERS), Some(2));
-        assert_eq!(snap.histogram(names::ENGINE_SOLVE_NANOS).unwrap().count, 10);
-        assert_eq!(
-            snap.counter(names::ENGINE_LADDER_MISSES).unwrap_or(0),
-            report.ladder_misses
-        );
+        let hetero_items: Vec<HeteroBatchItem> = batch(12, 5)
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| HeteroBatchItem {
+                speeds: Speeds::new(vec![1, 2, 3, 1 + (i % 4) as u64]).unwrap(),
+                moves: 2 + i % 4,
+                instance: item.instance,
+            })
+            .collect();
+        // Scheduling facts: how many workers ran and what they stole.
+        let scheduling = [
+            names::ENGINE_WORKERS,
+            names::ENGINE_STEALS,
+            names::ENGINE_QUEUE_DEPTH,
+        ];
+        let mut logical = Vec::new();
+        for threads in [1, 2, 4] {
+            let cfg = EngineConfig::with_threads(threads);
+            let rec = lrb_obs::AtomicRecorder::new();
+            let report = solve_batch_in(&items, BatchSolver::MPartition, &cfg, &rec);
+            for solver in [HeteroBatchSolver::Greedy, HeteroBatchSolver::MPartition] {
+                solve_hetero_batch_in(&hetero_items, solver, &cfg, &rec);
+            }
+            let snap = rec.snapshot();
+            assert_eq!(snap.counter(names::ENGINE_ITEMS), Some(10 + 2 * 12));
+            assert_eq!(
+                snap.counter(names::ENGINE_WORKERS),
+                Some(3 * threads as u64)
+            );
+            assert_eq!(
+                snap.histogram(names::ENGINE_SOLVE_NANOS).unwrap().count,
+                10 + 2 * 12
+            );
+            assert_eq!(
+                snap.counter(names::ENGINE_LADDER_MISSES).unwrap_or(0),
+                report.ladder_misses
+            );
+            // The solvers' own telemetry comes back from every worker lane.
+            for phase in [
+                names::MPARTITION_SEARCH,
+                names::HETERO_GREEDY,
+                names::HETERO_MPARTITION,
+            ] {
+                assert!(snap.phase(phase).is_some(), "{phase} at {threads} threads");
+            }
+            for counter in [
+                names::MPARTITION_CANDIDATES_EXAMINED,
+                names::HETERO_MOVES,
+                names::HETERO_PROBES,
+            ] {
+                assert!(
+                    snap.counter(counter).is_some(),
+                    "{counter} at {threads} threads"
+                );
+            }
+            let counts: Vec<(String, u64)> = snap
+                .counters
+                .iter()
+                .map(|c| (c.name.clone(), c.value))
+                .chain(snap.histograms.iter().map(|h| (h.name.clone(), h.count)))
+                .chain(snap.phases.iter().map(|p| (p.name.clone(), p.calls)))
+                .filter(|(name, _)| !scheduling.contains(&name.as_str()))
+                .collect();
+            logical.push(counts);
+        }
+        assert_eq!(logical[0], logical[1], "1 vs 2 threads");
+        assert_eq!(logical[0], logical[2], "1 vs 4 threads");
     }
 
     #[test]
@@ -1032,17 +1030,17 @@ mod tests {
                 BatchSolver::MPartition,
                 &EngineConfig::with_threads(threads),
             );
-            let mut collector = TraceCollector::new(threads);
-            let traced = solve_batch_traced(
+            let collector = TraceCollector::new(1);
+            let traced = solve_batch_in(
                 &items,
                 BatchSolver::MPartition,
                 &EngineConfig::with_threads(threads),
-                &mut collector,
+                collector.main(),
             );
             assert_eq!(traced.outcomes, plain.outcomes, "{threads} threads");
             let trace = collector.finish("test", 13, threads, "m-partition");
             // One batch span, one worker span per worker, one solve span
-            // per item; solver phases arrive through the recorder bridge.
+            // per item; solver phases arrive through the worker lanes.
             assert_eq!(trace.events_named(names::ENGINE_BATCH).count(), 1);
             assert_eq!(
                 trace.events_named(names::ENGINE_WORKER).count(),
@@ -1051,21 +1049,47 @@ mod tests {
             assert_eq!(trace.events_named(names::ENGINE_SOLVE).count(), items.len());
             assert!(
                 trace.events_named(names::MPARTITION_SEARCH).count() >= items.len(),
-                "solver phases must flow through the tracer's recorder bridge"
+                "solver phases must flow through the worker lanes"
             );
         }
+    }
+
+    #[test]
+    fn hetero_traces_carry_solver_spans_on_the_worker_lanes() {
+        let items: Vec<HeteroBatchItem> = batch(9, 23)
+            .into_iter()
+            .map(|item| HeteroBatchItem {
+                speeds: Speeds::new(vec![1, 2, 3, 4]).unwrap(),
+                moves: 3,
+                instance: item.instance,
+            })
+            .collect();
+        let collector = TraceCollector::new(1);
+        solve_hetero_batch_in(
+            &items,
+            HeteroBatchSolver::Greedy,
+            &EngineConfig::with_threads(3),
+            collector.main(),
+        );
+        let trace = collector.finish("test", 23, 3, "hetero-greedy");
+        let tids: Vec<u32> = trace
+            .events_named(names::HETERO_GREEDY)
+            .map(|e| e.tid)
+            .collect();
+        assert_eq!(tids.len(), items.len());
+        assert!(tids.iter().all(|tid| (1..=3).contains(tid)), "{tids:?}");
     }
 
     #[test]
     fn trace_determinism_hash_is_stable_across_reruns_and_thread_counts() {
         let items = batch(32, 21);
         let hash_at = |threads: usize| {
-            let mut collector = TraceCollector::new(threads);
-            solve_batch_traced(
+            let collector = TraceCollector::new(1);
+            solve_batch_in(
                 &items,
                 BatchSolver::MPartition,
                 &EngineConfig::with_threads(threads),
-                &mut collector,
+                collector.main(),
             );
             collector
                 .finish("test", 21, threads, "m-partition")
@@ -1077,12 +1101,12 @@ mod tests {
         assert_eq!(h1, hash_at(4), "4 threads");
         // A different workload must hash differently.
         let other = batch(31, 21);
-        let mut collector = TraceCollector::new(1);
-        solve_batch_traced(
+        let collector = TraceCollector::new(1);
+        solve_batch_in(
             &other,
             BatchSolver::MPartition,
             &EngineConfig::with_threads(1),
-            &mut collector,
+            collector.main(),
         );
         assert_ne!(
             h1,
@@ -1095,12 +1119,12 @@ mod tests {
     #[test]
     fn trace_attributes_worker_time_to_named_spans() {
         let items = batch(48, 17);
-        let mut collector = TraceCollector::new(4);
-        solve_batch_traced(
+        let collector = TraceCollector::new(1);
+        solve_batch_in(
             &items,
             BatchSolver::MPartition,
             &EngineConfig::with_threads(4),
-            &mut collector,
+            collector.main(),
         );
         let trace = collector.finish("test", 17, 4, "m-partition");
         let frac = trace.attributed_fraction(
@@ -1116,25 +1140,6 @@ mod tests {
             "claim/queue-wait/solve spans cover only {:.1}% of worker wall time",
             frac * 100.0
         );
-    }
-
-    #[test]
-    fn stream_engine_traced_epochs_match_and_are_numbered() {
-        let epochs: Vec<Vec<BatchItem>> = (0..3).map(|e| batch(8, 41 + e as u64)).collect();
-        let mut plain = StreamEngine::new(BatchSolver::MPartition, &EngineConfig::with_threads(2));
-        let mut traced = StreamEngine::new(BatchSolver::MPartition, &EngineConfig::with_threads(2));
-        let mut collector = TraceCollector::new(2);
-        for items in &epochs {
-            let want = plain.solve_epoch(items);
-            let got = traced.solve_epoch_traced(items, &mut collector);
-            assert_eq!(got.outcomes, want.outcomes);
-        }
-        let trace = collector.finish("test", 41, 2, "m-partition");
-        let numbers: Vec<u64> = trace
-            .events_named(names::ENGINE_EPOCH)
-            .map(|e| e.v)
-            .collect();
-        assert_eq!(numbers, vec![1, 2, 3]);
     }
 
     #[test]

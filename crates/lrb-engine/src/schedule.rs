@@ -5,7 +5,7 @@
 //! This module lets a test harness (`lrb-lint --schedules`) drive the
 //! work-stealing loop through pathological interleavings without touching
 //! production performance: the executor is generic over [`ScheduleShim`]
-//! exactly the way it is generic over `Recorder`, and the default
+//! exactly the way it is generic over its `Tracer`, and the default
 //! [`NoopShim`] compiles every hook away behind `ACTIVE = false` branches.
 //!
 //! [`AdversarialShim`] is the seeded pathological scheduler: forced steal

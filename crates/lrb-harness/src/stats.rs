@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn summary_of_recorded_histogram() {
-        use lrb_obs::{AtomicRecorder, Recorder};
+        use lrb_obs::{AtomicRecorder, Tracer};
         let rec = AtomicRecorder::new();
         for v in [1u64, 2, 4, 100, 1000] {
             rec.observe("cell_nanos", v);

@@ -1,11 +1,11 @@
-//! Fixture: an inline metric-name literal handed to a Recorder call.
+//! Fixture: an inline metric-name literal handed to a Tracer call.
 //! Linted under the virtual path `crates/lrb-sim/src/fixture.rs`.
 
-use lrb_obs::{names, Recorder, Tracer};
+use lrb_obs::{names, Tracer};
 
-pub fn emit<R: Recorder>(rec: &R) {
-    rec.incr("sim.epochz", 1);
-    rec.incr(names::SIM_EPOCHS, 1);
+pub fn emit<T: Tracer>(obs: &T) {
+    obs.incr("sim.epochz", 1);
+    obs.incr(names::SIM_EPOCHS, 1);
 }
 
 pub fn trace<T: Tracer>(tracer: &T) {

@@ -35,7 +35,7 @@ pub mod taint;
 
 use std::path::{Path, PathBuf};
 
-use lrb_obs::{names, NoopRecorder, NoopTracer, Recorder, Tracer};
+use lrb_obs::{names, NoopTracer, Tracer};
 
 pub use graph::GraphStats;
 pub use report::{report_json, LINT_SCHEMA_VERSION};
@@ -112,48 +112,39 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// virtual workspace: lexical rules per file, then the call-graph passes
 /// across all of them, then suppression filtering and the stale pass.
 ///
-/// Instrumentation goes to `rec`/`tracer` under the `lint.*` names, so
-/// analyzer cost shows up in `lrb trace` like every other subsystem.
-pub fn analyze_sources<R: Recorder, T: Tracer>(
-    files: &[(&str, &str)],
-    rec: &R,
-    tracer: &T,
-) -> Analysis {
+/// Instrumentation goes to `obs` under the `lint.*` names — one
+/// `lint.parse` span per file, one `lint.graph` span, one `lint.pass` span
+/// per pass — so analyzer cost shows up in `lrb trace` like every other
+/// subsystem.
+pub fn analyze_sources<T: Tracer>(files: &[(&str, &str)], obs: &T) -> Analysis {
     let mut findings: Vec<Finding> = Vec::new();
     let mut facts = Vec::new();
     let mut allows: Vec<(String, Vec<scan::Allow>)> = Vec::new();
 
-    {
-        let _t = rec.time(names::LINT_PARSE);
-        for (i, (path, src)) in files.iter().enumerate() {
-            let _s = tracer.span_with(names::LINT_PARSE, i as u64, false);
-            let toks = lexer::lex(src);
-            let sc = scan::Scan::new(&toks);
-            let file_allows = scan::collect_allows(&toks, &sc.sig, path, &mut findings);
-            rules::lexical_findings(&sc, path, &mut findings);
-            facts.push(parser::parse_file(path, &sc));
-            allows.push((path.to_string(), file_allows));
-        }
+    for (i, (path, src)) in files.iter().enumerate() {
+        let _s = obs.span_with(names::LINT_PARSE, i as u64, false);
+        let toks = lexer::lex(src);
+        let sc = scan::Scan::new(&toks);
+        let file_allows = scan::collect_allows(&toks, &sc.sig, path, &mut findings);
+        rules::lexical_findings(&sc, path, &mut findings);
+        facts.push(parser::parse_file(path, &sc));
+        allows.push((path.to_string(), file_allows));
     }
 
     let g = {
-        let _t = rec.time(names::LINT_GRAPH);
-        let _s = tracer.span(names::LINT_GRAPH);
+        let _s = obs.span(names::LINT_GRAPH);
         graph::build(facts)
     };
 
-    {
-        let _t = rec.time(names::LINT_PASS);
-        type Pass = fn(&graph::Graph, &mut Vec<Finding>);
-        const PASSES: &[Pass] = &[
-            taint::panic_pass,
-            taint::nondet_pass,
-            taint::arith_flow_pass,
-        ];
-        for (k, pass) in PASSES.iter().enumerate() {
-            let _s = tracer.span_with(names::LINT_PASS, k as u64, false);
-            pass(&g, &mut findings);
-        }
+    type Pass = fn(&graph::Graph, &mut Vec<Finding>);
+    const PASSES: &[Pass] = &[
+        taint::panic_pass,
+        taint::nondet_pass,
+        taint::arith_flow_pass,
+    ];
+    for (k, pass) in PASSES.iter().enumerate() {
+        let _s = obs.span_with(names::LINT_PASS, k as u64, false);
+        pass(&g, &mut findings);
     }
 
     // Suppression filtering: a matching allow eats the finding and is
@@ -220,10 +211,10 @@ pub fn analyze_sources<R: Recorder, T: Tracer>(
             && a.col == b.col
     });
 
-    rec.incr(names::LINT_FILES, files.len() as u64);
-    rec.incr(names::LINT_FUNCTIONS, g.stats.functions as u64);
-    rec.incr(names::LINT_EDGES, g.stats.edges as u64);
-    rec.incr(names::LINT_FINDINGS, findings.len() as u64);
+    obs.incr(names::LINT_FILES, files.len() as u64);
+    obs.incr(names::LINT_FUNCTIONS, g.stats.functions as u64);
+    obs.incr(names::LINT_EDGES, g.stats.edges as u64);
+    obs.incr(names::LINT_FINDINGS, findings.len() as u64);
 
     Analysis {
         findings,
@@ -235,18 +226,14 @@ pub fn analyze_sources<R: Recorder, T: Tracer>(
 
 /// [`analyze_sources`] without instrumentation, returning only findings.
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
-    analyze_sources(files, &NoopRecorder, &NoopTracer).findings
+    analyze_sources(files, &NoopTracer).findings
 }
 
 /// Read and analyze every workspace file under `root`; findings carry
 /// root-relative paths so rule scoping is independent of where the tool is
 /// invoked from.
-pub fn analyze_workspace<R: Recorder, T: Tracer>(
-    root: &Path,
-    rec: &R,
-    tracer: &T,
-) -> std::io::Result<Analysis> {
-    let _run = tracer.span(names::LINT_RUN);
+pub fn analyze_workspace<T: Tracer>(root: &Path, obs: &T) -> std::io::Result<Analysis> {
+    let _run = obs.span(names::LINT_RUN);
     let mut sources: Vec<(String, String)> = Vec::new();
     for file in collect_files(root)? {
         let rel = file
@@ -261,10 +248,10 @@ pub fn analyze_workspace<R: Recorder, T: Tracer>(
         .iter()
         .map(|(p, s)| (p.as_str(), s.as_str()))
         .collect();
-    Ok(analyze_sources(&views, rec, tracer))
+    Ok(analyze_sources(&views, obs))
 }
 
 /// Lint every workspace file under `root` with the full analyzer.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    analyze_workspace(root, &NoopRecorder, &NoopTracer).map(|a| a.findings)
+    analyze_workspace(root, &NoopTracer).map(|a| a.findings)
 }

@@ -37,7 +37,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "obs-name-registry",
-        "metric names passed to Recorder calls must be lrb_obs::names:: consts, never \
+        "metric names passed to Tracer calls must be lrb_obs::names:: consts, never \
          inline string literals",
     ),
     (
@@ -89,18 +89,8 @@ const LOAD_WORDS: &[&str] = &[
 /// Identifiers that contain a load word but are not load-typed values.
 const LOAD_WORD_EXEMPT: &[&str] = &["usize", "isize"];
 
-/// Recorder and Tracer methods whose name arguments must use `names::`
-/// consts.
-const RECORDER_METHODS: &[&str] = &[
-    "incr",
-    "observe",
-    "record_duration",
-    "time",
-    "span",
-    "span_with",
-    "instant",
-    "enter",
-];
+/// The `Tracer` methods that take a name, which must be a `names::` const.
+const TRACER_METHODS: &[&str] = &["incr", "observe", "enter", "instant", "span", "span_with"];
 
 pub(crate) fn is_loadish(name: &str) -> bool {
     if LOAD_WORD_EXEMPT.contains(&name) {
@@ -317,7 +307,7 @@ fn rule_obs_names(scan: &Scan<'_>, path: &str, findings: &mut Vec<Finding>) {
         }
         let Some(t) = scan.sig_tok(s) else { continue };
         let is_call = t.kind == TokKind::Ident
-            && RECORDER_METHODS.contains(&t.text.as_str())
+            && TRACER_METHODS.contains(&t.text.as_str())
             && s > 0
             && scan.sig_text(s - 1) == "."
             && scan.sig_text(s + 1) == "(";
@@ -345,7 +335,7 @@ fn rule_obs_names(scan: &Scan<'_>, path: &str, findings: &mut Vec<Finding>) {
                     path,
                     a,
                     format!(
-                        "string literal {} passed to Recorder::{}; register it as a \
+                        "string literal {} passed to Tracer::{}; register it as a \
                          const in lrb_obs::names and reference that",
                         a.text, t.text
                     ),

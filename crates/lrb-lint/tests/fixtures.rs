@@ -145,8 +145,8 @@ fn obs_names_fixture_flags_inline_literal_only() {
         include_str!("../fixtures/obs_names.rs"),
         "crates/lrb-sim/src/fixture.rs",
     );
-    // The inline "sim.epochz" Recorder literal and the "sim.runz" Tracer
-    // span literal trip; the names:: calls are the sanctioned form.
+    // The inline "sim.epochz" counter literal and the "sim.runz" span
+    // literal trip; the names:: calls are the sanctioned form.
     assert_eq!(
         triples(&findings),
         vec![("obs-name-registry", 7, 14), ("obs-name-registry", 12, 26),],
@@ -282,8 +282,8 @@ fn real_workspace_is_clean() {
         .join("../..")
         .canonicalize()
         .expect("workspace root exists");
-    let analysis = lrb_lint::analyze_workspace(&root, &lrb_obs::NoopRecorder, &lrb_obs::NoopTracer)
-        .expect("workspace walk succeeds");
+    let analysis =
+        lrb_lint::analyze_workspace(&root, &lrb_obs::NoopTracer).expect("workspace walk succeeds");
     assert!(analysis.findings.is_empty(), "{:#?}", analysis.findings);
     // Vacuity guards: an empty call graph would make every reachability
     // pass trivially clean. The real workspace has thousands of resolved

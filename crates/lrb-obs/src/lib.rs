@@ -1,49 +1,37 @@
 //! Zero-overhead instrumentation for the load-rebalancing workspace.
 //!
-//! The core abstraction is the [`Recorder`] trait: algorithms take a generic
-//! `&R: Recorder` parameter and report counters, histogram observations, and
-//! RAII-timed phases through it. Two implementations are provided:
+//! One trait, [`Tracer`], carries counters, log2 histograms, spans with a
+//! payload and a scheduling bit, and instants. Instrumented code takes a
+//! generic `&T: Tracer`; three observers implement it:
 //!
-//! - [`NoopRecorder`]: a zero-sized type whose methods are empty and whose
-//!   `ENABLED` flag is `false`, so monomorphized call sites compile to
-//!   nothing. A default `lrb_core::Ctx` records through it, keeping the
-//!   disabled path free (see `benches/noop_overhead.rs` in `lrb-bench`).
-//! - [`AtomicRecorder`]: a thread-safe recorder backed by atomics, suitable
-//!   for sharing across the parallel harness.
+//! - [`NoopTracer`]: zero-sized with `ENABLED = false`, so monomorphized
+//!   call sites compile to nothing. A default `lrb_core::Ctx` records
+//!   through it (see `benches/noop_overhead.rs` in `lrb-bench`).
+//! - [`AtomicRecorder`]: a thread-safe aggregate that freezes into a
+//!   versioned [`Snapshot`] — counter totals, histogram percentiles
+//!   (p50/p90/p99) and per-phase wall time — which the CLI exports with
+//!   `--metrics` and renders with `--verbose`.
+//! - [`ThreadTracer`]: one lane of a span timeline; a [`TraceCollector`]
+//!   drains its lanes into a [`Trace`], which `lrb trace` exports.
 //!
-//! A recorder can be frozen into a [`Snapshot`] — a versioned, serializable
-//! view with per-counter totals, histogram percentiles (p50/p90/p99), and
-//! per-phase wall-clock totals — which the CLI exports as JSON via
-//! `--metrics` and renders as a table with `--verbose`.
+//! A parallel run hands each worker [`Tracer::fork`] of the caller's
+//! observer and folds it back with [`Tracer::absorb`] after the join.
 
 pub mod names;
 mod recorder;
 mod snapshot;
 pub mod trace;
 
-pub use recorder::{AtomicRecorder, NoopRecorder, PhaseTimer, Recorder};
+pub use recorder::AtomicRecorder;
 pub use snapshot::{CounterSnapshot, HistogramSnapshot, PhaseSnapshot, Snapshot, SCHEMA_VERSION};
 pub use trace::{
-    NoopTracer, SpanEvent, SpanGuard, SpanKind, ThreadTracer, Trace, TraceCollector, Tracer,
-    TRACE_SCHEMA_VERSION,
+    NoopTracer, OpenSpan, SpanEvent, SpanGuard, SpanKind, ThreadTracer, Trace, TraceCollector,
+    Tracer, TRACE_SCHEMA_VERSION,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_is_zero_sized_and_disabled() {
-        assert_eq!(std::mem::size_of::<NoopRecorder>(), 0);
-        const { assert!(!<NoopRecorder as Recorder>::ENABLED) };
-        // Exercise every method; all must be no-ops that don't panic.
-        let r = NoopRecorder;
-        r.incr("c", 3);
-        r.observe("h", 42);
-        {
-            let _t = r.time("p");
-        }
-    }
 
     #[test]
     fn atomic_recorder_counts_and_times() {
@@ -53,7 +41,7 @@ mod tests {
         r.observe("size", 1);
         r.observe("size", 100);
         {
-            let _t = r.time("phase");
+            let _t = r.span("phase");
         }
         let snap = r.snapshot();
         assert_eq!(snap.schema_version, SCHEMA_VERSION);
@@ -65,6 +53,27 @@ mod tests {
         assert_eq!(h.max, 100);
         let p = snap.phase("phase").unwrap();
         assert_eq!(p.calls, 1);
+    }
+
+    #[test]
+    fn atomic_recorder_times_work_spans_and_drops_the_timeline() {
+        let r = AtomicRecorder::new();
+        {
+            let _work = r.span_with("work", 3, false);
+            let _claim = r.span_with("claim", 4, true);
+            r.instant("mark", 5, false);
+        }
+        // A forked lane aggregates on its own and folds back on absorb.
+        let lane = r.fork(1);
+        lane.incr("n", 2);
+        {
+            let _work = lane.span("work");
+        }
+        r.absorb(lane);
+        let snap = r.snapshot();
+        assert_eq!(snap.phase("work").unwrap().calls, 2);
+        assert_eq!(snap.phases.len(), 1, "{:?}", snap.phases);
+        assert_eq!(snap.counter("n"), Some(2));
     }
 
     #[test]
@@ -97,7 +106,7 @@ mod tests {
         r.incr("a", 7);
         r.observe("b", 9);
         {
-            let _t = r.time("c");
+            let _t = r.span("c");
         }
         let snap = r.snapshot();
         let json = snap.to_json().unwrap();

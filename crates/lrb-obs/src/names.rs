@@ -1,8 +1,8 @@
 //! Canonical metric names shared across crates.
 //!
-//! The recorder API is stringly keyed; producers and consumers that live in
-//! different crates (the batch engine emits, the CLI bench reads) must agree
-//! on the exact spelling. Centralizing the names here turns a typo into a
+//! The [`Tracer`](crate::Tracer) API is stringly keyed; producers and
+//! consumers that live in different crates (the batch engine emits, the CLI
+//! reads) must agree on the exact spelling. Centralizing the names here turns a typo into a
 //! compile error instead of a silently empty metric.
 
 /// GREEDY removal phase wall time.
@@ -86,7 +86,7 @@ pub const SIM_REBALANCED: &str = "sim.rebalanced";
 pub const SIM_UNCHANGED: &str = "sim.unchanged";
 /// Per-epoch wall time in nanoseconds (histogram).
 pub const SIM_EPOCH_NANOS: &str = "sim.epoch_nanos";
-/// Per-epoch wall-clock phase.
+/// Per-epoch span.
 pub const SIM_EPOCH: &str = "sim.epoch";
 /// Epochs that ran in degraded (fault-affected) mode.
 pub const SIM_DEGRADED_EPOCHS: &str = "sim.degraded_epochs";
@@ -98,8 +98,6 @@ pub const SIM_POLICY_REJECTIONS: &str = "sim.policy_rejections";
 pub const SIM_FALLBACKS: &str = "sim.fallbacks";
 /// Whole simulation run span (tracing).
 pub const SIM_RUN: &str = "sim.run";
-/// Per-lockstep-epoch wall-clock phase in the fleet simulators.
-pub const SIM_FLEET_EPOCH: &str = "sim.fleet_epoch";
 
 /// Instant event: a processor crashed this epoch (tracing).
 pub const FAULT_CRASH: &str = "fault.crash";
@@ -122,7 +120,7 @@ pub const ENGINE_SOLVE_NANOS: &str = "engine.solve_nanos";
 pub const ENGINE_LADDER_HITS: &str = "engine.ladder_hits";
 /// Threshold-ladder cache misses across all workers.
 pub const ENGINE_LADDER_MISSES: &str = "engine.ladder_misses";
-/// Whole-batch wall-clock phase.
+/// Whole-batch span (payload: item count).
 pub const ENGINE_BATCH: &str = "engine.batch";
 /// Per-worker engine loop span (tracing; scheduling lane).
 pub const ENGINE_WORKER: &str = "engine.worker";
@@ -134,8 +132,6 @@ pub const ENGINE_QUEUE_WAIT: &str = "engine.queue_wait";
 pub const ENGINE_STEAL_EVENT: &str = "engine.steal";
 /// Span around one item's solve in the engine worker loop.
 pub const ENGINE_SOLVE: &str = "engine.solve";
-/// Span around one StreamEngine lockstep epoch.
-pub const ENGINE_EPOCH: &str = "engine.epoch";
 
 /// Online events applied (arrivals + departures + rebalances).
 pub const ONLINE_EVENTS: &str = "online.events";

@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and its two implementations.
+//! [`AtomicRecorder`]: the observer that aggregates.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,6 +9,7 @@ use crate::snapshot::{
     percentile_from_buckets, CounterSnapshot, HistogramSnapshot, PhaseSnapshot, Snapshot,
     SCHEMA_VERSION,
 };
+use crate::trace::{OpenSpan, Tracer};
 
 /// Number of log2 histogram buckets: bucket 0 holds value 0, bucket `i >= 1`
 /// holds values in `[2^(i-1), 2^i)`, up to bucket 64 for `[2^63, u64::MAX]`.
@@ -20,81 +21,6 @@ pub(crate) fn bucket_index(value: u64) -> usize {
     } else {
         64 - value.leading_zeros() as usize
     }
-}
-
-/// Sink for instrumentation events.
-///
-/// Algorithms take `&R` where `R: Recorder`; passing [`NoopRecorder`]
-/// monomorphizes every call to an empty inline function, so disabled
-/// instrumentation costs nothing.
-pub trait Recorder {
-    /// `false` for [`NoopRecorder`]; lets call sites skip work that only
-    /// exists to feed the recorder (e.g. reading the clock).
-    const ENABLED: bool;
-
-    /// Add `by` to the named monotonic counter.
-    fn incr(&self, counter: &'static str, by: u64);
-
-    /// Record one observation into the named log2 histogram.
-    fn observe(&self, histogram: &'static str, value: u64);
-
-    /// Add one timed call of `nanos` nanoseconds to the named phase.
-    fn record_duration(&self, phase: &'static str, nanos: u64);
-
-    /// Start an RAII timer; the elapsed time is recorded against `phase`
-    /// when the returned guard drops.
-    fn time(&self, phase: &'static str) -> PhaseTimer<'_, Self>
-    where
-        Self: Sized,
-    {
-        PhaseTimer {
-            recorder: self,
-            phase,
-            start: if Self::ENABLED {
-                // lint: allow(no-nondeterminism, phase timing is telemetry; durations never feed solve results)
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-}
-
-/// RAII guard returned by [`Recorder::time`].
-pub struct PhaseTimer<'a, R: Recorder> {
-    recorder: &'a R,
-    phase: &'static str,
-    start: Option<Instant>,
-}
-
-impl<R: Recorder> Drop for PhaseTimer<'_, R> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            // Clamp to >= 1ns so a recorded phase is always distinguishable
-            // from one that never ran, even under coarse clocks.
-            let nanos = (start.elapsed().as_nanos() as u64).max(1);
-            self.recorder.record_duration(self.phase, nanos);
-        }
-    }
-}
-
-/// Recorder that records nothing. Zero-sized; every method is an empty
-/// `#[inline(always)]` body, so instrumented code paths compile down to the
-/// un-instrumented equivalent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn incr(&self, _counter: &'static str, _by: u64) {}
-
-    #[inline(always)]
-    fn observe(&self, _histogram: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    fn record_duration(&self, _phase: &'static str, _nanos: u64) {}
 }
 
 struct AtomicHistogram {
@@ -146,17 +72,33 @@ struct PhaseStat {
     max_nanos: AtomicU64,
 }
 
-/// Thread-safe recorder backed by atomics.
+/// Thread-safe aggregating observer backed by atomics.
+///
+/// It keeps counters and histograms, and records each work-lane span as a
+/// phase: calls, total and max wall time. Instants and scheduling-lane
+/// (`sched: true`) spans belong to timelines only and are dropped, so the
+/// counts in a snapshot are the same at every thread count.
 ///
 /// Counter/histogram/phase registries are `RwLock`-guarded maps consulted
 /// once per name lookup; the hot-path updates themselves are relaxed atomic
-/// operations, so an `AtomicRecorder` can be shared freely across the
-/// parallel harness's worker threads.
-#[derive(Default)]
+/// operations, so an `AtomicRecorder` can be shared freely across threads.
 pub struct AtomicRecorder {
+    origin: Instant,
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: RwLock<BTreeMap<String, Arc<AtomicHistogram>>>,
     phases: RwLock<BTreeMap<String, Arc<PhaseStat>>>,
+}
+
+impl Default for AtomicRecorder {
+    fn default() -> Self {
+        AtomicRecorder {
+            // lint: allow(no-nondeterminism, span marks are offsets from this origin; durations are telemetry and never feed solve results)
+            origin: Instant::now(),
+            counters: RwLock::default(),
+            histograms: RwLock::default(),
+            phases: RwLock::default(),
+        }
+    }
 }
 
 fn handle<T>(
@@ -189,7 +131,7 @@ impl AtomicRecorder {
         let counters = self
             .counters
             .read()
-            .expect("obs registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, v)| CounterSnapshot {
                 name: name.clone(),
@@ -199,7 +141,7 @@ impl AtomicRecorder {
         let histograms = self
             .histograms
             .read()
-            .expect("obs registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, h)| {
                 let buckets: Vec<u64> = h
@@ -234,7 +176,7 @@ impl AtomicRecorder {
         let phases = self
             .phases
             .read()
-            .expect("obs registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, p)| {
                 let calls = p.calls.load(Ordering::Relaxed);
@@ -284,7 +226,7 @@ impl AtomicRecorder {
     }
 }
 
-impl Recorder for AtomicRecorder {
+impl Tracer for AtomicRecorder {
     const ENABLED: bool = true;
 
     fn incr(&self, counter: &'static str, by: u64) {
@@ -295,10 +237,43 @@ impl Recorder for AtomicRecorder {
         handle(&self.histograms, histogram, AtomicHistogram::new).observe(value);
     }
 
-    fn record_duration(&self, phase: &'static str, nanos: u64) {
-        let stat = handle(&self.phases, phase, PhaseStat::default);
+    fn enter(&self, name: &'static str, _v: u64, sched: bool) -> OpenSpan {
+        OpenSpan {
+            name,
+            sched,
+            mark: if sched {
+                0
+            } else {
+                self.origin.elapsed().as_nanos() as u64
+            },
+        }
+    }
+
+    fn exit(&self, span: OpenSpan) {
+        if span.sched {
+            return;
+        }
+        // Clamp to >= 1ns so a recorded phase is always distinguishable
+        // from one that never ran, even under coarse clocks.
+        let nanos = (self.origin.elapsed().as_nanos() as u64)
+            .saturating_sub(span.mark)
+            .max(1);
+        let stat = handle(&self.phases, span.name, PhaseStat::default);
         stat.calls.fetch_add(1, Ordering::Relaxed);
         stat.total_nanos.fetch_add(nanos, Ordering::Relaxed);
         stat.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+    }
+
+    #[inline(always)]
+    fn instant(&self, _name: &'static str, _v: u64, _sched: bool) {}
+
+    /// A fresh, empty recorder.
+    fn fork(&self, _lane: u32) -> Self {
+        AtomicRecorder::new()
+    }
+
+    /// [`merge`](AtomicRecorder::merge) the lane's snapshot.
+    fn absorb(&self, lane: Self) {
+        self.merge(&lane.snapshot());
     }
 }

@@ -1,11 +1,7 @@
-//! lrb-trace: structured span tracing behind the zero-cost pattern.
-//!
-//! The [`Tracer`] trait mirrors [`Recorder`](crate::Recorder): call sites are
-//! generic over a tracer, [`NoopTracer`] is a zero-sized type whose methods
-//! compile away, and [`ThreadTracer`] is the live implementation — a
-//! lock-free (single-owner, `!Sync`) per-thread span buffer. A
-//! [`TraceCollector`] owns one lane per worker plus a main lane; after a run
-//! it drains every lane into a versioned [`Trace`].
+//! The [`Tracer`] trait, its RAII [`SpanGuard`], the zero-sized
+//! [`NoopTracer`] and the timeline observer [`ThreadTracer`]: a lock-free
+//! (single-owner, `!Sync`) per-thread span buffer. A [`TraceCollector`]
+//! drains its lanes into a versioned [`Trace`].
 //!
 //! Span timeline events carry wall-clock offsets read from a shared origin
 //! `Instant`, so lanes share one timebase and a Chrome trace-event export
@@ -16,17 +12,9 @@
 //! scheduling-lane events (`sched: true`) — the only events whose *count*
 //! depends on thread interleaving. For a fixed seed the hash is therefore
 //! identical across reruns and across thread counts.
-//!
-//! `ThreadTracer` also implements `Recorder`, forwarding
-//! [`record_duration`](crate::Recorder::record_duration) into a completed
-//! span (start reconstructed as `now - nanos`). That bridge gives solver
-//! phases (`rec.time(...)` RAII timers in lrb-core) and simulator epochs
-//! trace spans with no new plumbing through their signatures.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
-
-use crate::recorder::Recorder;
 
 /// Version of the trace event model exported as `TRACE_1.json`. Bump when
 /// event fields change meaning.
@@ -49,7 +37,8 @@ pub struct SpanEvent {
     pub name: &'static str,
     /// Lane id: 0 is the main thread, workers are `1..=threads`.
     pub tid: u32,
-    /// Deterministic per-lane sequence number (span id within the lane).
+    /// Per-lane sequence number; `(tid, seq)` identifies the event within
+    /// its trace.
     pub seq: u64,
     /// Start offset from the trace origin, in nanoseconds.
     pub ts_nanos: u64,
@@ -65,76 +54,91 @@ pub struct SpanEvent {
     pub sched: bool,
 }
 
-/// Sink for span events. The tracing analogue of [`Recorder`]: generic call
-/// sites monomorphize to nothing under [`NoopTracer`].
-pub trait Tracer {
+/// A span opened by [`Tracer::enter`], handed back to [`Tracer::exit`].
+/// Only this crate's observers build one, and `exit` consumes it, so a
+/// span closes at most once.
+#[derive(Debug)]
+pub struct OpenSpan {
+    /// Span name, as passed to `enter`.
+    pub(crate) name: &'static str,
+    /// Scheduling-lane bit, as passed to `enter`.
+    pub(crate) sched: bool,
+    /// The observer's own mark: a [`ThreadTracer`]'s event index, an
+    /// [`AtomicRecorder`](crate::AtomicRecorder)'s start in nanoseconds.
+    pub(crate) mark: u64,
+}
+
+/// The one instrumentation trait: counters, log2 histograms, spans with a
+/// payload and a scheduling bit, and instants.
+///
+/// Instrumented code takes `&T` where `T: Tracer`; passing [`NoopTracer`]
+/// monomorphizes every call to an empty inline function, so disabled
+/// instrumentation costs nothing. A `sched: true` span or instant belongs
+/// to the scheduling lane (claims, steals, queue waits): its count depends
+/// on thread interleaving, so only timelines keep it.
+pub trait Tracer: Sized {
     /// `false` for [`NoopTracer`]; lets call sites skip work that only
-    /// exists to feed the tracer.
+    /// exists to feed the observer (e.g. reading the clock).
     const ENABLED: bool;
+
+    /// Add `by` to the named monotonic counter.
+    fn incr(&self, counter: &'static str, by: u64);
+
+    /// Record one observation into the named log2 histogram.
+    fn observe(&self, histogram: &'static str, value: u64);
 
     /// Open a span. Must be matched by [`exit`](Tracer::exit); prefer the
     /// RAII [`span_with`](Tracer::span_with) wrapper.
-    fn enter(&self, name: &'static str, v: u64, sched: bool);
+    fn enter(&self, name: &'static str, v: u64, sched: bool) -> OpenSpan;
 
-    /// Close the innermost open span.
-    fn exit(&self);
+    /// Close a span [`enter`](Tracer::enter) opened.
+    fn exit(&self, span: OpenSpan);
 
     /// Emit a point-in-time marker.
     fn instant(&self, name: &'static str, v: u64, sched: bool);
 
+    /// A fresh lane of this observer for worker `lane` of a parallel run,
+    /// to be handed back to [`absorb`](Tracer::absorb) after the join.
+    fn fork(&self, lane: u32) -> Self;
+
+    /// Fold a lane made by [`fork`](Tracer::fork) back into this observer.
+    fn absorb(&self, lane: Self);
+
     /// RAII span with no payload.
-    fn span(&self, name: &'static str) -> SpanGuard<'_, Self>
-    where
-        Self: Sized,
-    {
+    fn span(&self, name: &'static str) -> SpanGuard<'_, Self> {
         self.span_with(name, 0, false)
     }
 
     /// RAII span: enters now, exits when the guard drops.
-    fn span_with(&self, name: &'static str, v: u64, sched: bool) -> SpanGuard<'_, Self>
-    where
-        Self: Sized,
-    {
-        if Self::ENABLED {
-            self.enter(name, v, sched);
+    fn span_with(&self, name: &'static str, v: u64, sched: bool) -> SpanGuard<'_, Self> {
+        SpanGuard {
+            tracer: self,
+            open: Self::ENABLED.then(|| self.enter(name, v, sched)),
         }
-        SpanGuard { tracer: self }
     }
 }
 
 /// RAII guard returned by [`Tracer::span_with`].
 pub struct SpanGuard<'a, T: Tracer> {
     tracer: &'a T,
+    open: Option<OpenSpan>,
 }
 
 impl<T: Tracer> Drop for SpanGuard<'_, T> {
     fn drop(&mut self) {
-        if T::ENABLED {
-            self.tracer.exit();
+        if let Some(open) = self.open.take() {
+            self.tracer.exit(open);
         }
     }
 }
 
-/// Tracer that records nothing. Zero-sized; also implements [`Recorder`] as
-/// a no-op so one generic parameter can serve call sites that both trace
-/// and record.
+/// Observer that records nothing. Zero-sized; every method is an empty
+/// `#[inline(always)]` body, so instrumented code paths compile down to the
+/// un-instrumented equivalent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopTracer;
 
 impl Tracer for NoopTracer {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn enter(&self, _name: &'static str, _v: u64, _sched: bool) {}
-
-    #[inline(always)]
-    fn exit(&self) {}
-
-    #[inline(always)]
-    fn instant(&self, _name: &'static str, _v: u64, _sched: bool) {}
-}
-
-impl Recorder for NoopTracer {
     const ENABLED: bool = false;
 
     #[inline(always)]
@@ -144,19 +148,38 @@ impl Recorder for NoopTracer {
     fn observe(&self, _histogram: &'static str, _value: u64) {}
 
     #[inline(always)]
-    fn record_duration(&self, _phase: &'static str, _nanos: u64) {}
+    fn enter(&self, name: &'static str, _v: u64, sched: bool) -> OpenSpan {
+        OpenSpan {
+            name,
+            sched,
+            mark: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn exit(&self, _span: OpenSpan) {}
+
+    #[inline(always)]
+    fn instant(&self, _name: &'static str, _v: u64, _sched: bool) {}
+
+    #[inline(always)]
+    fn fork(&self, _lane: u32) -> Self {
+        NoopTracer
+    }
+
+    #[inline(always)]
+    fn absorb(&self, _lane: Self) {}
 }
 
 /// One lane of buffered span events, owned by exactly one thread at a time.
 ///
 /// `Send` but `!Sync` (interior `RefCell`/`Cell` state): the engine hands
-/// each worker `&mut`-exclusive access, mirroring how per-worker `Scratch`
+/// each worker its own forked lane, mirroring how per-worker `Scratch`
 /// arenas are distributed, so the hot path needs no locks or atomics.
 pub struct ThreadTracer {
     tid: u32,
     origin: Instant,
     events: RefCell<Vec<SpanEvent>>,
-    open: RefCell<Vec<usize>>,
     seq: Cell<u64>,
 }
 
@@ -167,7 +190,6 @@ impl ThreadTracer {
             tid,
             origin,
             events: RefCell::new(Vec::new()),
-            open: RefCell::new(Vec::new()),
             seq: Cell::new(0),
         }
     }
@@ -177,19 +199,27 @@ impl ThreadTracer {
         self.tid
     }
 
-    /// Number of buffered events.
-    pub fn event_count(&self) -> usize {
-        self.events.borrow().len()
-    }
-
     fn now_nanos(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    fn next_seq(&self) -> u64 {
-        let s = self.seq.get();
-        self.seq.set(s + 1);
-        s
+    fn push(&self, name: &'static str, kind: SpanKind, v: u64, sched: bool) -> usize {
+        // Trace timestamps are excluded from the determinism hash.
+        let ts_nanos = self.now_nanos();
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        let mut events = self.events.borrow_mut();
+        events.push(SpanEvent {
+            name,
+            tid: self.tid,
+            seq,
+            ts_nanos,
+            dur_nanos: 0,
+            kind,
+            v,
+            sched,
+        });
+        events.len() - 1
     }
 
     fn into_events(self) -> Vec<SpanEvent> {
@@ -197,60 +227,9 @@ impl ThreadTracer {
     }
 }
 
+/// The timeline observer: spans and instants become events in this lane;
+/// counters and histograms are not span-shaped and are dropped.
 impl Tracer for ThreadTracer {
-    const ENABLED: bool = true;
-
-    fn enter(&self, name: &'static str, v: u64, sched: bool) {
-        // Trace timestamps are excluded from the determinism hash.
-        let ts_nanos = self.now_nanos();
-        let mut events = self.events.borrow_mut();
-        self.open.borrow_mut().push(events.len());
-        events.push(SpanEvent {
-            name,
-            tid: self.tid,
-            seq: self.next_seq(),
-            ts_nanos,
-            dur_nanos: 0,
-            kind: SpanKind::Complete,
-            v,
-            sched,
-        });
-    }
-
-    fn exit(&self) {
-        // Trace timestamps are excluded from the determinism hash.
-        let now = self.now_nanos();
-        if let Some(idx) = self.open.borrow_mut().pop() {
-            let ev = &mut self.events.borrow_mut()[idx];
-            // Clamp to >= 1ns so a closed span is distinguishable from an
-            // instant even under coarse clocks.
-            ev.dur_nanos = now.saturating_sub(ev.ts_nanos).max(1);
-        }
-    }
-
-    fn instant(&self, name: &'static str, v: u64, sched: bool) {
-        // Trace timestamps are excluded from the determinism hash.
-        let ts_nanos = self.now_nanos();
-        self.events.borrow_mut().push(SpanEvent {
-            name,
-            tid: self.tid,
-            seq: self.next_seq(),
-            ts_nanos,
-            dur_nanos: 0,
-            kind: SpanKind::Instant,
-            v,
-            sched,
-        });
-    }
-}
-
-/// The recorder bridge: RAII phase timers (`rec.time(...)`) and explicit
-/// `record_duration` calls become completed spans with the start
-/// reconstructed as `now - nanos`, so solver phases and simulator epochs
-/// appear in the trace without new plumbing. Counters and histogram
-/// observations are not span-shaped and are dropped here — run a real
-/// [`AtomicRecorder`](crate::AtomicRecorder) alongside if totals are needed.
-impl Recorder for ThreadTracer {
     const ENABLED: bool = true;
 
     #[inline(always)]
@@ -259,31 +238,55 @@ impl Recorder for ThreadTracer {
     #[inline(always)]
     fn observe(&self, _histogram: &'static str, _value: u64) {}
 
-    fn record_duration(&self, phase: &'static str, nanos: u64) {
-        // Trace timestamps are excluded from the determinism hash.
-        let end = self.now_nanos();
-        self.events.borrow_mut().push(SpanEvent {
-            name: phase,
-            tid: self.tid,
-            seq: self.next_seq(),
-            ts_nanos: end.saturating_sub(nanos),
-            dur_nanos: nanos.max(1),
-            kind: SpanKind::Complete,
-            v: 0,
-            sched: false,
-        });
+    fn enter(&self, name: &'static str, v: u64, sched: bool) -> OpenSpan {
+        let index = self.push(name, SpanKind::Complete, v, sched);
+        OpenSpan {
+            name,
+            sched,
+            mark: index as u64,
+        }
+    }
+
+    fn exit(&self, span: OpenSpan) {
+        let now = self.now_nanos();
+        if let Some(ev) = self.events.borrow_mut().get_mut(span.mark as usize) {
+            // Clamp to >= 1ns so a closed span is distinguishable from an
+            // instant even under coarse clocks.
+            ev.dur_nanos = now.saturating_sub(ev.ts_nanos).max(1);
+        }
+    }
+
+    fn instant(&self, name: &'static str, v: u64, sched: bool) {
+        self.push(name, SpanKind::Instant, v, sched);
+    }
+
+    /// A new lane with tid `lane` on this lane's timebase. Its sequence
+    /// starts at this lane's event count, which already holds every lane
+    /// absorbed so far, so a tid forked again for a later batch never
+    /// reuses a `(tid, seq)` pair.
+    fn fork(&self, lane: u32) -> Self {
+        let child = ThreadTracer::new(lane, self.origin);
+        child.seq.set(self.events.borrow().len() as u64);
+        child
+    }
+
+    /// Append the lane's events, which keep their own tid and sequence.
+    fn absorb(&self, lane: Self) {
+        self.events.borrow_mut().extend(lane.into_events());
     }
 }
 
-/// Owns one [`ThreadTracer`] lane per engine worker plus a main lane, all
-/// sharing a single origin instant.
+/// Owns a main lane and worker lanes, all sharing a single origin instant.
 pub struct TraceCollector {
     lanes: Vec<ThreadTracer>,
 }
 
 impl TraceCollector {
     /// Collector with a main lane (tid 0) and `workers.max(1)` worker lanes
-    /// (tids `1..=workers`).
+    /// (tids `1..=workers`). The worker lanes serve only callers that run
+    /// their own threads; the batch engine forks its workers' lanes from
+    /// the lane it is handed, so engine callers pass `1` and observe
+    /// through [`main`](TraceCollector::main).
     pub fn new(workers: usize) -> Self {
         // Trace timebase origin; timestamps never feed the determinism hash.
         let origin = Instant::now();
@@ -298,13 +301,9 @@ impl TraceCollector {
         &self.lanes[0]
     }
 
-    /// Number of worker lanes.
-    pub fn worker_count(&self) -> usize {
-        self.lanes.len() - 1
-    }
-
-    /// Exclusive access to the worker lanes, for distribution across
-    /// engine workers (lane `w` goes to worker `w`).
+    /// Exclusive access to the worker lanes (tids `1..=workers`), for a
+    /// caller that runs its own threads. The engine never reads them: its
+    /// workers run on lanes forked from the lane the caller passes in.
     pub fn workers_mut(&mut self) -> &mut [ThreadTracer] {
         &mut self.lanes[1..]
     }
@@ -435,10 +434,9 @@ mod tests {
             let _s = t.span_with("s", 1, false);
         }
         t.instant("i", 2, true);
-        // The Recorder side is a no-op too.
         t.incr("c", 1);
         t.observe("h", 1);
-        t.record_duration("p", 1);
+        t.absorb(t.fork(1));
     }
 
     #[test]
@@ -473,14 +471,47 @@ mod tests {
     }
 
     #[test]
-    fn recorder_bridge_reconstructs_span_starts() {
+    fn forked_lanes_keep_their_tid_and_fold_back_into_the_parent() {
         let c = TraceCollector::new(1);
-        c.main().record_duration("phase", 5_000);
-        let trace = c.finish("test", 0, 1, "none");
-        let ev = trace.events_named("phase").next().unwrap();
-        assert_eq!(ev.dur_nanos, 5_000);
-        assert_eq!(ev.kind, SpanKind::Complete);
-        assert!(!ev.sched);
+        let main = c.main();
+        {
+            let _outer = main.span("outer");
+            let lanes: Vec<ThreadTracer> = std::thread::scope(|s| {
+                let handles: Vec<_> = (1..=2)
+                    .map(|w| main.fork(w))
+                    .map(|lane| {
+                        s.spawn(move || {
+                            {
+                                let _w = lane.span_with("w", u64::from(lane.tid()), false);
+                                lane.incr("dropped", 1);
+                            }
+                            lane
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for lane in lanes {
+                main.absorb(lane);
+            }
+        }
+        let trace = c.finish("test", 0, 2, "none");
+        let tids: Vec<u32> = trace.events_named("w").map(|e| e.tid).collect();
+        assert_eq!(tids, vec![1, 2]);
+        // Forked lanes number their events from the parent's count at the
+        // fork (the open "outer" span).
+        assert!(trace
+            .events_named("w")
+            .all(|e| e.seq == 1 && e.dur_nanos >= 1));
+        // The parent's span stays open across the absorb and closes last,
+        // on the same timebase as the forked lanes' spans it contains.
+        let outer = trace.events_named("outer").next().unwrap();
+        assert_eq!((outer.tid, outer.seq), (0, 0));
+        for w in trace.events_named("w") {
+            assert!(w.ts_nanos >= outer.ts_nanos);
+            assert!(w.ts_nanos + w.dur_nanos <= outer.ts_nanos + outer.dur_nanos);
+        }
+        assert_eq!(trace.events.len(), 3);
     }
 
     #[test]
@@ -539,7 +570,6 @@ mod tests {
     #[test]
     fn collector_lanes_are_distinct_and_share_a_timebase() {
         let mut c = TraceCollector::new(3);
-        assert_eq!(c.worker_count(), 3);
         assert_eq!(c.main().tid(), 0);
         let tids: Vec<u32> = c.workers_mut().iter().map(|t| t.tid()).collect();
         assert_eq!(tids, vec![1, 2, 3]);

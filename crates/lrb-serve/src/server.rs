@@ -21,7 +21,7 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use lrb_obs::{names, AtomicRecorder, Recorder};
+use lrb_obs::{names, AtomicRecorder, Tracer};
 
 use crate::snapshot::{self, SnapshotError};
 use crate::state::{ApplyOutcome, ServeConfig, ServeState};
@@ -500,7 +500,7 @@ fn state_loop(
             }
         }
 
-        let timer = recorder.time(names::SERVE_BATCH);
+        let timer = recorder.span(names::SERVE_BATCH);
         let mut logged: Vec<LoggedEvent> = Vec::new();
         let mut deferred: Vec<Deferred> = Vec::new();
         let mut shutdowns: Vec<usize> = Vec::new();

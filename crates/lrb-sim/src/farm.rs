@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use lrb_core::model::{Budget, Instance, Job};
 use lrb_faults::{FaultPlan, FaultyView};
-use lrb_obs::{names, NoopRecorder, NoopTracer, Recorder, Tracer};
+use lrb_obs::{names, NoopTracer, Tracer};
 
 use crate::metrics::{DecisionCounters, DegradationMetrics, EpochMetrics, SimReport};
 use crate::policy::Policy;
@@ -73,14 +73,14 @@ impl FarmConfig {
 /// The initial placement is balanced (LPT on the initial loads): drift is
 /// what unbalances it, exactly the paper's story.
 pub fn run(cfg: &FarmConfig, policy: &mut dyn Policy) -> SimReport {
-    run_recorded(cfg, policy, &NoopRecorder)
+    run_in(cfg, policy, &NoopTracer)
 }
 
-/// [`run`] with instrumentation: besides the wall-time and decision data
-/// every report carries, feeds per-epoch timings into `sim.epoch` /
-/// `sim.epoch_nanos` and decision counts into `sim.epochs`,
-/// `sim.rebalanced`, and `sim.unchanged` on the recorder.
-pub fn run_recorded<R: Recorder>(cfg: &FarmConfig, policy: &mut dyn Policy, rec: &R) -> SimReport {
+/// [`run`] observed by `obs`: besides the wall-time and decision data
+/// every report carries, each epoch gets a `sim.epoch` span and a
+/// `sim.epoch_nanos` observation, and decisions count into `sim.epochs`,
+/// `sim.rebalanced`, and `sim.unchanged`.
+pub fn run_in<T: Tracer>(cfg: &FarmConfig, policy: &mut dyn Policy, obs: &T) -> SimReport {
     let mut workload = Workload::new(cfg.workload, cfg.seed);
     let mut placement = lrb_core::lpt::schedule(workload.loads(), cfg.num_servers);
     let mut epochs = Vec::with_capacity(cfg.epochs);
@@ -89,6 +89,7 @@ pub fn run_recorded<R: Recorder>(cfg: &FarmConfig, policy: &mut dyn Policy, rec:
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
+        let _epoch = obs.span(names::SIM_EPOCH);
         workload.step();
         let inst = instance_for(workload.loads(), &placement, cfg);
         let new_assignment = policy.rebalance(&inst, cfg.budget);
@@ -119,8 +120,8 @@ pub fn run_recorded<R: Recorder>(cfg: &FarmConfig, policy: &mut dyn Policy, rec:
         decisions.record(migrations);
         let nanos = (started.elapsed().as_nanos() as u64).max(1);
         epoch_wall_nanos.push(nanos);
-        rec.incr(names::SIM_EPOCHS, 1);
-        rec.incr(
+        obs.incr(names::SIM_EPOCHS, 1);
+        obs.incr(
             if migrations > 0 {
                 names::SIM_REBALANCED
             } else {
@@ -128,8 +129,7 @@ pub fn run_recorded<R: Recorder>(cfg: &FarmConfig, policy: &mut dyn Policy, rec:
             },
             1,
         );
-        rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        rec.record_duration(names::SIM_EPOCH, nanos);
+        obs.observe(names::SIM_EPOCH_NANOS, nanos);
     }
 
     SimReport {
@@ -142,9 +142,9 @@ pub fn run_recorded<R: Recorder>(cfg: &FarmConfig, policy: &mut dyn Policy, rec:
     }
 }
 
-/// [`run_faulty_recorded`] without instrumentation.
+/// [`run_faulty_in`] with no observer.
 pub fn run_faulty(cfg: &FarmConfig, policy: &mut dyn Policy, plan: &FaultPlan) -> SimReport {
-    run_faulty_recorded(cfg, policy, plan, &NoopRecorder)
+    run_faulty_in(cfg, policy, plan, &NoopTracer)
 }
 
 /// Run the simulation under a fault plan: crash-aware epoch stepping with
@@ -167,30 +167,20 @@ pub fn run_faulty(cfg: &FarmConfig, policy: &mut dyn Policy, plan: &FaultPlan) -
 /// Degradation is aggregated in [`SimReport::degradation`] and per-epoch
 /// answer provenance in [`SimReport::provenance`]. A fault-free plan takes
 /// the exact historical code path, so its report is bit-for-bit identical
-/// to [`run_recorded`].
-pub fn run_faulty_recorded<R: Recorder>(
+/// to [`run_in`].
+///
+/// `obs` sees what [`run_in`] reports plus the degradation counters, and
+/// crash/recovery transitions and per-site evacuations as `fault.crash`,
+/// `fault.recovery`, and `fault.evacuation` instants (payload = the
+/// processor or site index), which only a timeline keeps.
+pub fn run_faulty_in<T: Tracer>(
     cfg: &FarmConfig,
     policy: &mut dyn Policy,
     plan: &FaultPlan,
-    rec: &R,
-) -> SimReport {
-    run_faulty_traced(cfg, policy, plan, rec, &NoopTracer)
-}
-
-/// [`run_faulty_recorded`] with span tracing: crash/recovery transitions and
-/// per-site evacuations additionally land on the tracer as `fault.crash`,
-/// `fault.recovery`, and `fault.evacuation` instant events (payload = the
-/// processor or site index). [`NoopTracer`] compiles the tracing away, so
-/// the recorded path is unchanged.
-pub fn run_faulty_traced<R: Recorder, T: Tracer>(
-    cfg: &FarmConfig,
-    policy: &mut dyn Policy,
-    plan: &FaultPlan,
-    rec: &R,
-    tracer: &T,
+    obs: &T,
 ) -> SimReport {
     if plan.is_fault_free() {
-        return run_recorded(cfg, policy, rec);
+        return run_in(cfg, policy, obs);
     }
     assert_eq!(
         plan.num_procs(),
@@ -213,15 +203,16 @@ pub fn run_faulty_traced<R: Recorder, T: Tracer>(
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
+        let _epoch = obs.span(names::SIM_EPOCH);
         workload.step();
         let faults = plan.epoch(epoch);
         if T::ENABLED {
             let (crashed, recovered) = faults.transitions(&prev_down);
             for p in crashed {
-                tracer.instant(names::FAULT_CRASH, p as u64, false);
+                obs.instant(names::FAULT_CRASH, p as u64, false);
             }
             for p in recovered {
-                tracer.instant(names::FAULT_RECOVERY, p as u64, false);
+                obs.instant(names::FAULT_RECOVERY, p as u64, false);
             }
             prev_down.clone_from(&faults.down);
         }
@@ -249,7 +240,7 @@ pub fn run_faulty_traced<R: Recorder, T: Tracer>(
                 forced_moves += 1;
                 forced_cost =
                     forced_cost.saturating_add(site_cost(loads[site], cfg.migration_cost));
-                tracer.instant(names::FAULT_EVACUATION, site as u64, false);
+                obs.instant(names::FAULT_EVACUATION, site as u64, false);
             }
         }
         let remaining_budget = match cfg.budget {
@@ -333,8 +324,8 @@ pub fn run_faulty_traced<R: Recorder, T: Tracer>(
         decisions.record(migrations);
         let nanos = (started.elapsed().as_nanos() as u64).max(1);
         epoch_wall_nanos.push(nanos);
-        rec.incr(names::SIM_EPOCHS, 1);
-        rec.incr(
+        obs.incr(names::SIM_EPOCHS, 1);
+        obs.incr(
             if migrations > 0 {
                 names::SIM_REBALANCED
             } else {
@@ -342,19 +333,18 @@ pub fn run_faulty_traced<R: Recorder, T: Tracer>(
             },
             1,
         );
-        rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        rec.record_duration(names::SIM_EPOCH, nanos);
+        obs.observe(names::SIM_EPOCH_NANOS, nanos);
         if degraded {
-            rec.incr(names::SIM_DEGRADED_EPOCHS, 1);
+            obs.incr(names::SIM_DEGRADED_EPOCHS, 1);
         }
         if forced_moves > 0 {
-            rec.incr(names::SIM_FORCED_MIGRATIONS, forced_moves as u64);
+            obs.incr(names::SIM_FORCED_MIGRATIONS, forced_moves as u64);
         }
         if rejected {
-            rec.incr(names::SIM_POLICY_REJECTIONS, 1);
+            obs.incr(names::SIM_POLICY_REJECTIONS, 1);
         }
         if fallback {
-            rec.incr(names::SIM_FALLBACKS, 1);
+            obs.incr(names::SIM_FALLBACKS, 1);
         }
     }
 
@@ -552,13 +542,7 @@ mod tests {
         );
         let plain = run_faulty(&c, &mut MPartitionPolicy, &plan);
         let collector = lrb_obs::TraceCollector::new(1);
-        let traced = run_faulty_traced(
-            &c,
-            &mut MPartitionPolicy,
-            &plan,
-            collector.main(),
-            collector.main(),
-        );
+        let traced = run_faulty_in(&c, &mut MPartitionPolicy, &plan, collector.main());
         assert_eq!(
             plain.epochs, traced.epochs,
             "tracing must not change results"
@@ -570,7 +554,7 @@ mod tests {
             traced.degradation.forced_migrations,
             "one evacuation instant per forced migration"
         );
-        // Every epoch lands as a sim.epoch span via the recorder bridge.
+        // Every epoch lands as a sim.epoch span.
         assert_eq!(trace.events_named(names::SIM_EPOCH).count(), c.epochs);
         // Crash/recovery transitions never exceed the number of crashes.
         assert!(

@@ -13,8 +13,7 @@
 //! engine's per-item latency), not workload stepping, since epochs of
 //! different farms interleave inside a batch.
 
-use lrb_engine::{solve_batch_recorded, BatchItem, BatchSolver, EngineConfig};
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_engine::{solve_batch, BatchItem, BatchSolver, EngineConfig};
 
 use crate::farm::{instance_for, FarmConfig};
 use crate::metrics::{DecisionCounters, DegradationMetrics, EpochMetrics, SimReport};
@@ -32,12 +31,6 @@ pub struct FleetConfig {
 
 /// Run every farm under the M-PARTITION policy via the batch engine.
 pub fn run_fleet(cfg: &FleetConfig) -> Vec<SimReport> {
-    run_fleet_recorded(cfg, &NoopRecorder)
-}
-
-/// [`run_fleet`] with instrumentation: the engine's `engine.*` metrics plus
-/// the same `sim.*` counters the sequential farm loop emits.
-pub fn run_fleet_recorded<R: Recorder + Sync>(cfg: &FleetConfig, rec: &R) -> Vec<SimReport> {
     struct FarmState {
         workload: Workload,
         placement: Vec<usize>,
@@ -66,8 +59,6 @@ pub fn run_fleet_recorded<R: Recorder + Sync>(cfg: &FleetConfig, rec: &R) -> Vec
     let engine_cfg = EngineConfig::with_threads(cfg.threads);
 
     for epoch in 0..max_epochs {
-        // The clock feeds lockstep-epoch telemetry only.
-        let lockstep_started = R::ENABLED.then(std::time::Instant::now);
         // Snapshot every still-running farm into one batch.
         let mut active: Vec<usize> = Vec::new();
         let mut items: Vec<BatchItem> = Vec::new();
@@ -87,7 +78,7 @@ pub fn run_fleet_recorded<R: Recorder + Sync>(cfg: &FleetConfig, rec: &R) -> Vec
             break;
         }
 
-        let batch = solve_batch_recorded(&items, BatchSolver::MPartition, &engine_cfg, rec);
+        let batch = solve_batch(&items, BatchSolver::MPartition, &engine_cfg);
 
         for (slot, &i) in active.iter().enumerate() {
             let fc = &cfg.farms[i];
@@ -122,24 +113,7 @@ pub fn run_fleet_recorded<R: Recorder + Sync>(cfg: &FleetConfig, rec: &R) -> Vec
             state.placement = new_assignment;
             state.decisions.record(migrations);
 
-            let nanos = batch.solve_nanos[slot].max(1);
-            state.epoch_wall_nanos.push(nanos);
-            rec.incr(names::SIM_EPOCHS, 1);
-            rec.incr(
-                if migrations > 0 {
-                    names::SIM_REBALANCED
-                } else {
-                    names::SIM_UNCHANGED
-                },
-                1,
-            );
-            rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        }
-        if let Some(started) = lockstep_started {
-            rec.record_duration(
-                names::SIM_FLEET_EPOCH,
-                (started.elapsed().as_nanos() as u64).max(1),
-            );
+            state.epoch_wall_nanos.push(batch.solve_nanos[slot].max(1));
         }
     }
 

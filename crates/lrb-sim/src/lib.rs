@@ -33,16 +33,14 @@ pub mod workload;
 
 pub use adversary::{AdaptiveAdversary, Adversary, GreedyPunisher, RandomOrderAdversary};
 pub use farm::{
-    run as run_farm, run_faulty as run_farm_faulty,
-    run_faulty_recorded as run_farm_faulty_recorded, run_faulty_traced as run_farm_faulty_traced,
-    run_recorded as run_farm_recorded, FarmConfig, MigrationCost, EXHAUSTED_EPOCH_WORK_TICKS,
+    run as run_farm, run_faulty as run_farm_faulty, run_faulty_in as run_farm_faulty_in,
+    run_in as run_farm_in, FarmConfig, MigrationCost, EXHAUSTED_EPOCH_WORK_TICKS,
 };
-pub use fleet::{run_fleet, run_fleet_recorded, FleetConfig};
+pub use fleet::{run_fleet, FleetConfig};
 pub use metrics::{DecisionCounters, DegradationMetrics, EpochMetrics, SimReport};
 pub use online::{
-    run_farm_online, run_farm_online_faulty, run_farm_online_faulty_recorded,
-    run_farm_online_recorded, run_online_fleet, run_online_fleet_recorded, OnlineFleetConfig,
-    OnlineRunReport, OnlineWorkload, OnlineWorkloadConfig,
+    run_farm_online, run_farm_online_faulty, run_farm_online_in, run_online_fleet,
+    OnlineFleetConfig, OnlineRunReport, OnlineWorkload, OnlineWorkloadConfig,
 };
 pub use policy::{
     FallbackPolicy, FullRebalance, GreedyPolicy, MPartitionPolicy, NoRebalance, Policy,

@@ -11,7 +11,7 @@
 //!
 //! Three drivers share the same per-epoch accounting:
 //!
-//! * [`run_farm_online`] / [`run_farm_online_recorded`] — one farm, solved
+//! * [`run_farm_online`] / [`run_farm_online_in`] — one farm, solved
 //!   inline by the rebalancer (warm incremental ladder).
 //! * [`run_farm_online_faulty`] — the same, under an `lrb-faults` plan:
 //!   crashed servers are evacuated (billed to the bank) and solves are
@@ -19,7 +19,7 @@
 //!   the online controller knows its own state — so report-corruption
 //!   faults (stale / dropped / perturbed loads) do not apply; outages and
 //!   solver exhaustion do. A fault-free plan takes the clean code path and
-//!   is bit-identical to [`run_farm_online_recorded`].
+//!   is bit-identical to [`run_farm_online`].
 //! * [`run_online_fleet`] — many farms in lockstep epochs through a
 //!   [`StreamEngine`]; per-farm traces are bit-identical to the solo runs
 //!   at any engine thread count (the engine changes wall-clock, never
@@ -34,7 +34,7 @@ use lrb_core::Ctx;
 use lrb_engine::{BatchItem, BatchSolver, EngineConfig, StreamEngine};
 use lrb_faults::FaultPlan;
 use lrb_instances::SizeDistribution;
-use lrb_obs::{names, NoopRecorder, Recorder};
+use lrb_obs::{names, NoopTracer, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -259,20 +259,20 @@ fn policy_name(budget: Budget) -> &'static str {
 
 /// Apply a slice of churn events to the rebalancer, counting churn and
 /// (when enabled) per-event latencies.
-fn apply_churn<R: Recorder>(
+fn apply_churn<T: Tracer>(
     rebalancer: &mut OnlineRebalancer,
     events: &[Event],
-    rec: &R,
+    obs: &T,
 ) -> (usize, usize) {
     let mut arrivals = 0usize;
     let mut departures = 0usize;
     for &event in events {
-        let start = R::ENABLED.then(Instant::now);
+        let start = T::ENABLED.then(Instant::now);
         rebalancer
             .apply(event)
             .expect("generated event streams are always valid");
         if let Some(start) = start {
-            rec.observe(
+            obs.observe(
                 names::ONLINE_EVENT_NANOS,
                 (start.elapsed().as_nanos() as u64).max(1),
             );
@@ -287,37 +287,35 @@ fn apply_churn<R: Recorder>(
 }
 
 /// Flush the rebalancer's counters to the `online.*` metrics.
-fn record_stats<R: Recorder>(stats: &OnlineStats, rec: &R) {
-    rec.incr(names::ONLINE_EVENTS, stats.events);
-    rec.incr(names::ONLINE_ARRIVALS, stats.arrivals);
-    rec.incr(names::ONLINE_DEPARTURES, stats.departures);
-    rec.incr(names::ONLINE_REBALANCES, stats.rebalances);
-    rec.incr(names::ONLINE_INCREMENTAL, stats.incremental_updates);
-    rec.incr(names::ONLINE_REBUILDS, stats.full_rebuilds);
-    rec.incr(names::ONLINE_MOVES, stats.moves_performed);
+fn record_stats<T: Tracer>(stats: &OnlineStats, obs: &T) {
+    obs.incr(names::ONLINE_EVENTS, stats.events);
+    obs.incr(names::ONLINE_ARRIVALS, stats.arrivals);
+    obs.incr(names::ONLINE_DEPARTURES, stats.departures);
+    obs.incr(names::ONLINE_REBALANCES, stats.rebalances);
+    obs.incr(names::ONLINE_INCREMENTAL, stats.incremental_updates);
+    obs.incr(names::ONLINE_REBUILDS, stats.full_rebuilds);
+    obs.incr(names::ONLINE_MOVES, stats.moves_performed);
 }
 
-/// Run one online farm with the default (uninstrumented) recorder.
+/// Run one online farm with no observer.
 pub fn run_farm_online(cfg: &OnlineWorkloadConfig) -> OnlineRunReport {
-    run_farm_online_recorded(cfg, &NoopRecorder)
+    run_farm_online_in(cfg, &NoopTracer)
 }
 
-/// [`run_farm_online`] with instrumentation: emits the `online.*` counters
-/// and histograms named in [`lrb_obs::names`] alongside the usual `sim.*`
-/// epoch counters.
-pub fn run_farm_online_recorded<R: Recorder>(
-    cfg: &OnlineWorkloadConfig,
-    rec: &R,
-) -> OnlineRunReport {
+/// [`run_farm_online`] observed by `obs`: a `sim.epoch` span per epoch and
+/// the `online.*` counters and histograms named in [`lrb_obs::names`]
+/// alongside the usual `sim.*` epoch counters.
+pub fn run_farm_online_in<T: Tracer>(cfg: &OnlineWorkloadConfig, obs: &T) -> OnlineRunReport {
     let mut rebalancer =
         OnlineRebalancer::new(cfg.num_procs, cfg.bank).expect("online farm has servers");
     let mut workload = OnlineWorkload::new(*cfg);
-    apply_churn(&mut rebalancer, &workload.initial_events(), rec);
+    apply_churn(&mut rebalancer, &workload.initial_events(), obs);
     let mut trace = OnlineTrace::with_capacity(cfg.epochs);
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
-        let (arrivals, departures) = apply_churn(&mut rebalancer, &workload.epoch_events(), rec);
+        let _epoch = obs.span(names::SIM_EPOCH);
+        let (arrivals, departures) = apply_churn(&mut rebalancer, &workload.epoch_events(), obs);
         let inst = rebalancer.instance();
         let step = rebalancer
             .rebalance(cfg.budget)
@@ -338,8 +336,8 @@ pub fn run_farm_online_recorded<R: Recorder>(
 
         let nanos = (started.elapsed().as_nanos() as u64).max(1);
         trace.epoch_wall_nanos.push(nanos);
-        rec.incr(names::SIM_EPOCHS, 1);
-        rec.incr(
+        obs.incr(names::SIM_EPOCHS, 1);
+        obs.incr(
             if step.outcome.moves() > 0 {
                 names::SIM_REBALANCED
             } else {
@@ -347,23 +345,17 @@ pub fn run_farm_online_recorded<R: Recorder>(
             },
             1,
         );
-        rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        rec.record_duration(names::SIM_EPOCH, nanos);
-        rec.observe(names::ONLINE_BANKED, step.banked_after);
+        obs.observe(names::SIM_EPOCH_NANOS, nanos);
+        obs.observe(names::ONLINE_BANKED, step.banked_after);
     }
 
-    record_stats(rebalancer.stats(), rec);
+    record_stats(rebalancer.stats(), obs);
     trace.into_report(
         policy_name(cfg.budget),
         DegradationMetrics::default(),
         Vec::new(),
         &rebalancer,
     )
-}
-
-/// [`run_farm_online_faulty_recorded`] without instrumentation.
-pub fn run_farm_online_faulty(cfg: &OnlineWorkloadConfig, plan: &FaultPlan) -> OnlineRunReport {
-    run_farm_online_faulty_recorded(cfg, plan, &NoopRecorder)
 }
 
 /// Run one online farm under a fault plan.
@@ -376,14 +368,10 @@ pub fn run_farm_online_faulty(cfg: &OnlineWorkloadConfig, plan: &FaultPlan) -> O
 /// as a policy rejection. Epochs whose plan declares the solver budget
 /// exhausted skip the solve entirely (no rebalance event, no accrual). A
 /// fault-free plan takes the exact clean code path, so its report is
-/// bit-identical to [`run_farm_online_recorded`].
-pub fn run_farm_online_faulty_recorded<R: Recorder>(
-    cfg: &OnlineWorkloadConfig,
-    plan: &FaultPlan,
-    rec: &R,
-) -> OnlineRunReport {
+/// bit-identical to [`run_farm_online`].
+pub fn run_farm_online_faulty(cfg: &OnlineWorkloadConfig, plan: &FaultPlan) -> OnlineRunReport {
     if plan.is_fault_free() {
-        return run_farm_online_recorded(cfg, rec);
+        return run_farm_online(cfg);
     }
     assert_eq!(
         plan.num_procs(),
@@ -396,7 +384,7 @@ pub fn run_farm_online_faulty_recorded<R: Recorder>(
     let mut rebalancer =
         OnlineRebalancer::new(cfg.num_procs, cfg.bank).expect("online farm has servers");
     let mut workload = OnlineWorkload::new(*cfg);
-    apply_churn(&mut rebalancer, &workload.initial_events(), rec);
+    apply_churn(&mut rebalancer, &workload.initial_events(), &NoopTracer);
     let mut trace = OnlineTrace::with_capacity(cfg.epochs);
     let mut degradation = DegradationMetrics::default();
     let mut provenance = Vec::with_capacity(cfg.epochs);
@@ -404,7 +392,8 @@ pub fn run_farm_online_faulty_recorded<R: Recorder>(
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
-        let (arrivals, departures) = apply_churn(&mut rebalancer, &workload.epoch_events(), rec);
+        let (arrivals, departures) =
+            apply_churn(&mut rebalancer, &workload.epoch_events(), &NoopTracer);
         let faults = plan.epoch(epoch);
         let up: Vec<usize> = (0..cfg.num_procs).filter(|&p| !faults.down[p]).collect();
 
@@ -509,29 +498,9 @@ pub fn run_farm_online_faulty_recorded<R: Recorder>(
         trace.arrivals_per_epoch.push(arrivals);
         trace.departures_per_epoch.push(departures);
 
-        let nanos = (started.elapsed().as_nanos() as u64).max(1);
-        trace.epoch_wall_nanos.push(nanos);
-        rec.incr(names::SIM_EPOCHS, 1);
-        rec.incr(
-            if migrations > 0 {
-                names::SIM_REBALANCED
-            } else {
-                names::SIM_UNCHANGED
-            },
-            1,
-        );
-        rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        rec.record_duration(names::SIM_EPOCH, nanos);
-        rec.observe(names::ONLINE_BANKED, banked_after);
-        if degraded {
-            rec.incr(names::SIM_DEGRADED_EPOCHS, 1);
-        }
-        if forced_moves > 0 {
-            rec.incr(names::SIM_FORCED_MIGRATIONS, forced_moves as u64);
-        }
-        if rejected {
-            rec.incr(names::SIM_POLICY_REJECTIONS, 1);
-        }
+        trace
+            .epoch_wall_nanos
+            .push((started.elapsed().as_nanos() as u64).max(1));
     }
 
     degradation.mean_oracle_regret = if cfg.epochs > 0 {
@@ -539,7 +508,6 @@ pub fn run_farm_online_faulty_recorded<R: Recorder>(
     } else {
         0.0
     };
-    record_stats(rebalancer.stats(), rec);
     trace.into_report(
         policy_name(cfg.budget),
         degradation,
@@ -559,11 +527,6 @@ pub struct OnlineFleetConfig {
 }
 
 /// Run every online farm in lockstep epochs through the streaming engine.
-pub fn run_online_fleet(cfg: &OnlineFleetConfig) -> Vec<OnlineRunReport> {
-    run_online_fleet_recorded(cfg, &NoopRecorder)
-}
-
-/// [`run_online_fleet`] with instrumentation.
 ///
 /// Each global epoch gathers every still-running farm's post-churn snapshot
 /// (with its bank-clamped effective budget) into one engine batch. Because
@@ -571,16 +534,13 @@ pub fn run_online_fleet(cfg: &OnlineFleetConfig) -> Vec<OnlineRunReport> {
 /// count, and the bank accounting runs through the same
 /// `begin_rebalance` / `commit_assignment` pair the solo driver uses, each
 /// farm's trace — epoch metrics, banked balances, final loads — matches its
-/// [`run_farm_online_recorded`] run exactly. Per-farm epoch indices are the
+/// [`run_farm_online`] run exactly. Per-farm epoch indices are the
 /// farm's own contiguous `0..epochs` count (asserted below), regardless of
 /// how farms interleave in the global loop. The one divergence is
 /// telemetry: the incremental/full-rebuild split lives in the engine's
 /// ladder counters in fleet mode, so [`OnlineRunReport::stats`] reports
 /// zero for those two fields.
-pub fn run_online_fleet_recorded<R: Recorder + Sync>(
-    cfg: &OnlineFleetConfig,
-    rec: &R,
-) -> Vec<OnlineRunReport> {
+pub fn run_online_fleet(cfg: &OnlineFleetConfig) -> Vec<OnlineRunReport> {
     struct FarmState {
         rebalancer: OnlineRebalancer,
         workload: OnlineWorkload,
@@ -594,7 +554,7 @@ pub fn run_online_fleet_recorded<R: Recorder + Sync>(
             let mut rebalancer =
                 OnlineRebalancer::new(fc.num_procs, fc.bank).expect("online farm has servers");
             let mut workload = OnlineWorkload::new(*fc);
-            apply_churn(&mut rebalancer, &workload.initial_events(), rec);
+            apply_churn(&mut rebalancer, &workload.initial_events(), &NoopTracer);
             FarmState {
                 rebalancer,
                 workload,
@@ -610,8 +570,6 @@ pub fn run_online_fleet_recorded<R: Recorder + Sync>(
     );
 
     for epoch in 0..max_epochs {
-        // The clock feeds lockstep-epoch telemetry only.
-        let lockstep_started = R::ENABLED.then(Instant::now);
         let mut active: Vec<usize> = Vec::new();
         let mut items: Vec<BatchItem> = Vec::new();
         let mut effectives: Vec<Budget> = Vec::new();
@@ -624,7 +582,7 @@ pub fn run_online_fleet_recorded<R: Recorder + Sync>(
             churn.push(apply_churn(
                 &mut state.rebalancer,
                 &state.workload.epoch_events(),
-                rec,
+                &NoopTracer,
             ));
             let effective = state.rebalancer.begin_rebalance(fc.budget);
             items.push(BatchItem {
@@ -638,7 +596,7 @@ pub fn run_online_fleet_recorded<R: Recorder + Sync>(
             break;
         }
 
-        let batch = engine.solve_epoch_recorded(&items, rec);
+        let batch = engine.solve_epoch(&items);
 
         for (slot, &i) in active.iter().enumerate() {
             let state = &mut farms[i];
@@ -668,30 +626,14 @@ pub fn run_online_fleet_recorded<R: Recorder + Sync>(
             state.trace.arrivals_per_epoch.push(churn[slot].0);
             state.trace.departures_per_epoch.push(churn[slot].1);
 
-            let nanos = batch.solve_nanos[slot].max(1);
-            state.trace.epoch_wall_nanos.push(nanos);
-            rec.incr(names::SIM_EPOCHS, 1);
-            rec.incr(
-                if commit.moves > 0 {
-                    names::SIM_REBALANCED
-                } else {
-                    names::SIM_UNCHANGED
-                },
-                1,
-            );
-            rec.observe(names::SIM_EPOCH_NANOS, nanos);
-            rec.observe(names::ONLINE_BANKED, state.rebalancer.bank().balance());
-        }
-        if let Some(started) = lockstep_started {
-            rec.record_duration(
-                names::SIM_FLEET_EPOCH,
-                (started.elapsed().as_nanos() as u64).max(1),
-            );
+            state
+                .trace
+                .epoch_wall_nanos
+                .push(batch.solve_nanos[slot].max(1));
         }
     }
 
     for state in &farms {
-        record_stats(state.rebalancer.stats(), rec);
         for (e, m) in state.trace.epochs.iter().enumerate() {
             assert_eq!(m.epoch, e, "per-farm epoch indices must be contiguous");
         }
@@ -865,7 +807,7 @@ mod tests {
     fn online_counters_are_emitted() {
         let rec = lrb_obs::AtomicRecorder::new();
         let c = cfg();
-        let r = run_farm_online_recorded(&c, &rec);
+        let r = run_farm_online_in(&c, &rec);
         let snap = rec.snapshot();
         assert_eq!(snap.counter(names::ONLINE_EVENTS), Some(r.stats.events));
         assert_eq!(

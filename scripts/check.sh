@@ -130,8 +130,9 @@ run cargo run -q --release --offline -p lrb-lint --bin lrb-lint -- --root .
 run cargo run -q --release --offline -p lrb-lint --bin lrb-lint -- \
     --schedules --seeds 0..8 --threads 2,4
 
-# Zero-cost observer gate: the NoopRecorder- and NoopTracer-monomorphized
-# hot loops must each stay within 2% of the plain loop (the bench asserts
+# Zero-cost observer gate: a hot loop making every call of the Tracer
+# trait (counter, histogram, span with a payload, instant), monomorphized
+# over NoopTracer, must stay within 2% of the plain loop (the bench asserts
 # and aborts otherwise).
 run cargo bench -q -p lrb-bench --bench noop_overhead --offline
 
