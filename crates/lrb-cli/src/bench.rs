@@ -3,9 +3,9 @@
 //! Runs the [`lrb_harness::bench::standard_ladder`] batches through the
 //! batch engine at each requested thread count and emits a schema-versioned
 //! JSON report (`BENCH_4.json` by convention) carrying throughput, p50/p99
-//! per-solve latency, the thread-scaling curve, and the engine's steal /
-//! ladder-cache telemetry. `--smoke` swaps in a cut-down ladder so CI can
-//! validate the schema in seconds.
+//! per-solve latency, the thread-scaling curve, and the engine's steal
+//! telemetry. `--smoke` swaps in a cut-down ladder so CI can validate the
+//! schema in seconds.
 //!
 //! Numbers are wall-clock measurements: they vary with the host. The report
 //! therefore records the host's available parallelism — a scaling curve is
@@ -64,9 +64,10 @@ pub struct ThreadPoint {
     pub oversubscribed: bool,
     /// Items claimed from another worker's stripe.
     pub steals: u64,
-    /// Threshold-ladder cache hits.
+    /// Always 0: the solvers keep no threshold-ladder cache. BENCH_4
+    /// keeps the field so committed reports still decode.
     pub ladder_hits: u64,
-    /// Threshold-ladder cache misses.
+    /// Always 0, as `ladder_hits`.
     pub ladder_misses: u64,
 }
 
@@ -133,8 +134,6 @@ pub fn run(threads: &[usize], seed: u64, repeats: usize, smoke: bool) -> BenchRe
         let mut wall_nanos = 0u64;
         let mut latencies: Vec<f64> = Vec::with_capacity(items_per_pass * repeats);
         let mut steals = 0u64;
-        let mut ladder_hits = 0u64;
-        let mut ladder_misses = 0u64;
         for _ in 0..repeats {
             for items in &batches {
                 let started = Instant::now();
@@ -142,8 +141,6 @@ pub fn run(threads: &[usize], seed: u64, repeats: usize, smoke: bool) -> BenchRe
                 wall_nanos += (started.elapsed().as_nanos() as u64).max(1);
                 latencies.extend(report.solve_nanos.iter().map(|&ns| ns as f64));
                 steals += report.steals;
-                ladder_hits += report.ladder_hits;
-                ladder_misses += report.ladder_misses;
             }
         }
         latencies.sort_by(|a, b| a.total_cmp(b));
@@ -158,8 +155,8 @@ pub fn run(threads: &[usize], seed: u64, repeats: usize, smoke: bool) -> BenchRe
             speedup_vs_1t: base as f64 / wall_nanos as f64,
             oversubscribed: t > available,
             steals,
-            ladder_hits,
-            ladder_misses,
+            ladder_hits: 0,
+            ladder_misses: 0,
         });
     }
 
@@ -186,10 +183,10 @@ pub fn render(report: &BenchReport) -> String {
         "engine bench — {} (seed {}, {} repeats, host parallelism {})\n",
         report.scenario, report.seed, report.repeats, report.available_parallelism
     );
-    out.push_str("threads  wall_ms  solves/s  p50_us  p99_us  speedup  steals  ladder h/m\n");
+    out.push_str("threads  wall_ms  solves/s  p50_us  p99_us  speedup  steals\n");
     for p in &report.thread_curve {
         out.push_str(&format!(
-            "{:>6}{}  {:>7.1}  {:>8.0}  {:>6.1}  {:>6.1}  {:>6.2}x  {:>6}  {}/{}\n",
+            "{:>6}{}  {:>7.1}  {:>8.0}  {:>6.1}  {:>6.1}  {:>6.2}x  {:>6}\n",
             p.threads,
             if p.oversubscribed { '*' } else { ' ' },
             p.wall_nanos as f64 / 1e6,
@@ -198,8 +195,6 @@ pub fn render(report: &BenchReport) -> String {
             p.p99_solve_nanos / 1e3,
             p.speedup_vs_1t,
             p.steals,
-            p.ladder_hits,
-            p.ladder_misses,
         ));
     }
     if report.thread_curve.iter().any(|p| p.oversubscribed) {

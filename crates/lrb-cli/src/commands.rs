@@ -826,7 +826,7 @@ ONLINE:
   streams a churning job population (Poisson-ish arrivals with heavy-tailed
   sizes, geometric lifetimes) through the online rebalancer; each epoch's
   requested budget is clamped by an amortized move bank (--bank-* knobs).
-  Prints a summary plus the schema-versioned JSON report (ONLINE_1.json)
+  Prints a summary plus the schema-versioned JSON report (ONLINE_2.json)
 
 TELEMETRY (solve, profile, simulate, chaos, online):
   --metrics OUT.json  write phase timings, counters, and histograms as JSON
@@ -1416,7 +1416,7 @@ mod tests {
         assert!(out.contains("online report written"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         let report: crate::online::OnlineReport = serde_json::from_str(&text).unwrap();
-        assert_eq!(report.schema_version, 1);
+        assert_eq!(report.schema_version, 2);
         assert_eq!(report.servers, 4);
         assert_eq!(report.budget_kind, "moves");
         assert_eq!(report.epoch_curve.len(), 12);

@@ -4,7 +4,7 @@
 //! Drives [`lrb_sim::run_farm_online_in`] — an [`OnlineRebalancer`]
 //! fed by a seeded churn stream, rebalanced once per epoch under the
 //! amortized move bank — and emits a schema-versioned JSON report
-//! (`ONLINE_1.json` by convention) with the run's summary counters plus a
+//! (`ONLINE_2.json` by convention) with the run's summary counters plus a
 //! per-epoch curve (makespan, migrations, banked balance, churn).
 //!
 //! [`OnlineRebalancer`]: lrb_core::online::OnlineRebalancer
@@ -15,7 +15,8 @@ use lrb_sim::{run_farm_online_in, OnlineRunReport, OnlineWorkloadConfig};
 use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`OnlineReport`]; bump on breaking field changes.
-pub const ONLINE_SCHEMA_VERSION: u32 = 1;
+/// v2: drops the two threshold-ladder cache counters.
+pub const ONLINE_SCHEMA_VERSION: u32 = 2;
 
 /// One epoch of the online trace.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,10 +78,6 @@ pub struct OnlineReport {
     pub departures: u64,
     /// Rebalance events applied.
     pub rebalances: u64,
-    /// Rebalances served by the incrementally maintained ladder.
-    pub incremental_updates: u64,
-    /// Rebalances that rebuilt solver state from scratch.
-    pub full_rebuilds: u64,
     /// Jobs migrated across the whole run.
     pub moves_performed: u64,
     /// Mean makespan / avg-load across epochs.
@@ -140,8 +137,6 @@ impl OnlineReport {
             arrivals: run.stats.arrivals,
             departures: run.stats.departures,
             rebalances: run.stats.rebalances,
-            incremental_updates: run.stats.incremental_updates,
-            full_rebuilds: run.stats.full_rebuilds,
             moves_performed: run.stats.moves_performed,
             mean_imbalance: run.sim.mean_imbalance(),
             p95_imbalance: run.sim.percentile_imbalance(95.0),
@@ -176,10 +171,6 @@ pub fn render(report: &OnlineReport) -> String {
     out.push_str(&format!(
         "events:        {} ({} arrivals, {} departures, {} rebalances)\n",
         report.events, report.arrivals, report.departures, report.rebalances
-    ));
-    out.push_str(&format!(
-        "solver:        {} incremental / {} full rebuilds\n",
-        report.incremental_updates, report.full_rebuilds
     ));
     out.push_str(&format!(
         "migrations:    {} (cost {})\n",

@@ -1,7 +1,7 @@
 //! Golden-schema tests for the machine-readable JSON documents.
 //!
-//! Each of the eight schemas (BENCH_4, CHAOS_1, ONLINE_1, HETERO_1,
-//! COMPETE_1, TRACE_1, LINT_1, and the lrb-serve snapshot SERVE_1) is
+//! Each of the eight schemas (BENCH_4, CHAOS_1, ONLINE_2, HETERO_1,
+//! COMPETE_1, TRACE_1, LINT_1, and the lrb-serve snapshot SERVE_2) is
 //! stated once, by its Rust type. The derived `Deserialize` rejects
 //! unknown fields and missing fields at every level, and names the record
 //! at fault (`epoch_curve[0]`, `traceEvents[0]`). `golden/<SCHEMA>.json`
@@ -200,12 +200,33 @@ fn every_golden_decodes_into_its_type_and_re_encodes_unchanged() {
     }
     check::<BenchReport>("BENCH_4.json");
     check::<ChaosReport>("CHAOS_1.json");
-    check::<OnlineReport>("ONLINE_1.json");
+    check::<OnlineReport>("ONLINE_2.json");
     check::<HeteroReport>("HETERO_1.json");
     check::<CompeteReport>("COMPETE_1.json");
     check::<ChromeTrace>("TRACE_1.json");
     check::<LintReport>("LINT_1.json");
-    check::<SnapshotDoc>("SERVE_1.json");
+    check::<SnapshotDoc>("SERVE_2.json");
+}
+
+#[test]
+fn retired_versions_are_refused() {
+    fn refuse<T: Schema>(name: &str, retired: u32) {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
+        let text = std::fs::read_to_string(path).unwrap();
+        let current = format!("\"schema_version\": {}", T::VERSION);
+        let old = text.replacen(&current, &format!("\"schema_version\": {retired}"), 1);
+        let err = decode::<T>(&old)
+            .err()
+            .expect("a retired version was accepted");
+        assert!(
+            err.contains(&format!("schema_version {retired}")),
+            "{name}: {err}"
+        );
+    }
+    refuse::<OnlineReport>("ONLINE_2.json", 1);
+    refuse::<SnapshotDoc>("SERVE_2.json", 1);
 }
 
 #[test]

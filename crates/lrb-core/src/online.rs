@@ -3,9 +3,8 @@
 //! The paper solves a one-shot rebalance, but its motivating web-farm
 //! scenario is online: jobs arrive and depart between rebalance rounds, and
 //! migration stays scarce. This module maintains a live instance
-//! incrementally — sorted job-key index, per-processor loads, and a
-//! [`SizeMultiset`] that keeps the M-PARTITION threshold ladder warm across
-//! events — and runs the batch solvers at rebalance events under an
+//! incrementally — sorted job-key index and per-processor loads — and runs
+//! the batch solvers at rebalance events under an
 //! *amortized* move budget: a [`MoveBank`] accrues a configurable number of
 //! budget units per rebalance event up to a cap, and each rebalance may
 //! spend at most `min(requested, banked)` units (the amortized-migration
@@ -15,8 +14,8 @@
 //!
 //! At any point, [`OnlineRebalancer::instance`] is a plain [`Instance`] and
 //! a rebalance is *exactly* a batch solve of that snapshot with the
-//! effective budget: the incremental structures (ladder priming, sorted
-//! multiset) change only performance, never the answer. Tests replay event
+//! effective budget: the rebalancer's warm scratch changes only
+//! performance, never the answer. Tests replay event
 //! streams and assert checkpoint-by-checkpoint bit-identity against
 //! from-scratch batch solves; see DESIGN.md §10.
 //!
@@ -37,7 +36,6 @@
 use crate::ctx::Ctx;
 use crate::deadline::{DeadlineSolver, SolverKind};
 use crate::error::{Error, Result};
-use crate::incremental::SizeMultiset;
 use crate::model::{Budget, Instance, Job, ProcId, Size};
 use crate::outcome::RebalanceOutcome;
 use crate::scratch::Scratch;
@@ -414,10 +412,6 @@ pub struct OnlineStats {
     pub departures: u64,
     /// Rebalance events applied.
     pub rebalances: u64,
-    /// Rebalances that reused the incrementally maintained threshold ladder.
-    pub incremental_updates: u64,
-    /// Rebalances that rebuilt solver state from scratch.
-    pub full_rebuilds: u64,
     /// Jobs actually migrated (solver moves plus forced moves).
     pub moves_performed: u64,
 }
@@ -435,8 +429,6 @@ pub struct RebalanceStep {
     pub banked_before: u64,
     /// Bank balance after accrual and spending.
     pub banked_after: u64,
-    /// Whether the solver reused the incrementally maintained ladder.
-    pub incremental: bool,
 }
 
 /// Result of committing an externally solved assignment.
@@ -455,8 +447,7 @@ pub struct Commit {
 /// Jobs are addressed by caller-chosen [`JobKey`]s. Internally the
 /// rebalancer keeps parallel arrays sorted by key (so snapshots are
 /// canonical regardless of event order within an epoch), per-processor
-/// loads, and a [`SizeMultiset`] priming the threshold-ladder cache of its
-/// private [`Scratch`].
+/// loads, and a private [`Scratch`] its own rebalances reuse.
 ///
 /// The rebalancer is generic over its [`MigrationPolicy`], defaulting to
 /// [`MoveBank`] so existing call sites need no type annotation and behave
@@ -470,7 +461,6 @@ pub struct OnlineRebalancer<P: MigrationPolicy = MoveBank> {
     jobs: Vec<Job>,
     assignment: Vec<ProcId>,
     loads: Vec<Size>,
-    multiset: SizeMultiset,
     bank: P,
     scratch: Scratch,
     stats: OnlineStats,
@@ -486,9 +476,9 @@ impl OnlineRebalancer {
     /// Rebuild a rebalancer from persisted state (crash recovery): the
     /// live jobs with their placements, plus the bank and counters as
     /// snapshotted. Equivalent to arriving every job in order and then
-    /// overwriting the audit state — the sorted-key index, loads, and
-    /// size multiset are reconstructed exactly, and the threshold-ladder
-    /// scratch starts cold (a pure cache, so answers are unaffected).
+    /// overwriting the audit state — the sorted-key index and loads are
+    /// reconstructed exactly, and the scratch starts cold (a buffer pool,
+    /// so answers are unaffected).
     pub fn restore(
         num_procs: usize,
         jobs: &[(JobKey, Job, ProcId)],
@@ -518,7 +508,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
             jobs: Vec::new(),
             assignment: Vec::new(),
             loads: vec![0; num_procs],
-            multiset: SizeMultiset::new(),
             bank: policy,
             scratch: Scratch::new(),
             stats: OnlineStats::default(),
@@ -551,7 +540,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
         self.jobs.insert(at, job);
         self.assignment.insert(at, proc);
         self.loads[proc] = self.loads[proc].saturating_add(job.size);
-        self.multiset.insert(job.size);
         self.bank.on_arrival(job.size);
         self.stats.events += 1;
         self.stats.arrivals += 1;
@@ -568,8 +556,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
         let job = self.jobs.remove(at);
         let proc = self.assignment.remove(at);
         self.loads[proc] = self.loads[proc].saturating_sub(job.size);
-        let removed = self.multiset.remove(job.size);
-        debug_assert!(removed, "multiset missing a live job's size");
         self.stats.events += 1;
         self.stats.departures += 1;
         Ok(job)
@@ -658,10 +644,8 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
     /// snapshot with the effective budget, and commit the result.
     ///
     /// The solve is [`SolverKind::MPartition`]'s [`DeadlineSolver`]:
-    /// `Budget::Moves` solves via [`crate::mpartition`] (and reuses the
-    /// primed threshold ladder — an *incremental update*); `Budget::Cost`
-    /// solves via [`crate::cost_partition`] (a *full rebuild*, since the cost
-    /// solver's knapsack state is not cached across events).
+    /// `Budget::Moves` solves via [`crate::mpartition`], `Budget::Cost` via
+    /// [`crate::cost_partition`], both in the rebalancer's warm scratch.
     pub fn rebalance(&mut self, requested: Budget) -> Result<RebalanceStep> {
         let banked_before = self.bank.balance();
         let effective = self.begin_rebalance(requested);
@@ -674,17 +658,8 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
                 effective,
                 banked_before,
                 banked_after: self.bank.balance(),
-                incremental: false,
             });
         }
-        // Prime the ladder from the incrementally maintained multiset so the
-        // solver skips its O(n log n) re-sort. This is a pure cache warm-up:
-        // a wrong prime would trip the ladder's debug cross-check, and the
-        // solve below is bit-identical either way.
-        self.scratch
-            .ladder
-            .prime(self.multiset.fingerprint(), self.multiset.sizes_asc());
-        let hits_before = self.scratch.ladder_hits();
         let mut ctx = Ctx {
             scratch: std::mem::take(&mut self.scratch),
             ..Ctx::default()
@@ -692,12 +667,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
         let solved = DeadlineSolver::new(SolverKind::MPartition).solve(&inst, effective, &mut ctx);
         self.scratch = ctx.scratch;
         let outcome = solved?;
-        let incremental = self.scratch.ladder_hits() > hits_before;
-        if incremental {
-            self.stats.incremental_updates += 1;
-        } else {
-            self.stats.full_rebuilds += 1;
-        }
         self.commit_assignment(&outcome.assignment().to_vec(), effective)?;
         Ok(RebalanceStep {
             outcome,
@@ -705,7 +674,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
             effective,
             banked_before,
             banked_after: self.bank.balance(),
-            incremental,
         })
     }
 
@@ -803,16 +771,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
     pub fn stats(&self) -> &OnlineStats {
         &self.stats
     }
-
-    /// Threshold-ladder cache hits in this rebalancer's private scratch.
-    pub fn ladder_hits(&self) -> u64 {
-        self.scratch.ladder_hits()
-    }
-
-    /// Threshold-ladder cache misses in this rebalancer's private scratch.
-    pub fn ladder_misses(&self) -> u64 {
-        self.scratch.ladder_misses()
-    }
 }
 
 #[cfg(test)]
@@ -887,9 +845,6 @@ mod tests {
         assert_eq!(r.assignment(), batch.outcome.assignment());
         assert_eq!(r.makespan(), batch.outcome.makespan());
         assert_eq!(r.makespan(), 6);
-        // The primed ladder made this an incremental update.
-        assert!(step.incremental);
-        assert_eq!(r.stats().incremental_updates, 1);
         assert_eq!(r.stats().moves_performed, batch.outcome.moves() as u64);
     }
 
@@ -922,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_budget_rebalance_counts_as_full_rebuild() {
+    fn cost_budget_rebalance_matches_batch_solve_of_snapshot() {
         let mut r = OnlineRebalancer::new(2, BankConfig::unlimited()).unwrap();
         for (key, size, cost) in [(0u64, 4u64, 2u64), (1, 3, 1), (2, 3, 1), (3, 2, 5)] {
             r.arrive(key, Job::with_cost(size, cost), 0).unwrap();
@@ -931,13 +886,11 @@ mod tests {
         let step = r.rebalance(Budget::Cost(3)).unwrap();
         let batch = cost_partition::rebalance(&snapshot, 3).unwrap();
         assert_eq!(step.outcome, batch.outcome);
-        assert!(!step.incremental);
-        assert_eq!(r.stats().full_rebuilds, 1);
         assert!(snapshot.move_cost(r.assignment()) <= 3);
     }
 
     #[test]
-    fn depart_after_arrive_is_a_no_op_on_snapshot_and_fingerprint() {
+    fn depart_after_arrive_is_a_no_op_on_snapshot_and_loads() {
         let mut r = OnlineRebalancer::new(3, BankConfig::default()).unwrap();
         arrive(&mut r, 0, 7, 0);
         arrive(&mut r, 1, 2, 1);

@@ -75,20 +75,21 @@ pub fn planned_moves(profiles: &Profiles, t: Size) -> Option<usize> {
 /// [`planned_moves`] against a caller-owned buffer of `c_i` values, so
 /// M-PARTITION's threshold probes reuse one allocation across the whole
 /// search. One [`Profiles::counts`] call per processor gives `b_i`, `c_i`
-/// and the large-job flag; the `L_T` smallest `c_i` are selected, not
+/// and its large jobs, whose running sum is `L_T`; the pass stops once
+/// that sum exceeds `m`. The `L_T` smallest `c_i` are selected, not
 /// sorted, and their sum does not depend on how ties fall.
 pub(crate) fn planned_moves_with(profiles: &Profiles, t: Size, cs: &mut Vec<i64>) -> Option<usize> {
     let m = profiles.num_procs();
-    let l_t = profiles.l_t(t);
-    if l_t > m {
-        return None;
-    }
-    let (mut sum_b, mut m_l) = (0usize, 0usize);
+    let (mut l_t, mut sum_b, mut m_l) = (0usize, 0usize, 0usize);
     cs.clear();
     for p in 0..m {
         let counts = profiles.counts(p, t);
+        l_t = l_t.saturating_add(counts.large);
+        if l_t > m {
+            return None;
+        }
         sum_b = sum_b.saturating_add(counts.b);
-        m_l = m_l.saturating_add(usize::from(counts.has_large));
+        m_l = m_l.saturating_add(usize::from(counts.has_large()));
         cs.push(counts.c());
     }
     let l_e = l_t.saturating_sub(m_l);
@@ -140,11 +141,10 @@ pub fn run_with_profiles(inst: &Instance, profiles: &Profiles, t: Size) -> Resul
 pub fn run_in<R: Tracer>(inst: &Instance, t: Size, ctx: &mut Ctx<'_, R>) -> Result<PartitionRun> {
     let Scratch {
         profiles,
-        ladder,
         partition,
         ..
     } = &mut ctx.scratch;
-    profiles.rebuild(inst, ladder);
+    profiles.rebuild(inst);
     run_impl(inst, profiles, t, ctx.rec, partition)
 }
 
@@ -156,7 +156,10 @@ pub(crate) fn run_impl<R: Tracer>(
     s: &mut PartitionScratch,
 ) -> Result<PartitionRun> {
     let m = inst.num_procs();
-    let l_t = profiles.l_t(t);
+    // One counts() call per processor serves L_T and Steps 1-4.
+    s.counts.clear();
+    s.counts.extend((0..m).map(|p| profiles.counts(p, t)));
+    let l_t: usize = s.counts.iter().map(|counts| counts.large).sum();
     if l_t > m {
         return Err(Error::InfeasibleGuess {
             guess: t,
@@ -172,15 +175,11 @@ pub(crate) fn run_impl<R: Tracer>(
 
     // Step 1: strip extra large jobs, keeping the smallest large per
     // processor. Profiles sort each processor's jobs ascending, so the kept
-    // large is the first one past the small prefix. One counts() call per
-    // processor serves Steps 1-4.
+    // large is the first one past the small prefix.
     // kept_large[p] = Some(job) for processors holding a large after Step 1.
     let step1 = rec.span(names::PARTITION_STEP1_STRIP);
-    s.counts.clear();
-    for p in 0..m {
-        let counts = profiles.counts(p, t);
-        s.counts.push(counts);
-        if counts.has_large {
+    for (p, counts) in s.counts.iter().enumerate() {
+        if counts.has_large() {
             let jobs = &profiles.proc(p).jobs_asc;
             s.kept_large[p] = Some(jobs[counts.small]);
             for &j in &jobs[counts.small.saturating_add(1)..] {
@@ -190,7 +189,7 @@ pub(crate) fn run_impl<R: Tracer>(
             }
         }
     }
-    let m_l = s.counts.iter().filter(|c| c.has_large).count();
+    let m_l = s.counts.iter().filter(|c| c.has_large()).count();
     let l_e = l_t.saturating_sub(m_l);
     debug_assert_eq!(planned, l_e);
     drop(step1);
@@ -204,7 +203,7 @@ pub(crate) fn run_impl<R: Tracer>(
         s.counts
             .iter()
             .enumerate()
-            .map(|(p, counts)| (counts.c(), !counts.has_large, p)),
+            .map(|(p, counts)| (counts.c(), !counts.has_large(), p)),
     );
     if let Some(last) = l_t.checked_sub(1) {
         s.cs.select_nth_unstable(last);

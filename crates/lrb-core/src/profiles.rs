@@ -12,7 +12,8 @@
 //! * `b_i(T)` — the minimum number of removals (counting a mandatory large
 //!   job removal) after which the processor is **large-free** with total
 //!   load at most `T`;
-//! * `L_T`, `m_L`, `L_E` — the global large-job counts of Definition 1.
+//! * `L_T`, `m_L`, `L_E` — the global large-job counts of Definition 1;
+//!   `L_T` sums the jobs past each processor's small prefix.
 //!
 //! `b_i` here is the "forced large removal" variant: the paper defines `b_i`
 //! without forcing the large job out when the load already fits, and then
@@ -31,14 +32,14 @@
 //! Cost model (DESIGN.md §9). [`Profiles::rebuild`] sorts each processor's
 //! contiguous `(size, id)` keys, which are distinct, so the unstable sort
 //! yields the `(size, id)` order without looking sizes up per comparison.
-//! Every per-processor quantity comes from one routine, `Profiles::counts`:
-//! one search for the small prefix, then the `a_i` and `b_i` cut points
-//! inside it, and no search at all when the whole processor fits in `T/2`.
-//! `Profiles::candidates_from` builds only the part of the ladder a
-//! search starting at a given guess reads.
+//! `L_T` and the doubled sizes come from these per-processor lists; no
+//! global size order is needed. Every per-processor quantity comes from one
+//! routine, `Profiles::counts`: one search for the small prefix, then the
+//! `a_i` and `b_i` cut points inside it, and no search at all when the
+//! whole processor fits in `T/2`. `Profiles::candidates_from` builds only
+//! the part of the ladder a search starting at a given guess reads.
 
 use crate::model::{Instance, JobId, ProcId, Size};
-use crate::scratch::ThresholdLadder;
 
 /// Size profile of one processor: its jobs in ascending size order plus
 /// prefix sums.
@@ -81,14 +82,19 @@ pub(crate) struct ProcCounts {
     /// `b_i`: the kept large job, if any, plus largest-first small removals
     /// until the smalls fit in `t`.
     pub b: usize,
-    /// Whether the processor holds a large job.
-    pub has_large: bool,
+    /// Number of large jobs: the jobs past the small prefix.
+    pub large: usize,
 }
 
 impl ProcCounts {
     /// `c_i = a_i − b_i`.
     pub fn c(&self) -> i64 {
         (self.a as i64).saturating_sub(self.b as i64)
+    }
+
+    /// Whether the processor holds a large job.
+    pub fn has_large(&self) -> bool {
+        self.large > 0
     }
 }
 
@@ -97,8 +103,6 @@ impl ProcCounts {
 #[derive(Debug, Clone, Default)]
 pub struct Profiles {
     per_proc: Vec<ProcProfile>,
-    /// All job sizes, ascending — for the global large-job count.
-    sizes_asc: Vec<Size>,
     /// Sort buffer of one processor's `(size, id)` keys.
     keys: Vec<(Size, JobId)>,
 }
@@ -107,15 +111,15 @@ impl Profiles {
     /// Build profiles for an instance (`O(n log n)`).
     pub fn new(inst: &Instance) -> Self {
         let mut profiles = Profiles::default();
-        profiles.rebuild(inst, &mut ThresholdLadder::default());
+        profiles.rebuild(inst);
         profiles
     }
 
     /// Rebuild the profiles for `inst` in place, reusing this value's
-    /// buffers and the ladder's cached multiset sort (see
-    /// [`crate::scratch::Scratch`]). Equivalent to [`Profiles::new`] but
-    /// allocation-free once the buffers have grown to the instance shape.
-    pub fn rebuild(&mut self, inst: &Instance, ladder: &mut ThresholdLadder) {
+    /// buffers (see [`crate::scratch::Scratch`]). Equivalent to
+    /// [`Profiles::new`] but allocation-free once the buffers have grown to
+    /// the instance shape.
+    pub fn rebuild(&mut self, inst: &Instance) {
         let m = inst.num_procs();
         self.per_proc.truncate(m);
         self.per_proc.resize_with(m, ProcProfile::default);
@@ -142,7 +146,6 @@ impl Profiles {
                 prof.prefix.push(acc);
             }
         }
-        ladder.sizes_asc_into(inst.jobs(), &mut self.sizes_asc);
     }
 
     /// Profile of processor `p`.
@@ -155,11 +158,12 @@ impl Profiles {
         self.per_proc.len()
     }
 
-    /// Global number of large jobs `L_T` at guess `t`.
+    /// Global number of large jobs `L_T` at guess `t`: the jobs past every
+    /// processor's small prefix.
     pub fn l_t(&self, t: Size) -> usize {
-        // Large iff size > t/2; sizes_asc is sorted, so count the suffix.
-        let boundary = self.sizes_asc.partition_point(|&s| s <= t / 2);
-        self.sizes_asc.len().saturating_sub(boundary)
+        (0..self.per_proc.len())
+            .map(|p| self.counts(p, t).large)
+            .sum()
     }
 
     /// Every PARTITION quantity of processor `p` at guess `t`: one binary
@@ -174,7 +178,7 @@ impl Profiles {
                 small: prof.len(),
                 a: 0,
                 b: 0,
-                has_large: false,
+                large: 0,
             };
         }
         let small = prof.sizes.partition_point(|&s| s <= half);
@@ -186,14 +190,14 @@ impl Profiles {
             .partition_point(|&s| s <= t)
             .saturating_sub(1)
             .saturating_add(keep_a);
-        let has_large = small < prof.len();
+        let large = prof.len().saturating_sub(small);
         ProcCounts {
             small,
             a: small.saturating_sub(keep_a),
             b: small
                 .saturating_sub(keep_b)
-                .saturating_add(usize::from(has_large)),
-            has_large,
+                .saturating_add(usize::from(large > 0)),
+            large,
         }
     }
 
@@ -228,7 +232,7 @@ impl Profiles {
 
     /// True if processor `p` holds at least one large job at guess `t`.
     pub fn has_large(&self, p: ProcId, t: Size) -> bool {
-        self.counts(p, t).has_large
+        self.counts(p, t).has_large()
     }
 
     /// Number of processors with at least one large job (`m_L`).
@@ -269,11 +273,9 @@ impl Profiles {
                 below = below.max(Some(v));
             }
         };
-        for &s in &self.sizes_asc {
-            push(s.saturating_mul(2));
-        }
         for prof in &self.per_proc {
-            for &b in &prof.prefix[1..] {
+            for (&size, &b) in prof.sizes.iter().zip(&prof.prefix[1..]) {
+                push(size.saturating_mul(2));
                 push(b);
                 push(b.saturating_mul(2));
             }
@@ -415,7 +417,6 @@ mod tests {
 
     #[test]
     fn rebuild_reuses_buffers_and_matches_fresh_construction() {
-        let mut ladder = ThresholdLadder::default();
         let mut p = Profiles::default();
         let a = inst();
         // A different placement of the same size multiset, then a different
@@ -423,7 +424,7 @@ mod tests {
         let b = Instance::from_sizes(&[7, 2, 3, 4], vec![1, 1, 0, 0], 2).unwrap();
         let c = Instance::from_sizes(&[5, 5], vec![0, 1], 3).unwrap();
         for inst in [&a, &b, &c] {
-            p.rebuild(inst, &mut ladder);
+            p.rebuild(inst);
             let fresh = Profiles::new(inst);
             assert_eq!(p.candidates(), fresh.candidates());
             for proc in 0..inst.num_procs() {
@@ -436,7 +437,7 @@ mod tests {
         }
     }
 
-    /// Brute-force `(small, a, b, has_large)` of processor `p` at guess `t`
+    /// Brute-force `(small, a, b, large)` of processor `p` at guess `t`
     /// from the definitions: largest-first small removals until the smalls
     /// fit in `t/2` (for `a`) or `t` (for `b`, plus one for a large job).
     /// Sums saturate, as instance loads do.
@@ -447,7 +448,7 @@ mod tests {
             .filter(|&s| 2 * u128::from(s) <= u128::from(t))
             .collect();
         smalls.sort_unstable();
-        let has_large = on_p().count() > smalls.len();
+        let large = on_p().count() - smalls.len();
         let removals = |cap: Size| {
             (0..=smalls.len())
                 .find(|&r| {
@@ -459,8 +460,8 @@ mod tests {
         ProcCounts {
             small: smalls.len(),
             a: removals(t / 2),
-            b: removals(t) + usize::from(has_large),
-            has_large,
+            b: removals(t) + usize::from(large > 0),
+            large,
         }
     }
 
@@ -486,6 +487,11 @@ mod tests {
                 guesses.extend([c.saturating_sub(1), c, c.saturating_add(1)]);
             }
             for t in guesses {
+                let large = inst
+                    .jobs()
+                    .iter()
+                    .filter(|j| 2 * u128::from(j.size) > u128::from(t));
+                assert_eq!(p.l_t(t), large.count(), "t={t} {inst:?}");
                 for proc in 0..inst.num_procs() {
                     let counts = p.counts(proc, t);
                     assert_eq!(

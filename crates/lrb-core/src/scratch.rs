@@ -10,19 +10,15 @@
 //! the returned outcome (and the unchanged one the no-regression clamp
 //! compares it with).
 //!
-//! The scratch also carries a [`ThresholdLadder`]: M-PARTITION's candidate
-//! thresholds depend on the *job-size multiset* (doubled sizes) and on the
-//! *placement* (prefix sums). The multiset part — the global ascending size
-//! array — is cached across calls keyed by an order-independent fingerprint,
-//! so consecutive solves over the same multiset (an online farm whose
-//! rebalancer primes it) skip the re-sort. See DESIGN.md §9 for the memory
-//! layout and invalidation rules.
+//! The scratch is a pure buffer pool: it caches no answer or sort between
+//! calls, so a warm scratch gives the answers a cold one does. See
+//! DESIGN.md §9 for the memory layout.
 
 use std::cmp::Reverse;
 
 use crate::cost_partition::ProcPlan;
 use crate::knapsack::{Item, KeepScratch};
-use crate::model::{Job, JobId, ProcId, Size};
+use crate::model::{JobId, ProcId, Size};
 use crate::profiles::{ProcCounts, Profiles};
 
 /// Per-worker reusable buffers for the core solvers.
@@ -37,7 +33,6 @@ pub struct Scratch {
     pub(crate) partition: PartitionScratch,
     pub(crate) profiles: Profiles,
     pub(crate) candidates: Vec<Size>,
-    pub(crate) ladder: ThresholdLadder,
     pub(crate) hetero: HeteroScratch,
 }
 
@@ -45,16 +40,6 @@ impl Scratch {
     /// A fresh scratch with empty (unallocated) buffers.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// How often the threshold-ladder cache was reused across calls.
-    pub fn ladder_hits(&self) -> u64 {
-        self.ladder.hits
-    }
-
-    /// How often the threshold-ladder cache had to be rebuilt.
-    pub fn ladder_misses(&self) -> u64 {
-        self.ladder.misses
     }
 }
 
@@ -158,157 +143,9 @@ impl PartitionScratch {
     }
 }
 
-/// Cache of the multiset-dependent half of M-PARTITION's threshold ladder.
-///
-/// The Lemma 5 candidate set is `{2·p_j} ∪ {B_l, 2·B_l}`: the doubled job
-/// sizes depend only on the job-size *multiset*, the prefix sums on the
-/// placement. This cache keys the sorted global size array on an
-/// order-independent fingerprint of the multiset, so consecutive solves over
-/// the same jobs (a batch of candidate placements, an epoch of what-if
-/// probes) skip the `O(n log n)` re-sort.
-///
-/// Invalidation: the fingerprint folds the job count, the total size, and a
-/// commutative hash of each size, so *any* change to the multiset — adding,
-/// removing, or resizing a job — misses and rebuilds. Hash collisions would
-/// reuse a stale ladder; the fingerprint has 64 bits of mixing, and debug
-/// builds additionally verify the cached array against a fresh sort.
-#[derive(Debug, Default)]
-pub struct ThresholdLadder {
-    fingerprint: Option<u64>,
-    pub(crate) sizes_asc: Vec<Size>,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-}
-
-impl ThresholdLadder {
-    /// Order-independent fingerprint of the job-size multiset.
-    pub(crate) fn fingerprint_of(jobs: &[Job]) -> u64 {
-        let mut acc = 0u64;
-        let mut total = 0u64;
-        for j in jobs {
-            acc = acc.wrapping_add(size_term(j.size));
-            total = total.wrapping_add(j.size);
-        }
-        finalize_fingerprint(acc, total, jobs.len())
-    }
-
-    /// Install an externally maintained sorted size array and its fingerprint
-    /// so the next [`Self::sizes_asc_into`] over the same multiset hits the
-    /// cache without re-sorting. Callers maintaining the multiset
-    /// incrementally (see [`crate::incremental::SizeMultiset`]) use this to
-    /// keep a warm ladder across arrivals and departures. Neither a hit nor a
-    /// miss is counted; debug builds verify primed data on the next lookup.
-    pub(crate) fn prime(&mut self, fingerprint: u64, sizes_asc: &[Size]) {
-        debug_assert!(sizes_asc.windows(2).all(|w| w[0] <= w[1]));
-        self.sizes_asc.clear();
-        self.sizes_asc.extend_from_slice(sizes_asc);
-        self.fingerprint = Some(fingerprint);
-    }
-
-    /// Fill `out` with the instance's sizes in ascending order, reusing the
-    /// cached sort when the multiset fingerprint matches.
-    pub(crate) fn sizes_asc_into(&mut self, jobs: &[Job], out: &mut Vec<Size>) {
-        let fp = Self::fingerprint_of(jobs);
-        if self.fingerprint == Some(fp) && self.sizes_asc.len() == jobs.len() {
-            self.hits += 1;
-            out.clone_from(&self.sizes_asc);
-            debug_assert_eq!(
-                {
-                    let mut check: Vec<Size> = jobs.iter().map(|j| j.size).collect();
-                    check.sort_unstable();
-                    check
-                },
-                *out,
-                "threshold-ladder fingerprint collision"
-            );
-            return;
-        }
-        self.misses += 1;
-        out.clear();
-        out.extend(jobs.iter().map(|j| j.size));
-        out.sort_unstable();
-        self.sizes_asc.clone_from(out);
-        self.fingerprint = Some(fp);
-    }
-}
-
-/// Per-size contribution to the commutative multiset fingerprint. Incremental
-/// maintainers add this on insert and subtract it (wrapping) on remove.
-pub(crate) fn size_term(size: Size) -> u64 {
-    mix(size.wrapping_add(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Fold the commutative accumulator, total size, and count into the final
-/// fingerprint. Must stay in lockstep with [`ThresholdLadder::fingerprint_of`].
-pub(crate) fn finalize_fingerprint(acc: u64, total: u64, len: usize) -> u64 {
-    mix(acc ^ mix(total) ^ (len as u64).rotate_left(32))
-}
-
-/// splitmix64 finalizer — the same mixer the harness uses for seeds.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::model::Instance;
-
-    fn jobs_of(sizes: &[u64]) -> Vec<Job> {
-        sizes.iter().map(|&s| Job::unit(s)).collect()
-    }
-
-    #[test]
-    fn fingerprint_is_order_independent() {
-        let a = ThresholdLadder::fingerprint_of(&jobs_of(&[3, 1, 4, 1, 5]));
-        let b = ThresholdLadder::fingerprint_of(&jobs_of(&[5, 4, 3, 1, 1]));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_multisets() {
-        let base = ThresholdLadder::fingerprint_of(&jobs_of(&[3, 1, 4]));
-        for other in [&[3u64, 1, 5][..], &[3, 1], &[3, 1, 4, 4], &[3, 2, 3]] {
-            assert_ne!(base, ThresholdLadder::fingerprint_of(&jobs_of(other)));
-        }
-        // Same sum, same count, different multiset.
-        assert_ne!(
-            ThresholdLadder::fingerprint_of(&jobs_of(&[2, 2])),
-            ThresholdLadder::fingerprint_of(&jobs_of(&[1, 3])),
-        );
-    }
-
-    #[test]
-    fn ladder_hits_on_same_multiset_misses_on_change() {
-        let mut ladder = ThresholdLadder::default();
-        let mut out = Vec::new();
-        ladder.sizes_asc_into(&jobs_of(&[4, 2, 9]), &mut out);
-        assert_eq!(out, vec![2, 4, 9]);
-        assert_eq!((ladder.hits, ladder.misses), (0, 1));
-
-        // Same multiset, different order: hit, same answer.
-        ladder.sizes_asc_into(&jobs_of(&[9, 4, 2]), &mut out);
-        assert_eq!(out, vec![2, 4, 9]);
-        assert_eq!((ladder.hits, ladder.misses), (1, 1));
-
-        // Changed multiset: miss, rebuilt.
-        ladder.sizes_asc_into(&jobs_of(&[9, 4, 3]), &mut out);
-        assert_eq!(out, vec![3, 4, 9]);
-        assert_eq!((ladder.hits, ladder.misses), (1, 2));
-    }
-
-    #[test]
-    fn primed_ladder_hits_without_a_prior_miss() {
-        let jobs = jobs_of(&[9, 4, 2]);
-        let mut ladder = ThresholdLadder::default();
-        ladder.prime(ThresholdLadder::fingerprint_of(&jobs), &[2, 4, 9]);
-        let mut out = Vec::new();
-        ladder.sizes_asc_into(&jobs, &mut out);
-        assert_eq!(out, vec![2, 4, 9]);
-        assert_eq!((ladder.hits, ladder.misses), (1, 0));
-    }
 
     #[test]
     fn scratch_reuse_grows_but_never_shrinks_buffers() {

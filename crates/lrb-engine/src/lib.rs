@@ -1,7 +1,9 @@
 //! # lrb-engine — batched multi-core rebalancing
 //!
-//! Solves many [`Instance`]s concurrently on `std::thread::scope` workers.
-//! Two ideas carry the throughput:
+//! Solves many [`Instance`]s concurrently: the calling thread runs worker 0
+//! and `std::thread::scope` threads run the others, so one code path serves
+//! every thread count and a one-thread batch spawns nothing. Two ideas
+//! carry the throughput:
 //!
 //! * **Scratch reuse.** Every worker owns one [`lrb_core::scratch::Scratch`]
 //!   and solves each item through [`DeadlineSolver::solve`] in a
@@ -122,8 +124,9 @@ pub struct HeteroBatchItem {
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    /// Worker threads; `0` (the default) means the host's available
-    /// parallelism (capped at 16). `1` solves inline on the calling thread.
+    /// Worker threads, the calling thread included; `0` (the default) means
+    /// the host's available parallelism (capped at 16). `1` solves inline on
+    /// the calling thread.
     pub threads: usize,
 }
 
@@ -158,9 +161,10 @@ pub struct BatchReport {
     pub workers: usize,
     /// Items claimed from another worker's stripe.
     pub steals: u64,
-    /// Threshold-ladder cache hits summed over workers.
+    /// Always 0: the solvers keep no threshold-ladder cache. Kept for
+    /// callers that still read it.
     pub ladder_hits: u64,
-    /// Threshold-ladder cache misses summed over workers.
+    /// Always 0, as [`BatchReport::ladder_hits`].
     pub ladder_misses: u64,
 }
 
@@ -173,7 +177,7 @@ pub fn solve_batch(items: &[BatchItem], solver: BatchSolver, cfg: &EngineConfig)
 /// [`solve_batch`] observed by `obs`. The batch gets an `engine.batch` span
 /// (payload = item count) and the `engine.*` counters and histograms named
 /// in [`lrb_obs::names`] (steals, queue depth at steal time, per-item solve
-/// latency, ladder cache traffic). Each worker runs in its own
+/// latency). Each worker runs in its own
 /// [`Tracer::fork`] of `obs`, folded back after the join: claim, steal and
 /// queue-wait spans go to the scheduling lane, each item gets an
 /// `engine.solve` span, and the solvers' own telemetry lands in the same
@@ -249,10 +253,10 @@ pub fn solve_batch_shimmed<S: ScheduleShim>(
 /// epoch, with per-worker [`Scratch`]es that survive across epochs.
 ///
 /// An online fleet feeds every farm's per-epoch solve through one of these
-/// in lockstep: the warm threshold-ladder and profile buffers amortize
-/// allocation and sorting across the whole stream, while per-epoch results
-/// stay **bit-identical for any thread count** (and to [`solve_batch`])
-/// because a warm scratch never changes an answer, only speed.
+/// in lockstep: the warm profile and PARTITION buffers amortize allocation
+/// across the whole stream, while per-epoch results stay **bit-identical
+/// for any thread count** (and to [`solve_batch`]) because a warm scratch
+/// never changes an answer, only speed.
 #[derive(Debug)]
 pub struct StreamEngine {
     solver: BatchSolver,
@@ -273,9 +277,7 @@ impl StreamEngine {
         }
     }
 
-    /// Solve one epoch's batch; ladder hit/miss telemetry in the returned
-    /// report is the *delta* contributed by this epoch (warm scratches carry
-    /// cache state across epochs).
+    /// Solve one epoch's batch.
     pub fn solve_epoch(&mut self, items: &[BatchItem]) -> BatchReport {
         self.epochs += 1;
         let threads = self.threads.clamp(1, items.len().max(1));
@@ -302,22 +304,10 @@ impl StreamEngine {
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
-
-    /// Cumulative threshold-ladder hits across all epochs and workers.
-    pub fn ladder_hits(&self) -> u64 {
-        self.scratches.iter().map(Scratch::ladder_hits).sum()
-    }
-
-    /// Cumulative threshold-ladder misses across all epochs and workers.
-    pub fn ladder_misses(&self) -> u64 {
-        self.scratches.iter().map(Scratch::ladder_misses).sum()
-    }
 }
 
-/// Shared batch runner: solve `items` on up to `threads` workers drawing
-/// from `scratches` (one per worker; `threads <= scratches.len()`). Ladder
-/// telemetry in the report is the delta accumulated by this call, so warm
-/// scratches ([`StreamEngine`]) report per-epoch cache traffic.
+/// Shared batch runner: solve `items` on `threads` workers drawing from
+/// `scratches` (one per worker; `threads <= scratches.len()`).
 fn run_batch<T: Tracer + Send>(
     items: &[BatchItem],
     solver: BatchSolver,
@@ -337,10 +327,12 @@ fn run_batch<T: Tracer + Send>(
 
 /// [`run_batch`] with schedule-injection hooks; `NoopShim` and
 /// [`NoopTracer`] compile them away, so the production path is unchanged.
-/// Worker `w` owns lane `w + 1` of `obs` ([`Tracer::fork`]) exactly like
-/// its [`Scratch`]; its [`Ctx`] holds both, so the lane also receives the
-/// solvers' telemetry. The lanes fold back into `obs`
-/// ([`Tracer::absorb`]) in worker order after the join.
+/// The calling thread runs worker 0 and `threads − 1` scoped threads run
+/// the rest, so every thread count takes the same path. Worker `w` owns
+/// lane `w + 1` of `obs` ([`Tracer::fork`]) exactly like its [`Scratch`];
+/// its [`Ctx`] holds both, so the lane also receives the solvers'
+/// telemetry. The lanes fold back into `obs` ([`Tracer::absorb`]) in
+/// worker order after the join.
 ///
 /// Generic over the item type and per-item solve function so the base and
 /// speed-scaled batch paths share one runner — striping, stealing, and
@@ -365,45 +357,6 @@ where
     obs.incr(names::ENGINE_ITEMS, n as u64);
     obs.incr(names::ENGINE_WORKERS, threads as u64);
     debug_assert!(threads >= 1 && threads <= scratches.len());
-    let before_hits: u64 = scratches.iter().map(Scratch::ladder_hits).sum();
-    let before_misses: u64 = scratches.iter().map(Scratch::ladder_misses).sum();
-
-    if threads <= 1 || n <= 1 {
-        let lane = obs.fork(1);
-        let mut outcomes = Vec::with_capacity(n);
-        let mut solve_nanos = Vec::with_capacity(n);
-        {
-            let mut ctx = worker_ctx(&mut scratches[0], &lane);
-            let _worker = lane.span_with(names::ENGINE_WORKER, 0, true);
-            for (i, item) in items.iter().enumerate() {
-                // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
-                let start = Instant::now();
-                let out = {
-                    let _solve = lane.span_with(names::ENGINE_SOLVE, i as u64, false);
-                    solve(item, &mut ctx)
-                };
-                outcomes.push(out);
-                let nanos = (start.elapsed().as_nanos() as u64).max(1);
-                lane.observe(names::ENGINE_SOLVE_NANOS, nanos);
-                solve_nanos.push(nanos);
-            }
-            scratches[0] = ctx.scratch;
-        }
-        obs.absorb(lane);
-        let ladder_hits = scratches.iter().map(Scratch::ladder_hits).sum::<u64>() - before_hits;
-        let ladder_misses =
-            scratches.iter().map(Scratch::ladder_misses).sum::<u64>() - before_misses;
-        obs.incr(names::ENGINE_LADDER_HITS, ladder_hits);
-        obs.incr(names::ENGINE_LADDER_MISSES, ladder_misses);
-        return BatchReport {
-            outcomes,
-            solve_nanos,
-            workers: 1,
-            steals: 0,
-            ladder_hits,
-            ladder_misses,
-        };
-    }
 
     let queue = match if S::ACTIVE {
         shim.stripes(n, threads)
@@ -415,109 +368,106 @@ where
     };
     let steals = AtomicU64::new(0);
 
-    let mut slots: Vec<Option<(RebalanceOutcome, u64)>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let solve = &solve;
-        let handles: Vec<_> = scratches[..threads]
-            .iter_mut()
-            .enumerate()
-            .map(|(w, scratch)| {
-                let queue = &queue;
-                let steals = &steals;
-                let lane = obs.fork(w as u32 + 1);
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, RebalanceOutcome, u64)> = Vec::new();
-                    {
-                        let mut ctx = worker_ctx(scratch, &lane);
-                        let _worker = lane.span_with(names::ENGINE_WORKER, w as u64, true);
-                        loop {
-                            if S::ACTIVE {
-                                shim.yield_point(w, YieldPoint::BeforeClaim);
+    // One worker's whole run: claim its own stripe, steal once it is empty,
+    // and hand back its results and its lane. Every step of the loop runs
+    // inside a claim, queue-wait or solve span (the steal bookkeeping, the
+    // solve's clock reads, telemetry and result slot included), so the
+    // worker span's time stays attributed.
+    let work = |w: usize, scratch: &mut Scratch, lane: T| {
+        let mut local: Vec<(usize, RebalanceOutcome, u64)> = Vec::new();
+        let mut ctx = worker_ctx(scratch, &lane);
+        {
+            let _worker = lane.span_with(names::ENGINE_WORKER, w as u64, true);
+            loop {
+                if S::ACTIVE {
+                    shim.yield_point(w, YieldPoint::BeforeClaim);
+                }
+                let own = if S::ACTIVE && shim.steal_first(w) {
+                    None
+                } else {
+                    let _claim = lane.span_with(names::ENGINE_CLAIM, w as u64, true);
+                    queue.claim_own(w)
+                };
+                let i = match own {
+                    Some(i) => i,
+                    None => {
+                        if S::ACTIVE {
+                            shim.yield_point(w, YieldPoint::BeforeSteal);
+                        }
+                        let stolen = {
+                            let _wait = lane.span_with(names::ENGINE_QUEUE_WAIT, w as u64, true);
+                            let stolen = queue.steal(w);
+                            if let Some((_, depth)) = stolen {
+                                steals.fetch_add(1, Ordering::Relaxed);
+                                lane.instant(names::ENGINE_STEAL_EVENT, depth as u64, true);
+                                lane.incr(names::ENGINE_STEALS, 1);
+                                lane.observe(names::ENGINE_QUEUE_DEPTH, depth as u64);
                             }
-                            let own = if S::ACTIVE && shim.steal_first(w) {
-                                None
-                            } else {
+                            stolen
+                        };
+                        match stolen {
+                            Some((i, _)) => i,
+                            None => {
+                                // A steal-first worker may still own
+                                // unclaimed items; drain them before
+                                // exiting so no index is orphaned.
                                 let _claim = lane.span_with(names::ENGINE_CLAIM, w as u64, true);
-                                queue.claim_own(w)
-                            };
-                            let i = match own {
-                                Some(i) => i,
-                                None => {
-                                    if S::ACTIVE {
-                                        shim.yield_point(w, YieldPoint::BeforeSteal);
-                                    }
-                                    let stolen = {
-                                        let _wait = lane.span_with(
-                                            names::ENGINE_QUEUE_WAIT,
-                                            w as u64,
-                                            true,
-                                        );
-                                        queue.steal(w)
-                                    };
-                                    match stolen {
-                                        Some((i, depth)) => {
-                                            steals.fetch_add(1, Ordering::Relaxed);
-                                            lane.instant(
-                                                names::ENGINE_STEAL_EVENT,
-                                                depth as u64,
-                                                true,
-                                            );
-                                            lane.incr(names::ENGINE_STEALS, 1);
-                                            lane.observe(names::ENGINE_QUEUE_DEPTH, depth as u64);
-                                            i
-                                        }
-                                        None => {
-                                            // A steal-first worker may still
-                                            // own unclaimed items; drain them
-                                            // before exiting so no index is
-                                            // orphaned.
-                                            let _claim =
-                                                lane.span_with(names::ENGINE_CLAIM, w as u64, true);
-                                            match queue.claim_own(w) {
-                                                Some(i) => i,
-                                                None => break,
-                                            }
-                                        }
-                                    }
+                                match queue.claim_own(w) {
+                                    Some(i) => i,
+                                    None => break,
                                 }
-                            };
-                            if S::ACTIVE {
-                                shim.yield_point(w, YieldPoint::AfterClaim);
-                            }
-                            // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
-                            let start = Instant::now();
-                            let out = {
-                                let _solve = lane.span_with(names::ENGINE_SOLVE, i as u64, false);
-                                solve(&items[i], &mut ctx)
-                            };
-                            let nanos = (start.elapsed().as_nanos() as u64).max(1);
-                            lane.observe(names::ENGINE_SOLVE_NANOS, nanos);
-                            local.push((i, out, nanos));
-                            if S::ACTIVE {
-                                shim.yield_point(w, YieldPoint::AfterSolve);
                             }
                         }
-                        *scratch = ctx.scratch;
                     }
-                    (local, lane)
-                })
+                };
+                if S::ACTIVE {
+                    shim.yield_point(w, YieldPoint::AfterClaim);
+                }
+                {
+                    let _solve = lane.span_with(names::ENGINE_SOLVE, i as u64, false);
+                    // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
+                    let start = Instant::now();
+                    let out = solve(&items[i], &mut ctx);
+                    let nanos = (start.elapsed().as_nanos() as u64).max(1);
+                    lane.observe(names::ENGINE_SOLVE_NANOS, nanos);
+                    local.push((i, out, nanos));
+                }
+                if S::ACTIVE {
+                    shim.yield_point(w, YieldPoint::AfterSolve);
+                }
+            }
+        }
+        *scratch = ctx.scratch;
+        (local, lane)
+    };
+
+    let done = std::thread::scope(|scope| {
+        let work = &work;
+        let (own, others) = scratches[..threads].split_at_mut(1);
+        let own_lane = obs.fork(1);
+        let handles: Vec<_> = others
+            .iter_mut()
+            .zip(1..)
+            .map(|(scratch, w)| {
+                let lane = obs.fork(w as u32 + 1);
+                scope.spawn(move || work(w, scratch, lane))
             })
             .collect();
+        let mut done = vec![work(0, &mut own[0], own_lane)];
         for handle in handles {
             // lint: allow(no-panic-core, a worker panic is already fatal; re-raising on join is the only honest exit)
-            let (local, lane) = handle.join().expect("engine worker panicked");
-            for (i, out, nanos) in local {
-                slots[i] = Some((out, nanos));
-            }
-            obs.absorb(lane);
+            done.push(handle.join().expect("engine worker panicked"));
         }
+        done
     });
 
-    let ladder_hits = scratches.iter().map(Scratch::ladder_hits).sum::<u64>() - before_hits;
-    let ladder_misses = scratches.iter().map(Scratch::ladder_misses).sum::<u64>() - before_misses;
-    obs.incr(names::ENGINE_LADDER_HITS, ladder_hits);
-    obs.incr(names::ENGINE_LADDER_MISSES, ladder_misses);
-
+    let mut slots: Vec<Option<(RebalanceOutcome, u64)>> = (0..n).map(|_| None).collect();
+    for (local, lane) in done {
+        for (i, out, nanos) in local {
+            slots[i] = Some((out, nanos));
+        }
+        obs.absorb(lane);
+    }
     let mut outcomes = Vec::with_capacity(n);
     let mut solve_nanos = Vec::with_capacity(n);
     for slot in slots {
@@ -531,8 +481,8 @@ where
         solve_nanos,
         workers: threads,
         steals: steals.into_inner(),
-        ladder_hits,
-        ladder_misses,
+        ladder_hits: 0,
+        ladder_misses: 0,
     }
 }
 
@@ -853,31 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn ladder_cache_hits_on_same_multiset_batches() {
-        // One multiset under many placements: every solve after the first
-        // (per worker) must hit the ladder cache.
-        let cfg = GeneratorConfig::uniform(24, 4);
-        let base = cfg.generate(5);
-        let m = base.num_procs();
-        let items: Vec<BatchItem> = (0..16)
-            .map(|v| {
-                let placement: Vec<usize> = (0..base.num_jobs()).map(|j| (j * 7 + v) % m).collect();
-                BatchItem {
-                    instance: Instance::new(base.jobs().to_vec(), placement, m).unwrap(),
-                    budget: Budget::Moves(4),
-                }
-            })
-            .collect();
-        let report = solve_batch(
-            &items,
-            BatchSolver::MPartition,
-            &EngineConfig::with_threads(1),
-        );
-        assert_eq!(report.ladder_misses, 1);
-        assert_eq!(report.ladder_hits, 15);
-    }
-
-    #[test]
     fn empty_batch() {
         let report = solve_batch(&[], BatchSolver::MPartition, &EngineConfig::default());
         assert!(report.outcomes.is_empty());
@@ -909,7 +834,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let cfg = EngineConfig::with_threads(threads);
             let rec = lrb_obs::AtomicRecorder::new();
-            let report = solve_batch_in(&items, BatchSolver::MPartition, &cfg, &rec);
+            solve_batch_in(&items, BatchSolver::MPartition, &cfg, &rec);
             for solver in [HeteroBatchSolver::Greedy, HeteroBatchSolver::MPartition] {
                 solve_hetero_batch_in(&hetero_items, solver, &cfg, &rec);
             }
@@ -922,10 +847,6 @@ mod tests {
             assert_eq!(
                 snap.histogram(names::ENGINE_SOLVE_NANOS).unwrap().count,
                 10 + 2 * 12
-            );
-            assert_eq!(
-                snap.counter(names::ENGINE_LADDER_MISSES).unwrap_or(0),
-                report.ladder_misses
             );
             // The solvers' own telemetry comes back from every worker lane.
             for phase in [
@@ -983,30 +904,6 @@ mod tests {
             }
             assert_eq!(stream.epochs(), epochs.len() as u64);
         }
-    }
-
-    #[test]
-    fn stream_engine_keeps_ladder_warm_across_epochs() {
-        // The same single-farm multiset arrives every epoch (placements
-        // drift); after the first epoch every solve must hit the warm ladder.
-        let cfg = GeneratorConfig::uniform(24, 4);
-        let base = cfg.generate(5);
-        let m = base.num_procs();
-        let mut stream = StreamEngine::new(BatchSolver::MPartition, &EngineConfig::with_threads(1));
-        for epoch in 0..5 {
-            let placement: Vec<usize> = (0..base.num_jobs()).map(|j| (j + epoch) % m).collect();
-            let items = [BatchItem {
-                instance: Instance::new(base.jobs().to_vec(), placement, m).unwrap(),
-                budget: Budget::Moves(4),
-            }];
-            let report = stream.solve_epoch(&items);
-            if epoch == 0 {
-                assert_eq!((report.ladder_hits, report.ladder_misses), (0, 1));
-            } else {
-                assert_eq!((report.ladder_hits, report.ladder_misses), (1, 0));
-            }
-        }
-        assert_eq!((stream.ladder_hits(), stream.ladder_misses()), (4, 1));
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! of increasing instance size, deterministic in the seed.
 //!
 //! Within a rung every instance shares one job multiset under different
-//! placements — the shape an epoch batch or a placement sweep produces —
-//! which is exactly the case the engine's threshold-ladder cache
-//! accelerates, so the bench exercises the cache on purpose.
+//! placements — the shape an epoch batch or a placement sweep produces.
 
 use lrb_core::model::{Budget, Instance};
 use lrb_instances::GeneratorConfig;

@@ -51,7 +51,7 @@ impl ScheduleReport {
 }
 
 /// A seeded mixed batch: varied multisets, placements, and both budget
-/// kinds, so every solver path (including the ladder cache) is exercised.
+/// kinds, so every solver path is exercised.
 fn batch(seed: u64) -> Vec<BatchItem> {
     (0..24)
         .map(|i| {

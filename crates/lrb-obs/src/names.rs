@@ -45,7 +45,8 @@ pub const MPARTITION_CANDIDATES_EXAMINED: &str = "mpartition.candidates_examined
 pub const MPARTITION_CANDIDATES_SKIPPED: &str = "mpartition.candidates_skipped";
 /// Per-threshold PARTITION invocation wall time under M-PARTITION.
 pub const MPARTITION_PARTITION: &str = "mpartition.partition";
-/// Threshold-ladder build (profile rebuild) wall time under M-PARTITION.
+/// Profile rebuild wall time under M-PARTITION: the per-processor sorts
+/// the threshold ladder is read from.
 pub const MPARTITION_LADDER_BUILD: &str = "mpartition.ladder_build";
 
 /// Cost-PARTITION threshold search wall time.
@@ -116,10 +117,6 @@ pub const ENGINE_STEALS: &str = "engine.steals";
 pub const ENGINE_QUEUE_DEPTH: &str = "engine.queue_depth";
 /// Per-item solve wall time in nanoseconds (histogram).
 pub const ENGINE_SOLVE_NANOS: &str = "engine.solve_nanos";
-/// Threshold-ladder cache hits across all workers.
-pub const ENGINE_LADDER_HITS: &str = "engine.ladder_hits";
-/// Threshold-ladder cache misses across all workers.
-pub const ENGINE_LADDER_MISSES: &str = "engine.ladder_misses";
 /// Whole-batch span (payload: item count).
 pub const ENGINE_BATCH: &str = "engine.batch";
 /// Per-worker engine loop span (tracing; scheduling lane).
@@ -141,10 +138,6 @@ pub const ONLINE_ARRIVALS: &str = "online.arrivals";
 pub const ONLINE_DEPARTURES: &str = "online.departures";
 /// Online rebalance events applied.
 pub const ONLINE_REBALANCES: &str = "online.rebalances";
-/// Online rebalances served by the incrementally maintained ladder.
-pub const ONLINE_INCREMENTAL: &str = "online.incremental_updates";
-/// Online rebalances that rebuilt solver state from scratch.
-pub const ONLINE_REBUILDS: &str = "online.full_rebuilds";
 /// Jobs migrated by online rebalances and evacuations.
 pub const ONLINE_MOVES: &str = "online.moves";
 /// Banked-budget balance after each rebalance event (histogram).

@@ -8,11 +8,11 @@
 //!
 //! Writes go to a temp file in the same directory followed by a rename,
 //! so a SIGKILL mid-snapshot leaves either the old snapshot or the new
-//! one — never a torn file. The JSON schema (`SERVE_1`) is stated once, by
+//! one — never a torn file. The JSON schema (`SERVE_2`) is stated once, by
 //! [`SnapshotDoc`], [`TenantSnap`] and [`JobSnap`]: they reject unknown
 //! fields on decode, missing fields are errors, and [`load`] compares
 //! `schema_version`, so a drifted document at any level is refused. The
-//! committed golden `crates/lrb-cli/tests/golden/SERVE_1.json` pins the
+//! committed golden `crates/lrb-cli/tests/golden/SERVE_2.json` pins the
 //! schema against accidental change.
 
 use std::path::{Path, PathBuf};
@@ -21,8 +21,9 @@ use lrb_core::model::{Job, ProcId};
 use lrb_core::online::{JobKey, MoveBank, OnlineRebalancer, OnlineStats};
 use serde::{Deserialize, Serialize};
 
-/// Snapshot schema version (`SERVE_1`).
-pub const SERVE_SCHEMA_VERSION: u32 = 1;
+/// Snapshot schema version (`SERVE_2`). v2: tenants no longer carry the
+/// two threshold-ladder cache counters.
+pub const SERVE_SCHEMA_VERSION: u32 = 2;
 
 /// One live job in a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,10 +65,6 @@ pub struct TenantSnap {
     pub departures: u64,
     /// Rebalance events applied.
     pub rebalances: u64,
-    /// Ladder-warm rebalances.
-    pub incremental_updates: u64,
-    /// From-scratch rebalances.
-    pub full_rebuilds: u64,
     /// Jobs migrated.
     pub moves_performed: u64,
     /// Live jobs, ascending by key.
@@ -146,8 +143,6 @@ pub fn capture_tenant(tenant: u64, farm: &OnlineRebalancer) -> TenantSnap {
         arrivals: stats.arrivals,
         departures: stats.departures,
         rebalances: stats.rebalances,
-        incremental_updates: stats.incremental_updates,
-        full_rebuilds: stats.full_rebuilds,
         moves_performed: stats.moves_performed,
         jobs,
     }
@@ -180,8 +175,6 @@ pub fn restore_tenant(snap: &TenantSnap) -> Result<OnlineRebalancer, SnapshotErr
         arrivals: snap.arrivals,
         departures: snap.departures,
         rebalances: snap.rebalances,
-        incremental_updates: snap.incremental_updates,
-        full_rebuilds: snap.full_rebuilds,
         moves_performed: snap.moves_performed,
     };
     let procs = usize::try_from(snap.procs)
@@ -323,9 +316,9 @@ mod tests {
         assert!(err.contains("tenants[1].jobs[0]"), "{err}");
         assert!(err.contains("missing field 'cost'"), "{err}");
 
-        // A well-formed document at another schema version.
-        let err = load_err(&good.replacen(r#""schema_version":1"#, r#""schema_version":2"#, 1));
-        assert!(err.contains("schema_version 2"), "{err}");
+        // A well-formed document at the retired version 1.
+        let err = load_err(&good.replacen(r#""schema_version":2"#, r#""schema_version":1"#, 1));
+        assert!(err.contains("schema_version 1"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

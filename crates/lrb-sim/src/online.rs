@@ -12,7 +12,7 @@
 //! Three drivers share the same per-epoch accounting:
 //!
 //! * [`run_farm_online`] / [`run_farm_online_in`] — one farm, solved
-//!   inline by the rebalancer (warm incremental ladder).
+//!   inline by the rebalancer in its own warm scratch.
 //! * [`run_farm_online_faulty`] — the same, under an `lrb-faults` plan:
 //!   crashed servers are evacuated (billed to the bank) and solves are
 //!   projected onto surviving servers. The event stream is authoritative —
@@ -187,9 +187,7 @@ fn poisson(rng: &mut StdRng, mean: f64) -> usize {
 pub struct OnlineRunReport {
     /// Epoch metrics, decisions, and (under faults) degradation aggregates.
     pub sim: SimReport,
-    /// Event/solver counters from the rebalancer. In fleet mode the
-    /// incremental/full-rebuild split is reported by the engine instead and
-    /// stays zero here.
+    /// Event and move counters from the rebalancer.
     pub stats: OnlineStats,
     /// Bank balance after each epoch's rebalance.
     pub banked_per_epoch: Vec<u64>,
@@ -292,8 +290,6 @@ fn record_stats<T: Tracer>(stats: &OnlineStats, obs: &T) {
     obs.incr(names::ONLINE_ARRIVALS, stats.arrivals);
     obs.incr(names::ONLINE_DEPARTURES, stats.departures);
     obs.incr(names::ONLINE_REBALANCES, stats.rebalances);
-    obs.incr(names::ONLINE_INCREMENTAL, stats.incremental_updates);
-    obs.incr(names::ONLINE_REBUILDS, stats.full_rebuilds);
     obs.incr(names::ONLINE_MOVES, stats.moves_performed);
 }
 
@@ -533,13 +529,10 @@ pub struct OnlineFleetConfig {
 /// the engine is bit-identical to the sequential solvers at any thread
 /// count, and the bank accounting runs through the same
 /// `begin_rebalance` / `commit_assignment` pair the solo driver uses, each
-/// farm's trace — epoch metrics, banked balances, final loads — matches its
-/// [`run_farm_online`] run exactly. Per-farm epoch indices are the
-/// farm's own contiguous `0..epochs` count (asserted below), regardless of
-/// how farms interleave in the global loop. The one divergence is
-/// telemetry: the incremental/full-rebuild split lives in the engine's
-/// ladder counters in fleet mode, so [`OnlineRunReport::stats`] reports
-/// zero for those two fields.
+/// farm's trace — epoch metrics, banked balances, counters, final loads —
+/// matches its [`run_farm_online`] run exactly. Per-farm epoch indices are
+/// the farm's own contiguous `0..epochs` count (asserted below), regardless
+/// of how farms interleave in the global loop.
 pub fn run_online_fleet(cfg: &OnlineFleetConfig) -> Vec<OnlineRunReport> {
     struct FarmState {
         rebalancer: OnlineRebalancer,
@@ -789,21 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_ladder_makes_most_rebalances_incremental() {
-        let mut c = cfg();
-        c.budget = Budget::Moves(4);
-        let r = run_farm_online(&c);
-        // Churn between epochs changes the multiset, so the epoch solve
-        // itself is primed by the incremental multiset: every non-empty
-        // rebalance should hit the primed ladder.
-        assert_eq!(
-            r.stats.incremental_updates, c.epochs as u64,
-            "{:?}",
-            r.stats
-        );
-    }
-
-    #[test]
     fn online_counters_are_emitted() {
         let rec = lrb_obs::AtomicRecorder::new();
         let c = cfg();
@@ -897,6 +875,7 @@ mod tests {
             assert_eq!(fleet_report.banked_per_epoch, solo.banked_per_epoch);
             assert_eq!(fleet_report.arrivals_per_epoch, solo.arrivals_per_epoch);
             assert_eq!(fleet_report.departures_per_epoch, solo.departures_per_epoch);
+            assert_eq!(fleet_report.stats, solo.stats);
             assert_eq!(fleet_report.final_loads, solo.final_loads);
         }
     }

@@ -32,6 +32,11 @@ run cargo build --release --workspace --offline --locked
 # decode its committed golden and re-encode it byte for byte, and live
 # command output must decode into its type at its schema version.
 run cargo test -q --workspace --offline
+# The engine's and the CLI's trace tests require claim/queue-wait/solve
+# spans to cover 95% of engine worker time. Release solves are shorter, so
+# any per-item work outside those spans weighs more there: run both lib
+# suites in release as well.
+run cargo test -q --release --offline -p lrb-engine -p lrb-cli --lib
 # The benchmark package builds against its own lockfile. Testing it here
 # catches a dependency-edge change, or a break in an API it calls, before
 # a benchmark run does.
@@ -101,7 +106,7 @@ fi
 # live-vs-recovered digest divergence. Cycle 1 is killed; cycle 2 verifies
 # the survivors, shuts down cleanly, and compares the live digests against
 # an offline recovery. The drill must leave a snapshot, offline recovery
-# refuses one that does not decode into `SnapshotDoc` at schema_version 1,
+# refuses one that does not decode into `SnapshotDoc` at schema_version 2,
 # and two offline recoveries must agree.
 run lrb loadgen --drill --data "$tmp/serve" --cycles 2 --tenants 5 --events 20 \
     --workers 2 --snapshot-every 16 --kill-lo 40 --kill-hi 150 --seed 11

@@ -8,16 +8,17 @@
 //!   re-solved every epoch under the move bank's grant, as an online fleet
 //!   does.
 //!
-//! Every farm is solved through both `rebalance` and `rebalance_in` (one
-//! context per digest, so the fleet's solves also reuse a warm scratch).
+//! Every farm is solved twice per search, in a fresh context and in one
+//! context per digest (so the fleet's solves also reuse a warm scratch).
 //! Each digest folds `(threshold, probes, planned_moves, selected,
-//! assignment)` of every solve. The values were recorded with the plain
-//! implementation (a profile sort through id lookups, five small-job
+//! assignment)` of every solve. The `Binary` values were recorded with the
+//! plain implementation (a profile sort through id lookups, five small-job
 //! searches per processor and probe, a full sort of every ranking and of
-//! the whole candidate ladder), so a faster M-PARTITION that keeps the same
-//! answers must reproduce them bit for bit.
+//! the whole candidate ladder); the `Scan` and `Incremental` values with a
+//! global size sort behind `L_T` and the doubled-size candidates. A faster
+//! M-PARTITION that keeps the same answers must reproduce them bit for bit.
 
-use load_rebalance::core::model::{Budget, Job};
+use load_rebalance::core::model::{Budget, Instance, Job};
 use load_rebalance::core::mpartition::{self, MPartitionRun, ThresholdSearch};
 use load_rebalance::core::online::{BankConfig, Event, OnlineRebalancer};
 use load_rebalance::core::Ctx;
@@ -33,6 +34,22 @@ const BATCH_PINNED: [(usize, u64); 3] = [
 
 /// Digest of the fleet farms, recorded before the change.
 const FLEET_PINNED: u64 = 3_307_676_280_288_557_205;
+
+/// `(search, n = 1,000 batch digest, fleet digest)` of the two searches
+/// the digests above leave out, recorded before `L_T` came from the
+/// per-processor profiles. Both walk the same candidates, so they agree.
+const SEARCH_PINNED: [(ThresholdSearch, u64, u64); 2] = [
+    (
+        ThresholdSearch::Scan,
+        10_464_863_051_977_675_053,
+        5_506_123_467_626_470_853,
+    ),
+    (
+        ThresholdSearch::Incremental,
+        10_464_863_051_977_675_053,
+        5_506_123_467_626_470_853,
+    ),
+];
 
 const FLEET_FARMS: u64 = 64;
 const FLEET_EPOCHS: usize = 40;
@@ -59,7 +76,22 @@ fn fold_run(hash: &mut u64, run: &MPartitionRun) {
     }
 }
 
-fn batch_digest(n: usize) -> u64 {
+/// `run` in a fresh context and in the digest's shared one.
+fn fold_both(
+    hash: &mut u64,
+    ctx: &mut Ctx<'_>,
+    search: ThresholdSearch,
+    inst: &Instance,
+    k: usize,
+) -> MPartitionRun {
+    let fresh = mpartition::rebalance_in(inst, k, search, &mut Ctx::default()).unwrap();
+    let reused = mpartition::rebalance_in(inst, k, search, ctx).unwrap();
+    fold_run(hash, &fresh);
+    fold_run(hash, &reused);
+    reused
+}
+
+fn batch_digest(n: usize, search: ThresholdSearch) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let mut ctx = Ctx::default();
     for (law, sizes) in [
@@ -82,17 +114,13 @@ fn batch_digest(n: usize) -> u64 {
         }
         .generate(2_000 + n as u64 * 10 + law as u64);
         for k in [0, 1, n / 16, n / 4, n] {
-            let fresh = mpartition::rebalance(&inst, k).unwrap();
-            let reused =
-                mpartition::rebalance_in(&inst, k, ThresholdSearch::Binary, &mut ctx).unwrap();
-            fold_run(&mut hash, &fresh);
-            fold_run(&mut hash, &reused);
+            fold_both(&mut hash, &mut ctx, search, &inst, k);
         }
     }
     hash
 }
 
-fn fleet_digest() -> u64 {
+fn fleet_digest(search: ThresholdSearch) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let mut ctx = Ctx::default();
     for farm_seed in 0..FLEET_FARMS {
@@ -130,12 +158,7 @@ fn fleet_digest() -> u64 {
             let Budget::Moves(k) = budget else {
                 unreachable!("a move bank grants moves")
             };
-            let inst = farm.instance();
-            let fresh = mpartition::rebalance(&inst, k).unwrap();
-            let reused =
-                mpartition::rebalance_in(&inst, k, ThresholdSearch::Binary, &mut ctx).unwrap();
-            fold_run(&mut hash, &fresh);
-            fold_run(&mut hash, &reused);
+            let reused = fold_both(&mut hash, &mut ctx, search, &farm.instance(), k);
             farm.commit_assignment(reused.outcome.assignment(), budget)
                 .unwrap();
         }
@@ -147,7 +170,7 @@ fn fleet_digest() -> u64 {
 fn batch_farm_answers_match_the_recorded_digests() {
     let got: Vec<(usize, u64)> = BATCH_PINNED
         .iter()
-        .map(|&(n, _)| (n, batch_digest(n)))
+        .map(|&(n, _)| (n, batch_digest(n, ThresholdSearch::Binary)))
         .collect();
     assert_eq!(got, BATCH_PINNED, "M-PARTITION batch answers drifted");
 }
@@ -155,8 +178,17 @@ fn batch_farm_answers_match_the_recorded_digests() {
 #[test]
 fn fleet_farm_answers_match_the_recorded_digest() {
     assert_eq!(
-        fleet_digest(),
+        fleet_digest(ThresholdSearch::Binary),
         FLEET_PINNED,
         "M-PARTITION fleet answers drifted"
     );
+}
+
+#[test]
+fn scan_and_incremental_answers_match_the_recorded_digests() {
+    let got: Vec<(ThresholdSearch, u64, u64)> = SEARCH_PINNED
+        .iter()
+        .map(|&(search, _, _)| (search, batch_digest(1_000, search), fleet_digest(search)))
+        .collect();
+    assert_eq!(got, SEARCH_PINNED, "Scan/Incremental answers drifted");
 }
