@@ -1,10 +1,11 @@
 //! Batch-engine benchmarks: scratch reuse vs. fresh allocation, and the
-//! thread-scaling curve over the standard bench ladder.
+//! thread-scaling curve over the smoke bench ladder.
 //!
-//! Complements `lrb bench` (which emits the machine-readable BENCH_4.json):
-//! this target is for interactive `cargo bench -p lrb-bench --bench
-//! engine_scaling` comparisons while hacking on the engine or the scratch
-//! arenas.
+//! Run `cargo bench -p lrb-bench --bench engine_scaling` for interactive
+//! comparisons while hacking on the engine or the scratch arenas. The
+//! engine's end-to-end throughput is perfbench's (`batch_large`,
+//! `fleet_small`); solver cost is gated by exact work counts in the test
+//! suites.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lrb_core::greedy::{self, ReinsertOrder};

@@ -1,9 +1,12 @@
 //! Zero-cost check for the no-op observer: a hot loop making every call of
 //! the [`Tracer`] trait, monomorphized over `NoopTracer`, must run at the
-//! speed of the identical uninstrumented loop — the medians must agree
-//! within 2% (the bench aborts otherwise). Then, for context, the loop and
-//! GREEDY's `Ctx` entry run untraced and under a live `AtomicRecorder`, and
-//! the batch engine runs untraced and under a live collector.
+//! speed of the identical uninstrumented loop — its median may exceed the
+//! plain loop's by at most 2% plus 20 µs (the bench aborts otherwise). On
+//! the 65,536-element loop below the 20 µs floor dominates: with a plain
+//! median of 80–90 µs (2-vCPU x86-64 VM) the limit is about 1.25× it. Then,
+//! for context, the loop and GREEDY's `Ctx` entry run untraced and under a
+//! live `AtomicRecorder`, and the batch engine runs untraced and under a
+//! live collector.
 
 use std::time::Instant;
 
@@ -51,7 +54,7 @@ fn median_nanos(runs: usize, mut f: impl FnMut() -> u64) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// Abort unless `instrumented` runs within 2% of [`plain_sum`].
+/// Abort unless `instrumented` runs within 2% plus 20 µs of [`plain_sum`].
 fn assert_free(what: &str, data: &[u64], instrumented: impl Fn(&[u64]) -> u64) {
     // Warm up, then compare independent medians over many runs so a single
     // scheduler hiccup cannot decide the outcome.
@@ -66,7 +69,7 @@ fn assert_free(what: &str, data: &[u64], instrumented: impl Fn(&[u64]) -> u64) {
     let limit = plain + plain / 50 + 20_000;
     assert!(
         noop <= limit,
-        "{what} overhead above 2%: plain {plain}ns vs instrumented {noop}ns"
+        "{what} overhead above 2% + 20us: plain {plain}ns vs instrumented {noop}ns"
     );
     println!("{what} check: plain {plain}ns, instrumented {noop}ns (limit {limit}ns) — ok");
 }

@@ -760,8 +760,6 @@ USAGE:
              [--crash-rate R] [--recovery-rate R] [--smoke] [--out FILE]
   lrb compete [--m M] [--epochs E] [--arrivals A] [--max-size S]
               [--speeds 1,1,..] [--seed S] [--smoke] [--out FILE]
-  lrb bench [--threads 1,2,4,8] [--seed S] [--repeat R] [--smoke] [--out FILE]
-            [--baseline FILE [--threshold T] [--compare FILE]]
   lrb trace [--scenario smoke_ladder|standard_ladder|chaos|online|lint]
             [--threads T] [--seed S] [--out FILE]
   lrb online [--servers M] [--epochs E] [--initial-jobs J] [--arrival-rate R]
@@ -778,17 +776,6 @@ USAGE:
   lrb loadgen --drill --data DIR [--cycles C] [--kill-lo MS] [--kill-hi MS]
               [--tenants N] [--events E] [--workers W] [--seed S]
               [+ any serve config flag, forwarded to each incarnation]
-
-BENCH:
-  drives the standard_ladder instance batches through the work-stealing
-  batch engine at each thread count and prints throughput, p50/p99 solve
-  latency, and the scaling curve; --out writes the schema-versioned JSON
-  report (BENCH_4.json), --smoke runs a seconds-long cut-down ladder.
-  Thread counts beyond the host's parallelism are marked oversubscribed
-  and excluded from the headline speedup. --baseline FILE compares against
-  a pinned report and exits nonzero when throughput drops or p99 rises by
-  more than --threshold (default 0.2); --compare FILE checks two existing
-  reports without running anything (oversubscribed points never gate)
 
 TRACE:
   runs a scenario under the structured span tracer (engine worker
@@ -846,90 +833,6 @@ DISTRIBUTIONS (--dist): uniform | exponential | pareto | constant
 PLACEMENTS (--placement): random | pile | skewed | balanced
 COSTS (--costs): unit | uniform | size"
         .to_string()
-}
-
-/// Read a bench report file's thread curve.
-fn read_curve(path: &str) -> Result<crate::compare::Curve, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    crate::compare::Curve::parse(&text, path)
-}
-
-/// `lrb bench [--threads 1,2,4,8] [--seed S] [--repeat R] [--smoke]
-/// [--out FILE] [--baseline FILE [--threshold T] [--compare FILE]]`
-pub fn bench_cmd(args: &Args) -> CmdResult {
-    let threads_spec = args.get("threads").unwrap_or("1,2,4,8").to_string();
-    let seed: u64 = args.get_or("seed", 0).map_err(|e| e.to_string())?;
-    let smoke = args.has("smoke");
-    let repeats: usize = args
-        .get_or("repeat", if smoke { 1 } else { 3 })
-        .map_err(|e| e.to_string())?;
-    let out_path = args.get("out").map(str::to_string);
-    let baseline_path = args.get("baseline").map(str::to_string);
-    let compare_path = args.get("compare").map(str::to_string);
-    let threshold: f64 = args
-        .get_or("threshold", crate::compare::DEFAULT_THRESHOLD)
-        .map_err(|e| e.to_string())?;
-    args.reject_unknown().map_err(|e| e.to_string())?;
-    if compare_path.is_some() && baseline_path.is_none() {
-        return Err("--compare requires --baseline".to_string());
-    }
-    if !(0.0..1.0).contains(&threshold) {
-        return Err(format!(
-            "--threshold {threshold}: expected a fraction in [0, 1)"
-        ));
-    }
-
-    // Pure-file mode: compare two existing reports, no live run.
-    if let (Some(base), Some(cur)) = (&baseline_path, &compare_path) {
-        let cmp = crate::compare::compare(&read_curve(base)?, &read_curve(cur)?, threshold)?;
-        let table = crate::compare::render(&cmp);
-        return if cmp.regressed() {
-            Err(format!("{table}bench regression against {base}"))
-        } else {
-            Ok(table)
-        };
-    }
-
-    let threads: Vec<usize> = threads_spec
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("--threads '{threads_spec}': expected e.g. 1,2,4,8"))
-                .and_then(|n| {
-                    if n == 0 {
-                        Err("--threads entries must be >= 1".to_string())
-                    } else {
-                        Ok(n)
-                    }
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    if threads.is_empty() {
-        return Err("--threads needs at least one entry".to_string());
-    }
-    if repeats == 0 {
-        return Err("--repeat must be >= 1".to_string());
-    }
-
-    let report = crate::bench::run(&threads, seed, repeats, smoke);
-    let mut out = crate::bench::render(&report);
-    if let Some(p) = out_path {
-        let json =
-            serde_json::to_string_pretty(&report).map_err(|e| format!("encode error: {e}"))?;
-        std::fs::write(&p, json).map_err(|e| format!("writing {p}: {e}"))?;
-        out.push_str(&format!("\nreport written to {p}"));
-    }
-    if let Some(base) = &baseline_path {
-        let current = crate::compare::Curve::of(&report)?;
-        let cmp = crate::compare::compare(&read_curve(base)?, &current, threshold)?;
-        out.push('\n');
-        out.push_str(&crate::compare::render(&cmp));
-        if cmp.regressed() {
-            return Err(format!("{out}\nbench regression against {base}"));
-        }
-    }
-    Ok(out)
 }
 
 /// `lrb trace [--scenario smoke_ladder|standard_ladder|chaos|online|lint]
@@ -1074,7 +977,6 @@ pub fn dispatch(tokens: Vec<String>) -> CmdResult {
             profile(&args, path)
         }
         Some("simulate") => simulate(&args),
-        Some("bench") => bench_cmd(&args),
         Some("trace") => trace_cmd(&args),
         Some("chaos") => chaos_cmd(&args),
         Some("hetero") => hetero_cmd(&args),
@@ -1203,93 +1105,6 @@ mod tests {
         let out = run("simulate --sites 30 --servers 4 --epochs 10 --moves 2").unwrap();
         assert!(out.contains("m-partition"));
         assert!(out.contains("full-rebalance"));
-    }
-
-    #[test]
-    fn bench_smoke_writes_a_schema_versioned_report() {
-        let path = tmpfile("bench.json");
-        let out = run(&format!(
-            "bench --smoke --threads 1,2 --seed 3 --out {path}"
-        ))
-        .unwrap();
-        assert!(out.contains("engine bench"), "{out}");
-        assert!(out.contains("solves/s"), "{out}");
-        let v: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(v["schema_version"], 4u64);
-        assert_eq!(v["scenario"], "smoke_ladder");
-        let curve = v["thread_curve"].as_array().unwrap();
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[0]["threads"], 1u64);
-        assert_eq!(curve[1]["threads"], 2u64);
-        assert_eq!(curve[0]["oversubscribed"], false);
-    }
-
-    #[test]
-    fn bench_rejects_bad_thread_specs() {
-        assert!(run("bench --smoke --threads 0").is_err());
-        assert!(run("bench --smoke --threads nope").is_err());
-        assert!(run("bench --smoke --repeat 0").is_err());
-        assert!(run("bench --compare somewhere.json")
-            .unwrap_err()
-            .contains("--compare requires --baseline"));
-        assert!(
-            run("bench --baseline somewhere.json --compare x.json --threshold 2")
-                .unwrap_err()
-                .contains("--threshold")
-        );
-    }
-
-    #[test]
-    fn bench_baseline_comparison_gates_through_the_cli() {
-        let path = tmpfile("bench-base.json");
-        run(&format!("bench --smoke --threads 1 --seed 3 --out {path}")).unwrap();
-        // A report compared against itself passes.
-        let ok = run(&format!("bench --baseline {path} --compare {path}")).unwrap();
-        assert!(ok.contains("verdict: ok"), "{ok}");
-        // Inject a 1000x throughput collapse: the comparison must fail.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut doc: serde_json::Value = serde_json::from_str(&text).unwrap();
-        if let serde_json::Value::Object(entries) = &mut doc {
-            for (k, v) in entries.iter_mut() {
-                if k == "thread_curve" {
-                    if let serde_json::Value::Array(points) = v {
-                        for p in points {
-                            if let serde_json::Value::Object(fields) = p {
-                                for (pk, pv) in fields.iter_mut() {
-                                    if pk == "throughput_per_sec" {
-                                        *pv = serde_json::Value::Number(serde_json::Number::F64(
-                                            0.001,
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let slow = tmpfile("bench-slow.json");
-        std::fs::write(&slow, serde_json::to_string_pretty(&doc).unwrap()).unwrap();
-        let err = run(&format!("bench --baseline {path} --compare {slow}")).unwrap_err();
-        assert!(err.contains("REGRESSED"), "{err}");
-        assert!(err.contains("bench regression"), "{err}");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&slow).ok();
-    }
-
-    #[test]
-    fn bench_live_run_against_its_own_baseline_passes() {
-        // Live runs are noisy; a same-seed 1-thread smoke run stays well
-        // within a generous 90% threshold of itself.
-        let path = tmpfile("bench-live-base.json");
-        run(&format!("bench --smoke --threads 1 --seed 3 --out {path}")).unwrap();
-        let out = run(&format!(
-            "bench --smoke --threads 1 --seed 3 --baseline {path} --threshold 0.9"
-        ))
-        .unwrap();
-        assert!(out.contains("baseline comparison"), "{out}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! into their types without spawning a subprocess.
 
 pub mod args;
-pub mod bench;
 pub mod chaos;
 pub mod commands;
-pub mod compare;
 pub mod compete;
 pub mod hetero;
 pub mod online;

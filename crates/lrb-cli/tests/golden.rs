@@ -1,10 +1,10 @@
 //! Golden-schema tests for the machine-readable JSON documents.
 //!
-//! Each of the eight schemas (BENCH_4, CHAOS_1, ONLINE_2, HETERO_1,
-//! COMPETE_1, TRACE_1, LINT_1, and the lrb-serve snapshot SERVE_2) is
-//! stated once, by its Rust type. The derived `Deserialize` rejects
-//! unknown fields and missing fields at every level, and names the record
-//! at fault (`epoch_curve[0]`, `traceEvents[0]`). `golden/<SCHEMA>.json`
+//! Each of the seven schemas (CHAOS_1, ONLINE_2, HETERO_1, COMPETE_1,
+//! TRACE_1, LINT_1, and the lrb-serve snapshot SERVE_2) is stated once, by
+//! its Rust type. The derived `Deserialize` rejects unknown fields and
+//! missing fields at every level, and names the record at fault
+//! (`epoch_curve[0]`, `traceEvents[0]`). `golden/<SCHEMA>.json`
 //! pins each type: it must decode and re-encode to the same bytes, so a
 //! field added, removed or renamed fails here until the golden is edited
 //! on purpose (and the version bumped). The live tests decode real command
@@ -14,7 +14,6 @@
 //! LINT_1 is written by the std-only `lrb-lint`, so its reader type,
 //! [`LintReport`], lives here on the consumer side.
 
-use lrb_cli::bench::{BenchReport, BENCH_SCHEMA_VERSION};
 use lrb_cli::chaos::{ChaosReport, CHAOS_SCHEMA_VERSION};
 use lrb_cli::commands::dispatch;
 use lrb_cli::compete::{CompeteReport, COMPETE_SCHEMA_VERSION};
@@ -99,7 +98,6 @@ macro_rules! schema {
 }
 
 schema! {
-    BenchReport => BENCH_SCHEMA_VERSION,
     ChaosReport => CHAOS_SCHEMA_VERSION,
     OnlineReport => ONLINE_SCHEMA_VERSION,
     HeteroReport => HETERO_SCHEMA_VERSION,
@@ -198,7 +196,6 @@ fn every_golden_decodes_into_its_type_and_re_encodes_unchanged() {
             .join(name);
         decode_exact::<T>(&std::fs::read_to_string(path).unwrap(), name);
     }
-    check::<BenchReport>("BENCH_4.json");
     check::<ChaosReport>("CHAOS_1.json");
     check::<OnlineReport>("ONLINE_2.json");
     check::<HeteroReport>("HETERO_1.json");
@@ -227,12 +224,6 @@ fn retired_versions_are_refused() {
     }
     refuse::<OnlineReport>("ONLINE_2.json", 1);
     refuse::<SnapshotDoc>("SERVE_2.json", 1);
-}
-
-#[test]
-fn bench_report_matches_the_pinned_schema() {
-    let report: BenchReport = run_and_decode("bench --smoke --threads 1,2 --seed 3", "bench.json");
-    assert_eq!(report.thread_curve.len(), 2);
 }
 
 #[test]

@@ -565,4 +565,53 @@ mod tests {
         let plain = rebalance(&inst, 6).unwrap();
         assert_eq!(budgeted.outcome.assignment(), plain.outcome.assignment());
     }
+
+    /// `n` jobs with sizes 1–1000 and costs 1–10 on `n/8` processors, skewed
+    /// towards the low processors (the farms of `tests/warm_alloc.rs`).
+    fn farm(n: usize, seed: u64) -> Instance {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let m = n / 8;
+        let jobs: Vec<Job> = (0..n)
+            .map(|_| Job::with_cost(rng.gen_range(1..=1000), rng.gen_range(1..=10)))
+            .collect();
+        let initial = (0..n)
+            .map(|_| {
+                let u = rng.gen_range(0..m);
+                u * u / m
+            })
+            .collect();
+        Instance::new(jobs, initial, m).unwrap()
+    }
+
+    #[test]
+    fn knapsack_work_matches_the_recorded_counts() {
+        // `(n, guesses, bb_nodes, bb_fallbacks)` summed over seeds 0–2 and
+        // budgets of half, a quarter and an eighth of the total cost. Any
+        // change to the search or the knapsack that does more work fails
+        // here; one that does less re-records the counts it earns.
+        const PINNED: [(usize, u64, u64, u64); 2] =
+            [(1_000, 143, 355_568, 0), (4_000, 152, 1_491_795, 0)];
+        for (n, guesses, nodes, fallbacks) in PINNED {
+            let rec = lrb_obs::AtomicRecorder::new();
+            let mut ctx = Ctx::new(&rec);
+            for seed in 0..3 {
+                let inst = farm(n, seed);
+                for div in [2, 4, 8] {
+                    rebalance_in(&inst, inst.total_cost() / div, &mut ctx).unwrap();
+                }
+            }
+            let snap = rec.snapshot();
+            let count = |name| snap.counter(name).unwrap_or(0);
+            assert_eq!(
+                (
+                    count(names::COST_PARTITION_GUESSES),
+                    count(names::KNAPSACK_BB_NODES),
+                    count(names::KNAPSACK_BB_FALLBACKS),
+                ),
+                (guesses, nodes, fallbacks),
+                "n={n}: (guesses, bb_nodes, bb_fallbacks)"
+            );
+        }
+    }
 }

@@ -651,7 +651,7 @@ mod tests {
         assert_eq!(cost, sol.kept_cost);
         let snap = rec.snapshot();
         assert_eq!(snap.counter(names::KNAPSACK_BB_FALLBACKS), None);
-        assert!(snap.counter(names::KNAPSACK_BB_NODES).unwrap_or(0) > 0);
+        assert_eq!(snap.counter(names::KNAPSACK_BB_NODES), Some(328));
     }
 
     #[test]

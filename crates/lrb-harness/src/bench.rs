@@ -1,7 +1,8 @@
-//! Reproducible instance batches for the engine benchmark pipeline.
+//! Reproducible instance batches for the engine benchmarks.
 //!
-//! The `lrb bench` subcommand and the `engine_scaling` criterion bench both
-//! need the *same* work so their numbers are comparable across runs and
+//! The `engine_scaling` and `noop_overhead` criterion benches and the
+//! `lrb trace --scenario smoke_ladder|standard_ladder` timelines all need
+//! the *same* work so their numbers are comparable across runs and
 //! machines. [`standard_ladder`] builds that work: a ladder of batch rungs
 //! of increasing instance size, deterministic in the seed.
 //!

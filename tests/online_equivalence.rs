@@ -27,8 +27,9 @@ fn drive_and_check(cfg: OnlineWorkloadConfig) {
     for event in workload.initial_events() {
         rebalancer.apply(event).unwrap();
     }
-    // Warm stream engines survive across epochs: their scratch reuse (the
-    // primed threshold ladder) must never change an answer.
+    // Warm stream engines survive across epochs: their scratch reuse (each
+    // worker's warm profile and PARTITION buffers) must never change an
+    // answer.
     let mut engines: Vec<StreamEngine> = THREAD_COUNTS
         .iter()
         .map(|&t| StreamEngine::new(BatchSolver::MPartition, &EngineConfig::with_threads(t)))
