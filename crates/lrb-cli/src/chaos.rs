@@ -11,9 +11,7 @@
 use lrb_faults::{FaultConfig, FaultPlan};
 use lrb_harness::scenarios::{crash_sweep, FaultScenario};
 use lrb_obs::Tracer;
-use lrb_sim::{
-    run_farm_faulty_in, FallbackPolicy, FarmConfig, MPartitionPolicy, Policy, SimReport,
-};
+use lrb_sim::{run_farm_in, FallbackPolicy, FarmConfig, MPartitionPolicy, Policy, SimReport};
 use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`ChaosReport`]; bump on breaking field changes.
@@ -105,7 +103,7 @@ pub fn sweep<T: Tracer>(
             Box::new(FallbackPolicy::practical()),
         ];
         for mut policy in policies {
-            let report = run_farm_faulty_in(farm, policy.as_mut(), &plan, obs);
+            let report = run_farm_in(farm, policy.as_mut(), &plan, obs);
             points.push(ChaosPoint::from_report(&scenario, &report));
         }
     }

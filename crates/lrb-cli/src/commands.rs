@@ -1,11 +1,13 @@
 //! The CLI subcommands: `generate`, `info`, `solve`, `simulate`, `chaos`,
 //! `online`.
 
+use lrb_core::deadline::{DeadlineSolver, SolverKind};
 use lrb_core::greedy::ReinsertOrder;
 use lrb_core::model::Budget;
 use lrb_core::mpartition::ThresholdSearch;
 use lrb_core::ptas::{self, Precision};
 use lrb_core::{bounds, cost_partition, greedy, knapsack, mpartition, Ctx};
+use lrb_faults::FaultPlan;
 use lrb_harness::Table;
 use lrb_instances::generators::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
 use lrb_instances::spec;
@@ -155,18 +157,9 @@ pub fn solve(args: &Args, path: &str) -> CmdResult {
                 .map_err(|e| e.to_string())?
                 .outcome
         }
-        "mpartition" => match budget_enum {
-            Budget::Moves(k) => {
-                mpartition::rebalance_in(&inst, k, search, &mut ctx)
-                    .map_err(|e| e.to_string())?
-                    .outcome
-            }
-            Budget::Cost(b) => {
-                cost_partition::rebalance_in(&inst, b, &mut ctx)
-                    .map_err(|e| e.to_string())?
-                    .outcome
-            }
-        },
+        "mpartition" => DeadlineSolver::new(SolverKind::MPartition(search))
+            .solve(&inst, budget_enum, &mut ctx)
+            .map_err(|e| e.to_string())?,
         "cost" => {
             cost_partition::rebalance_in(&inst, cost_budget, &mut ctx)
                 .map_err(|e| e.to_string())?
@@ -367,7 +360,7 @@ pub fn simulate(args: &Args) -> CmdResult {
         Box::new(FullRebalance),
     ];
     for mut p in policies {
-        let r = lrb_sim::run_farm_in(&cfg, p.as_mut(), &rec);
+        let r = lrb_sim::run_farm_in(&cfg, p.as_mut(), &FaultPlan::none(servers), &rec);
         table.row(&[
             r.policy.clone(),
             format!("{:.3}", r.mean_imbalance()),

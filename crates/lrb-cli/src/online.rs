@@ -1,17 +1,20 @@
 //! The `online` subcommand: streaming arrivals/departures with a banked
 //! move budget.
 //!
-//! Drives [`lrb_sim::run_farm_online_in`] — an [`OnlineRebalancer`]
-//! fed by a seeded churn stream, rebalanced once per epoch under the
-//! amortized move bank — and emits a schema-versioned JSON report
+//! Drives one farm as a fault-free fleet of one through
+//! [`lrb_sim::run_online_fleet_in`] — an [`OnlineRebalancer`] fed by a
+//! seeded churn stream, rebalanced once per epoch under the amortized move
+//! bank, solved inline by the streaming engine on the calling thread — and
+//! emits a schema-versioned JSON report
 //! (`ONLINE_2.json` by convention) with the run's summary counters plus a
 //! per-epoch curve (makespan, migrations, banked balance, churn).
 //!
 //! [`OnlineRebalancer`]: lrb_core::online::OnlineRebalancer
 
 use lrb_core::model::Budget;
+use lrb_faults::FaultPlan;
 use lrb_obs::Tracer;
-use lrb_sim::{run_farm_online_in, OnlineRunReport, OnlineWorkloadConfig};
+use lrb_sim::{run_online_fleet_in, OnlineFleetConfig, OnlineRunReport, OnlineWorkloadConfig};
 use serde::{Deserialize, Serialize};
 
 /// Version stamp on every [`OnlineReport`]; bump on breaking field changes.
@@ -151,8 +154,12 @@ impl OnlineReport {
 
 /// Run one online farm and package the report.
 pub fn run<T: Tracer>(cfg: &OnlineWorkloadConfig, obs: &T) -> OnlineReport {
-    let run = run_farm_online_in(cfg, obs);
-    OnlineReport::from_run(cfg, &run)
+    let fleet = OnlineFleetConfig {
+        farms: vec![*cfg],
+        threads: 1,
+    };
+    let runs = run_online_fleet_in(&fleet, &[FaultPlan::none(cfg.num_procs)], obs);
+    OnlineReport::from_run(cfg, &runs[0])
 }
 
 /// Render the human-readable summary.

@@ -18,10 +18,12 @@
 //! fixed scenario/seed at any thread count.
 
 use lrb_engine::{solve_batch_in, BatchItem, BatchSolver, EngineConfig};
+use lrb_faults::FaultPlan;
 use lrb_harness::bench::{smoke_ladder, standard_ladder, BenchBatch};
 use lrb_obs::{names, Trace, TraceCollector, Tracer, TRACE_SCHEMA_VERSION};
 use lrb_sim::{
-    run_farm_faulty_in, run_farm_online_in, FarmConfig, MPartitionPolicy, OnlineWorkloadConfig,
+    run_farm_in, run_online_fleet_in, FarmConfig, MPartitionPolicy, OnlineFleetConfig,
+    OnlineWorkloadConfig,
 };
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -110,30 +112,36 @@ fn chaos_trace(seed: u64) -> TraceRun {
     farm.epochs = 50;
     farm.seed = seed;
     let fault_cfg = lrb_faults::FaultConfig::crashes(0.15, 0.5, seed);
-    let plan = lrb_faults::FaultPlan::generate(&fault_cfg, farm.num_servers, farm.epochs);
+    let plan = FaultPlan::generate(&fault_cfg, farm.num_servers, farm.epochs);
 
     let collector = TraceCollector::new(1);
     let main = collector.main();
     {
         let _run = main.span(names::SIM_RUN);
-        run_farm_faulty_in(&farm, &mut MPartitionPolicy, &plan, main);
+        run_farm_in(&farm, &mut MPartitionPolicy, &plan, main);
     }
     let trace = collector.finish("chaos", seed, 1, "m-partition");
     let attributed = trace.attributed_fraction(names::SIM_RUN, &[names::SIM_EPOCH]);
     TraceRun { trace, attributed }
 }
 
-/// Stream the online churn workload with per-epoch spans.
+/// Stream the online churn workload, a fault-free fleet of one, with
+/// per-epoch spans.
 fn online_trace(seed: u64) -> TraceRun {
     let mut cfg = OnlineWorkloadConfig::default_online(6);
     cfg.epochs = 40;
     cfg.seed = seed;
+    let plan = FaultPlan::none(cfg.num_procs);
+    let fleet = OnlineFleetConfig {
+        farms: vec![cfg],
+        threads: 1,
+    };
 
     let collector = TraceCollector::new(1);
     let main = collector.main();
     {
         let _run = main.span(names::SIM_RUN);
-        run_farm_online_in(&cfg, main);
+        run_online_fleet_in(&fleet, &[plan], main);
     }
     let trace = collector.finish("online", seed, 1, "online-m-partition");
     let attributed = trace.attributed_fraction(names::SIM_RUN, &[names::SIM_EPOCH]);

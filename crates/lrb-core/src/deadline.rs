@@ -121,7 +121,10 @@ pub enum SolverKind {
     /// The `(1+ε)` PTAS (§4) — best quality, exponential in `1/ε`.
     Ptas(Precision),
     /// M-PARTITION / cost-PARTITION (§3) — the 1.5-approximation workhorse.
-    MPartition,
+    /// The search locates M-PARTITION's threshold under a move budget
+    /// ([`ThresholdSearch::Binary`] unless a caller asks otherwise; every
+    /// search finds the same threshold).
+    MPartition(ThresholdSearch),
     /// The arbitrary-cost PARTITION variant (§3.2), forced even for move
     /// budgets.
     CostPartition,
@@ -136,7 +139,7 @@ impl SolverKind {
     pub fn name(&self) -> &'static str {
         match self {
             SolverKind::Ptas(_) => "ptas",
-            SolverKind::MPartition => "m-partition",
+            SolverKind::MPartition(_) => "m-partition",
             SolverKind::CostPartition => "cost-partition",
             SolverKind::Greedy => "greedy",
             SolverKind::NoMove => "no-move",
@@ -188,10 +191,8 @@ impl DeadlineSolver {
                 let k = bounds::max_moves_within(inst, budget);
                 greedy::rebalance_in(inst, k, ReinsertOrder::Descending, ctx)?.outcome
             }
-            SolverKind::MPartition => match budget {
-                Budget::Moves(k) => {
-                    mpartition::rebalance_in(inst, k, ThresholdSearch::Binary, ctx)?.outcome
-                }
+            SolverKind::MPartition(search) => match budget {
+                Budget::Moves(k) => mpartition::rebalance_in(inst, k, search, ctx)?.outcome,
                 Budget::Cost(b) => cost_partition::rebalance_in(inst, b, ctx)?.outcome,
             },
             SolverKind::CostPartition => {
@@ -269,7 +270,7 @@ impl FallbackChain {
     pub fn standard() -> Self {
         Self::new(vec![
             SolverKind::Ptas(Precision::from_q(5)),
-            SolverKind::MPartition,
+            SolverKind::MPartition(ThresholdSearch::Binary),
             SolverKind::Greedy,
         ])
     }
@@ -277,7 +278,10 @@ impl FallbackChain {
     /// The practical ladder for large instances (skips the PTAS):
     /// M-PARTITION → GREEDY → no-move.
     pub fn practical() -> Self {
-        Self::new(vec![SolverKind::MPartition, SolverKind::Greedy])
+        Self::new(vec![
+            SolverKind::MPartition(ThresholdSearch::Binary),
+            SolverKind::Greedy,
+        ])
     }
 
     /// Tier names in order, for display.
@@ -360,7 +364,7 @@ mod tests {
         let inst = piled();
         for kind in [
             SolverKind::Greedy,
-            SolverKind::MPartition,
+            SolverKind::MPartition(ThresholdSearch::Binary),
             SolverKind::CostPartition,
             SolverKind::Ptas(Precision::from_q(2)),
             SolverKind::NoMove,
@@ -377,7 +381,7 @@ mod tests {
         let inst = piled();
         for kind in [
             SolverKind::Greedy,
-            SolverKind::MPartition,
+            SolverKind::MPartition(ThresholdSearch::Binary),
             SolverKind::CostPartition,
             SolverKind::Ptas(Precision::from_q(2)),
         ] {

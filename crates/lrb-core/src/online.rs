@@ -37,6 +37,7 @@ use crate::ctx::Ctx;
 use crate::deadline::{DeadlineSolver, SolverKind};
 use crate::error::{Error, Result};
 use crate::model::{Budget, Instance, Job, ProcId, Size};
+use crate::mpartition::ThresholdSearch;
 use crate::outcome::RebalanceOutcome;
 use crate::scratch::Scratch;
 
@@ -643,9 +644,10 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
     /// Run a full rebalance event: accrue the bank, solve the current
     /// snapshot with the effective budget, and commit the result.
     ///
-    /// The solve is [`SolverKind::MPartition`]'s [`DeadlineSolver`]:
-    /// `Budget::Moves` solves via [`crate::mpartition`], `Budget::Cost` via
-    /// [`crate::cost_partition`], both in the rebalancer's warm scratch.
+    /// The solve is [`SolverKind::MPartition`]'s [`DeadlineSolver`] with a
+    /// binary threshold search: `Budget::Moves` solves via
+    /// [`crate::mpartition`], `Budget::Cost` via [`crate::cost_partition`],
+    /// both in the rebalancer's warm scratch.
     pub fn rebalance(&mut self, requested: Budget) -> Result<RebalanceStep> {
         let banked_before = self.bank.balance();
         let effective = self.begin_rebalance(requested);
@@ -664,7 +666,8 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
             scratch: std::mem::take(&mut self.scratch),
             ..Ctx::default()
         };
-        let solved = DeadlineSolver::new(SolverKind::MPartition).solve(&inst, effective, &mut ctx);
+        let solved = DeadlineSolver::new(SolverKind::MPartition(ThresholdSearch::Binary))
+            .solve(&inst, effective, &mut ctx);
         self.scratch = ctx.scratch;
         let outcome = solved?;
         self.commit_assignment(&outcome.assignment().to_vec(), effective)?;

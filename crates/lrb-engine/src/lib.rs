@@ -39,6 +39,7 @@ use std::time::Instant;
 use lrb_core::deadline::{DeadlineSolver, SolverKind, WorkBudget};
 use lrb_core::hetero::{self, Speeds};
 use lrb_core::model::{Budget, Instance};
+use lrb_core::mpartition::ThresholdSearch;
 use lrb_core::outcome::RebalanceOutcome;
 use lrb_core::scratch::Scratch;
 use lrb_core::Ctx;
@@ -70,7 +71,7 @@ impl BatchSolver {
     fn kind(self) -> SolverKind {
         match self {
             BatchSolver::Greedy => SolverKind::Greedy,
-            BatchSolver::MPartition => SolverKind::MPartition,
+            BatchSolver::MPartition => SolverKind::MPartition(ThresholdSearch::Binary),
             BatchSolver::CostPartition => SolverKind::CostPartition,
         }
     }

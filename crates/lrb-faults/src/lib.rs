@@ -20,9 +20,9 @@
 //!   seeded factor).
 //!
 //! Everything is deterministic for a fixed seed, and a
-//! [`FaultPlan::none`] plan is guaranteed to be an exact no-op — the
-//! simulator's fault-free path reproduces its historical results
-//! bit-for-bit.
+//! [`FaultPlan::none`] plan is guaranteed to be an exact no-op: the
+//! simulators run every epoch loop under a plan, and a fault-free one
+//! reproduces the fault-oblivious results bit-for-bit.
 
 pub mod pathind;
 pub mod plan;

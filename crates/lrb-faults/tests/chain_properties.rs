@@ -6,7 +6,7 @@ use lrb_core::deadline::{FallbackChain, WorkBudget};
 use lrb_core::model::{Budget, Instance};
 use lrb_core::Ctx;
 use lrb_faults::{FaultConfig, FaultPlan};
-use lrb_sim::{run_farm_faulty, FallbackPolicy, FarmConfig};
+use lrb_sim::{run_farm_in, FallbackPolicy, FarmConfig, NoopTracer};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -103,8 +103,8 @@ proptest! {
         farm.seed = seed;
         let plan = FaultPlan::generate(&fault_cfg, farm.num_servers, farm.epochs);
 
-        let a = run_farm_faulty(&farm, &mut FallbackPolicy::practical(), &plan);
-        let b = run_farm_faulty(&farm, &mut FallbackPolicy::practical(), &plan);
+        let a = run_farm_in(&farm, &mut FallbackPolicy::practical(), &plan, &NoopTracer);
+        let b = run_farm_in(&farm, &mut FallbackPolicy::practical(), &plan, &NoopTracer);
         prop_assert_eq!(&a.epochs, &b.epochs);
         prop_assert_eq!(&a.decisions, &b.decisions);
         prop_assert_eq!(&a.degradation, &b.degradation);

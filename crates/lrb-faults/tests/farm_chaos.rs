@@ -5,7 +5,7 @@
 
 use lrb_faults::{FaultConfig, FaultPlan};
 use lrb_sim::{
-    run_farm, run_farm_faulty, FallbackPolicy, FarmConfig, GreedyPolicy, MPartitionPolicy,
+    run_farm, run_farm_in, FallbackPolicy, FarmConfig, GreedyPolicy, MPartitionPolicy, NoopTracer,
 };
 
 fn farm() -> FarmConfig {
@@ -24,7 +24,7 @@ fn ten_percent_crash_rate_yields_a_valid_assignment_every_epoch() {
     );
     assert!(!plan.is_fault_free());
 
-    let report = run_farm_faulty(&cfg, &mut MPartitionPolicy, &plan);
+    let report = run_farm_in(&cfg, &mut MPartitionPolicy, &plan, &NoopTracer);
     assert_eq!(report.epochs.len(), cfg.epochs);
     for e in &report.epochs {
         // A valid assignment keeps the whole load placed: the makespan can
@@ -50,7 +50,7 @@ fn fallback_provenance_is_recorded_in_the_report() {
         cfg.epochs,
     );
 
-    let report = run_farm_faulty(&cfg, &mut FallbackPolicy::standard(), &plan);
+    let report = run_farm_in(&cfg, &mut FallbackPolicy::standard(), &plan, &NoopTracer);
     assert_eq!(report.provenance.len(), cfg.epochs);
     // Exhausted-budget epochs drove the chain past its first tier, and the
     // answering tier's name is in the trace.
@@ -74,7 +74,7 @@ fn no_fault_plan_reproduces_the_seed_simulator_bit_for_bit() {
     ] {
         assert!(plan.is_fault_free());
         let clean = run_farm(&cfg, &mut GreedyPolicy);
-        let faulty = run_farm_faulty(&cfg, &mut GreedyPolicy, &plan);
+        let faulty = run_farm_in(&cfg, &mut GreedyPolicy, &plan, &NoopTracer);
         assert_eq!(clean.epochs, faulty.epochs);
         assert_eq!(clean.decisions, faulty.decisions);
         assert_eq!(clean.degradation, faulty.degradation);
@@ -99,7 +99,7 @@ fn corrupted_views_never_corrupt_the_reported_metrics() {
         cfg.num_servers,
         cfg.epochs,
     );
-    let report = run_farm_faulty(&cfg, &mut MPartitionPolicy, &plan);
+    let report = run_farm_in(&cfg, &mut MPartitionPolicy, &plan, &NoopTracer);
     for e in &report.epochs {
         assert!(e.makespan >= e.avg_load, "epoch {}", e.epoch);
         assert!(

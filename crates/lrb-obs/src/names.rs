@@ -85,7 +85,8 @@ pub const SIM_EPOCHS: &str = "sim.epochs";
 pub const SIM_REBALANCED: &str = "sim.rebalanced";
 /// Epochs whose policy moved nothing.
 pub const SIM_UNCHANGED: &str = "sim.unchanged";
-/// Per-epoch wall time in nanoseconds (histogram).
+/// Per-epoch wall time in nanoseconds (histogram); an online farm records
+/// the engine's solve time of its epoch item.
 pub const SIM_EPOCH_NANOS: &str = "sim.epoch_nanos";
 /// Per-epoch span.
 pub const SIM_EPOCH: &str = "sim.epoch";

@@ -13,7 +13,7 @@ use lrb_core::model::{Budget, Instance, Job};
 use lrb_faults::{FaultPlan, FaultyView};
 use lrb_obs::{names, NoopTracer, Tracer};
 
-use crate::metrics::{DecisionCounters, DegradationMetrics, EpochMetrics, SimReport};
+use crate::metrics::{oracle_regret, EpochMetrics, RunLog, SimReport};
 use crate::policy::Policy;
 use crate::workload::{Workload, WorkloadConfig};
 
@@ -68,87 +68,16 @@ impl FarmConfig {
     }
 }
 
-/// Run the simulation with a policy, returning the trace.
+/// Run the simulation with a policy and no faults, returning the trace.
 ///
 /// The initial placement is balanced (LPT on the initial loads): drift is
 /// what unbalances it, exactly the paper's story.
 pub fn run(cfg: &FarmConfig, policy: &mut dyn Policy) -> SimReport {
-    run_in(cfg, policy, &NoopTracer)
+    run_in(cfg, policy, &FaultPlan::none(cfg.num_servers), &NoopTracer)
 }
 
-/// [`run`] observed by `obs`: besides the wall-time and decision data
-/// every report carries, each epoch gets a `sim.epoch` span and a
-/// `sim.epoch_nanos` observation, and decisions count into `sim.epochs`,
-/// `sim.rebalanced`, and `sim.unchanged`.
-pub fn run_in<T: Tracer>(cfg: &FarmConfig, policy: &mut dyn Policy, obs: &T) -> SimReport {
-    let mut workload = Workload::new(cfg.workload, cfg.seed);
-    let mut placement = lrb_core::lpt::schedule(workload.loads(), cfg.num_servers);
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut epoch_wall_nanos = Vec::with_capacity(cfg.epochs);
-    let mut decisions = DecisionCounters::default();
-
-    for epoch in 0..cfg.epochs {
-        let started = Instant::now();
-        let _epoch = obs.span(names::SIM_EPOCH);
-        workload.step();
-        let inst = instance_for(workload.loads(), &placement, cfg);
-        let new_assignment = policy.rebalance(&inst, cfg.budget);
-
-        // Enforce the contract: well-formed and within budget (the
-        // full-rebalance baseline is exempt from the budget by design).
-        let makespan = inst
-            .makespan_of(&new_assignment)
-            .expect("policy returned malformed assignment");
-        let unlimited = policy.name() == "full-rebalance";
-        assert!(
-            unlimited || cfg.budget.allows(&inst, &new_assignment),
-            "policy {} exceeded the budget",
-            policy.name()
-        );
-
-        let migrations = inst.move_count(&new_assignment);
-        let migration_cost = inst.move_cost(&new_assignment);
-        epochs.push(EpochMetrics {
-            epoch,
-            makespan,
-            avg_load: inst.avg_load_ceil(),
-            migrations,
-            migration_cost,
-        });
-        placement = new_assignment;
-
-        decisions.record(migrations);
-        let nanos = (started.elapsed().as_nanos() as u64).max(1);
-        epoch_wall_nanos.push(nanos);
-        obs.incr(names::SIM_EPOCHS, 1);
-        obs.incr(
-            if migrations > 0 {
-                names::SIM_REBALANCED
-            } else {
-                names::SIM_UNCHANGED
-            },
-            1,
-        );
-        obs.observe(names::SIM_EPOCH_NANOS, nanos);
-    }
-
-    SimReport {
-        policy: policy.name().to_string(),
-        epochs,
-        epoch_wall_nanos,
-        decisions,
-        degradation: DegradationMetrics::default(),
-        provenance: Vec::new(),
-    }
-}
-
-/// [`run_faulty_in`] with no observer.
-pub fn run_faulty(cfg: &FarmConfig, policy: &mut dyn Policy, plan: &FaultPlan) -> SimReport {
-    run_faulty_in(cfg, policy, plan, &NoopTracer)
-}
-
-/// Run the simulation under a fault plan: crash-aware epoch stepping with
-/// graceful degradation instead of panics.
+/// Run the simulation under a fault plan, observed by `obs`: crash-aware
+/// epoch stepping with graceful degradation.
 ///
 /// Each epoch:
 ///
@@ -160,28 +89,31 @@ pub fn run_faulty(cfg: &FarmConfig, policy: &mut dyn Policy, plan: &FaultPlan) -
 ///    the *corrupted* view of the farm ([`FaultyView`]: stale, dropped, or
 ///    perturbed load reports), projected onto the surviving servers so no
 ///    policy can place a site on a dead one.
-/// 3. The answer is validated against the **true** farm state; a malformed
-///    or over-budget answer is rejected (keeping the evacuated placement)
-///    rather than panicking — metrics always describe true loads.
+/// 3. The answer is validated against the **true** farm state, so metrics
+///    always describe true loads.
 ///
-/// Degradation is aggregated in [`SimReport::degradation`] and per-epoch
-/// answer provenance in [`SimReport::provenance`]. A fault-free plan takes
-/// the exact historical code path, so its report is bit-for-bit identical
-/// to [`run_in`].
+/// Under a plan that injects faults, a malformed or over-budget answer is
+/// rejected (the evacuated placement stands), degradation is aggregated in
+/// [`SimReport::degradation`], and per-epoch answer provenance lands in
+/// [`SimReport::provenance`]. A fault-free plan ([`FaultPlan::none`]) has
+/// nothing to degrade: every epoch sees the true farm on every server, the
+/// degradation stays default and the provenance empty, no LPT regret is
+/// computed, and a malformed or over-budget answer can only be a policy bug,
+/// so it panics. The full-rebalance baseline is exempt from the budget by
+/// design.
 ///
-/// `obs` sees what [`run_in`] reports plus the degradation counters, and
+/// `obs` sees a `sim.epoch` span and a `sim.epoch_nanos` observation per
+/// epoch, and decisions count into `sim.epochs`, `sim.rebalanced`, and
+/// `sim.unchanged`. Under faults it also gets the degradation counters, and
 /// crash/recovery transitions and per-site evacuations as `fault.crash`,
 /// `fault.recovery`, and `fault.evacuation` instants (payload = the
 /// processor or site index), which only a timeline keeps.
-pub fn run_faulty_in<T: Tracer>(
+pub fn run_in<T: Tracer>(
     cfg: &FarmConfig,
     policy: &mut dyn Policy,
     plan: &FaultPlan,
     obs: &T,
 ) -> SimReport {
-    if plan.is_fault_free() {
-        return run_in(cfg, policy, obs);
-    }
     assert_eq!(
         plan.num_procs(),
         cfg.num_servers,
@@ -193,12 +125,7 @@ pub fn run_faulty_in<T: Tracer>(
     let mut workload = Workload::new(cfg.workload, cfg.seed);
     let mut placement = lrb_core::lpt::schedule(workload.loads(), cfg.num_servers);
     let mut view = FaultyView::new();
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut epoch_wall_nanos = Vec::with_capacity(cfg.epochs);
-    let mut provenance = Vec::with_capacity(cfg.epochs);
-    let mut decisions = DecisionCounters::default();
-    let mut degradation = DegradationMetrics::default();
-    let mut regret_sum = 0.0f64;
+    let mut log = RunLog::new(cfg.epochs, !plan.is_fault_free());
     let mut prev_down = vec![false; cfg.num_servers];
 
     for epoch in 0..cfg.epochs {
@@ -252,26 +179,15 @@ pub fn run_faulty_in<T: Tracer>(
         //    onto the surviving servers.
         let true_inst = instance_for(&loads, &placement, cfg);
         let seen = view.observe(&true_inst, &faults, plan.perturb_pct());
-        let mut up_index = vec![usize::MAX; cfg.num_servers];
-        for (q, &p) in up.iter().enumerate() {
-            up_index[p] = q;
-        }
-        let proj_jobs: Vec<Job> = (0..n)
-            .map(|j| Job::with_cost(seen.size(j), seen.cost(j)))
-            .collect();
-        let proj_init: Vec<usize> = placement.iter().map(|&p| up_index[p]).collect();
-        let proj_inst = Instance::new(proj_jobs, proj_init, up.len())
-            .expect("evacuated placement lives on up servers");
-
         policy.note_outages(&faults.down);
         policy.note_work_budget(
             faults
                 .solver_exhausted
                 .then_some(EXHAUSTED_EPOCH_WORK_TICKS),
         );
-        let proj_asg = policy.rebalance(&proj_inst, remaining_budget);
+        let proj_asg = policy.rebalance(&project(seen, &up), remaining_budget);
 
-        // 3) Validate against the true farm; reject instead of panicking.
+        // 3) Validate against the true farm; reject only under faults.
         let unlimited = policy.name() == "full-rebalance";
         let shaped = proj_asg.len() == n && proj_asg.iter().all(|&q| q < up.len());
         let accepted = shaped
@@ -281,6 +197,11 @@ pub fn run_faulty_in<T: Tracer>(
                     && (unlimited || remaining_budget.allows(&true_inst, mapped))
             });
         let rejected = accepted.is_none();
+        assert!(
+            !rejected || log.faults.is_some(),
+            "policy {} returned a malformed or over-budget assignment",
+            policy.name()
+        );
         let final_placement = accepted.unwrap_or_else(|| placement.clone());
 
         let policy_moves = true_inst.move_count(&final_placement);
@@ -288,79 +209,28 @@ pub fn run_faulty_in<T: Tracer>(
             .makespan_of(&final_placement)
             .expect("evacuated placement is well-formed");
         let migrations = forced_moves + policy_moves;
-        let migration_cost = forced_cost.saturating_add(true_inst.move_cost(&final_placement));
-        // The honest per-epoch lower bound averages over *surviving*
-        // servers only.
-        let avg_load = true_inst.total_size().div_ceil(up.len() as u64).max(1);
-        let oracle = lpt_makespan(&loads, up.len()).max(1);
-        regret_sum += (makespan as f64 / oracle as f64 - 1.0).max(0.0);
-
-        let tier = if rejected {
-            "rejected"
-        } else {
-            policy.provenance()
-        };
-        let fallback = !rejected && tier != "policy";
-        let degraded = forced_moves > 0 || rejected || fallback || faults.solver_exhausted;
-        degradation.epochs_degraded += u64::from(degraded);
-        degradation.fallback_invocations += u64::from(fallback);
-        degradation.forced_migrations += forced_moves as u64;
-        degradation.forced_migration_cost = degradation
-            .forced_migration_cost
-            .saturating_add(forced_cost);
-        degradation.policy_rejections += u64::from(rejected);
-        degradation.budget_exhausted_epochs += u64::from(faults.solver_exhausted);
-        provenance.push(tier.to_string());
-
-        epochs.push(EpochMetrics {
+        if let Some(tally) = log.faults.as_mut() {
+            let tier = if rejected {
+                "rejected"
+            } else {
+                policy.provenance()
+            };
+            let regret = oracle_regret(makespan, &loads, up.len());
+            let exhausted = faults.solver_exhausted;
+            tally.record_faults(tier, (forced_moves, forced_cost), exhausted, regret, obs);
+        }
+        let metrics = EpochMetrics {
             epoch,
             makespan,
-            avg_load,
+            // The per-epoch lower bound averages over surviving servers.
+            avg_load: true_inst.total_size().div_ceil(up.len() as u64),
             migrations,
-            migration_cost,
-        });
+            migration_cost: forced_cost.saturating_add(true_inst.move_cost(&final_placement)),
+        };
         placement = final_placement;
-
-        decisions.record(migrations);
-        let nanos = (started.elapsed().as_nanos() as u64).max(1);
-        epoch_wall_nanos.push(nanos);
-        obs.incr(names::SIM_EPOCHS, 1);
-        obs.incr(
-            if migrations > 0 {
-                names::SIM_REBALANCED
-            } else {
-                names::SIM_UNCHANGED
-            },
-            1,
-        );
-        obs.observe(names::SIM_EPOCH_NANOS, nanos);
-        if degraded {
-            obs.incr(names::SIM_DEGRADED_EPOCHS, 1);
-        }
-        if forced_moves > 0 {
-            obs.incr(names::SIM_FORCED_MIGRATIONS, forced_moves as u64);
-        }
-        if rejected {
-            obs.incr(names::SIM_POLICY_REJECTIONS, 1);
-        }
-        if fallback {
-            obs.incr(names::SIM_FALLBACKS, 1);
-        }
+        log.record_epoch(metrics, (started.elapsed().as_nanos() as u64).max(1), obs);
     }
-
-    degradation.mean_oracle_regret = if cfg.epochs > 0 {
-        regret_sum / cfg.epochs as f64
-    } else {
-        0.0
-    };
-    SimReport {
-        policy: policy.name().to_string(),
-        epochs,
-        epoch_wall_nanos,
-        decisions,
-        degradation,
-        provenance,
-    }
+    log.into_report(policy.name())
 }
 
 /// Migration cost of one site under the configured model.
@@ -371,15 +241,20 @@ fn site_cost(load: u64, model: MigrationCost) -> u64 {
     }
 }
 
-/// Makespan of a fresh LPT schedule of `loads` on `m` servers — the
-/// unconstrained oracle used for regret (shared with the online driver).
-pub(crate) fn lpt_makespan(loads: &[u64], m: usize) -> u64 {
-    let asg = lrb_core::lpt::schedule(loads, m);
-    let mut per = vec![0u64; m];
-    for (j, &p) in asg.iter().enumerate() {
-        per[p] = per[p].saturating_add(loads[j]);
+/// `inst` with its servers narrowed to `up` (ascending) and renumbered
+/// `0..up.len()`; every job must already sit on an up server. With every
+/// server up this is `inst` itself.
+pub(crate) fn project(inst: Instance, up: &[usize]) -> Instance {
+    if up.len() == inst.num_procs() {
+        return inst;
     }
-    per.into_iter().max().unwrap_or(0)
+    let mut index = vec![usize::MAX; inst.num_procs()];
+    for (q, &p) in up.iter().enumerate() {
+        index[p] = q;
+    }
+    let placement = inst.initial().iter().map(|&p| index[p]).collect();
+    Instance::new(inst.jobs().to_vec(), placement, up.len())
+        .expect("evacuated placement lives on up servers")
 }
 
 /// Snapshot the farm as a load rebalancing instance.
@@ -500,7 +375,12 @@ mod tests {
     fn no_fault_plan_reproduces_the_faultless_report_bit_for_bit() {
         let c = cfg();
         let clean = run(&c, &mut MPartitionPolicy);
-        let faulty = run_faulty(&c, &mut MPartitionPolicy, &FaultPlan::none(c.num_servers));
+        let faulty = run_in(
+            &c,
+            &mut MPartitionPolicy,
+            &FaultPlan::none(c.num_servers),
+            &NoopTracer,
+        );
         assert_eq!(clean.epochs, faulty.epochs);
         assert_eq!(clean.decisions, faulty.decisions);
         assert_eq!(clean.degradation, faulty.degradation);
@@ -517,7 +397,7 @@ mod tests {
             c.epochs,
         );
         assert!(!plan.is_fault_free());
-        let r = run_faulty(&c, &mut MPartitionPolicy, &plan);
+        let r = run_in(&c, &mut MPartitionPolicy, &plan, &NoopTracer);
         assert_eq!(r.epochs.len(), c.epochs);
         assert_eq!(r.provenance.len(), c.epochs);
         assert!(r.degradation.forced_migrations > 0, "{:?}", r.degradation);
@@ -540,9 +420,9 @@ mod tests {
             c.num_servers,
             c.epochs,
         );
-        let plain = run_faulty(&c, &mut MPartitionPolicy, &plan);
+        let plain = run_in(&c, &mut MPartitionPolicy, &plan, &NoopTracer);
         let collector = lrb_obs::TraceCollector::new(1);
-        let traced = run_faulty_in(&c, &mut MPartitionPolicy, &plan, collector.main());
+        let traced = run_in(&c, &mut MPartitionPolicy, &plan, collector.main());
         assert_eq!(
             plain.epochs, traced.epochs,
             "tracing must not change results"
@@ -581,8 +461,18 @@ mod tests {
                 c.epochs,
             )
         };
-        let a = run_faulty(&c, &mut crate::policy::FallbackPolicy::practical(), &mk());
-        let b = run_faulty(&c, &mut crate::policy::FallbackPolicy::practical(), &mk());
+        let a = run_in(
+            &c,
+            &mut crate::policy::FallbackPolicy::practical(),
+            &mk(),
+            &NoopTracer,
+        );
+        let b = run_in(
+            &c,
+            &mut crate::policy::FallbackPolicy::practical(),
+            &mk(),
+            &NoopTracer,
+        );
         assert_eq!(a.epochs, b.epochs);
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.degradation, b.degradation);
@@ -601,7 +491,7 @@ mod tests {
             c.epochs,
         );
         let mut p = crate::policy::FallbackPolicy::standard();
-        let r = run_faulty(&c, &mut p, &plan);
+        let r = run_in(&c, &mut p, &plan, &NoopTracer);
         assert_eq!(r.degradation.budget_exhausted_epochs, c.epochs as u64);
         assert!(
             r.degradation.fallback_invocations > 0,
@@ -625,7 +515,7 @@ mod tests {
             c.num_servers,
             c.epochs,
         );
-        let r = run_faulty(&c, &mut GreedyPolicy, &plan);
+        let r = run_in(&c, &mut GreedyPolicy, &plan, &NoopTracer);
         assert!(r.degradation.mean_oracle_regret.is_finite());
         assert!(r.degradation.mean_oracle_regret >= 0.0);
     }

@@ -15,10 +15,13 @@
 //! threshold-triggered / fallback-chain), and [`metrics`] (imbalance
 //! traces plus degradation aggregates).
 //!
-//! The farm simulator can also run under an `lrb-faults` fault plan
-//! ([`run_farm_faulty`]): crashed servers are evacuated, policies see a
-//! corrupted load view, and invalid answers degrade gracefully instead of
-//! panicking.
+//! The web farm ([`run_farm_in`]) and the online farm
+//! ([`run_online_fleet_in`]) each have one epoch loop, and it runs under an
+//! `lrb-faults` fault plan: a clean run is a fault-free plan. Under faults,
+//! crashed servers are evacuated, farm policies see a corrupted load view,
+//! and invalid answers degrade gracefully instead of panicking. [`online`]
+//! streams churning farms with banked budgets as a fleet through the
+//! streaming engine; a single farm is a fleet of one.
 
 pub mod adversary;
 pub mod farm;
@@ -33,14 +36,16 @@ pub mod workload;
 
 pub use adversary::{AdaptiveAdversary, Adversary, GreedyPunisher, RandomOrderAdversary};
 pub use farm::{
-    run as run_farm, run_faulty as run_farm_faulty, run_faulty_in as run_farm_faulty_in,
-    run_in as run_farm_in, FarmConfig, MigrationCost, EXHAUSTED_EPOCH_WORK_TICKS,
+    run as run_farm, run_in as run_farm_in, FarmConfig, MigrationCost, EXHAUSTED_EPOCH_WORK_TICKS,
 };
 pub use fleet::{run_fleet, FleetConfig};
+/// The observer that records nothing, for unobserved [`run_farm_in`] and
+/// [`run_online_fleet_in`] runs.
+pub use lrb_obs::NoopTracer;
 pub use metrics::{DecisionCounters, DegradationMetrics, EpochMetrics, SimReport};
 pub use online::{
-    run_farm_online, run_farm_online_faulty, run_farm_online_in, run_online_fleet,
-    OnlineFleetConfig, OnlineRunReport, OnlineWorkload, OnlineWorkloadConfig,
+    run_online_fleet, run_online_fleet_in, OnlineFleetConfig, OnlineRunReport, OnlineWorkload,
+    OnlineWorkloadConfig,
 };
 pub use policy::{
     FallbackPolicy, FullRebalance, GreedyPolicy, MPartitionPolicy, NoRebalance, Policy,

@@ -1,5 +1,6 @@
 //! Per-epoch and aggregate metrics for simulation runs.
 
+use lrb_obs::{names, Tracer};
 use serde::{Deserialize, Serialize};
 
 /// Metrics of one epoch.
@@ -88,6 +89,132 @@ impl DegradationMetrics {
     }
 }
 
+/// What a simulator records while it runs: per-epoch metrics, wall times
+/// and decisions, plus a [`FaultTally`] when its fault plan injects
+/// anything. A fault-free run keeps no tally, so its report carries default
+/// degradation and empty provenance, exactly as a run that never heard of
+/// faults.
+#[derive(Debug)]
+pub(crate) struct RunLog {
+    epochs: Vec<EpochMetrics>,
+    epoch_wall_nanos: Vec<u64>,
+    decisions: DecisionCounters,
+    /// The degradation tally; `None` under a fault-free plan.
+    pub(crate) faults: Option<FaultTally>,
+}
+
+impl RunLog {
+    /// An empty log for `epochs` epochs, with a tally when `faulty`.
+    pub(crate) fn new(epochs: usize, faulty: bool) -> Self {
+        RunLog {
+            epochs: Vec::with_capacity(epochs),
+            epoch_wall_nanos: Vec::with_capacity(epochs),
+            decisions: DecisionCounters::default(),
+            faults: faulty.then(FaultTally::default),
+        }
+    }
+
+    /// Record one epoch that took `nanos`, counting it into `sim.epochs`,
+    /// `sim.rebalanced` or `sim.unchanged`, and `sim.epoch_nanos`.
+    pub(crate) fn record_epoch<T: Tracer>(&mut self, m: EpochMetrics, nanos: u64, obs: &T) {
+        self.decisions.record(m.migrations);
+        obs.incr(names::SIM_EPOCHS, 1);
+        obs.incr(
+            if m.migrations > 0 {
+                names::SIM_REBALANCED
+            } else {
+                names::SIM_UNCHANGED
+            },
+            1,
+        );
+        obs.observe(names::SIM_EPOCH_NANOS, nanos);
+        self.epochs.push(m);
+        self.epoch_wall_nanos.push(nanos);
+    }
+
+    /// The finished report for `policy`.
+    pub(crate) fn into_report(self, policy: &str) -> SimReport {
+        let (degradation, provenance) = match self.faults {
+            Some(mut tally) => {
+                let epochs = self.epochs.len().max(1) as f64;
+                tally.metrics.mean_oracle_regret = tally.regret_sum / epochs;
+                (tally.metrics, tally.provenance)
+            }
+            None => Default::default(),
+        };
+        SimReport {
+            policy: policy.to_string(),
+            epochs: self.epochs,
+            epoch_wall_nanos: self.epoch_wall_nanos,
+            decisions: self.decisions,
+            degradation,
+            provenance,
+        }
+    }
+}
+
+/// Degradation bookkeeping of a run under a plan that injects faults.
+#[derive(Debug, Default)]
+pub(crate) struct FaultTally {
+    metrics: DegradationMetrics,
+    provenance: Vec<String>,
+    regret_sum: f64,
+}
+
+impl FaultTally {
+    /// Fold one epoch in: who answered (`tier`: `"policy"`, a fallback
+    /// tier, or `"rejected"` when the answer was discarded), the `forced`
+    /// evacuations and their cost, whether the plan exhausted the solver,
+    /// and the epoch's [`oracle_regret`]. Counts what degraded into `obs`.
+    pub(crate) fn record_faults<T: Tracer>(
+        &mut self,
+        tier: &str,
+        forced: (usize, u64),
+        exhausted: bool,
+        regret: f64,
+        obs: &T,
+    ) {
+        let rejected = tier == "rejected";
+        let fallback = !rejected && tier != "policy";
+        let degraded = forced.0 > 0 || rejected || fallback || exhausted;
+        let m = &mut self.metrics;
+        m.epochs_degraded += u64::from(degraded);
+        m.fallback_invocations += u64::from(fallback);
+        m.forced_migrations += forced.0 as u64;
+        m.forced_migration_cost = m.forced_migration_cost.saturating_add(forced.1);
+        m.policy_rejections += u64::from(rejected);
+        m.budget_exhausted_epochs += u64::from(exhausted);
+        self.regret_sum += regret;
+        self.provenance.push(tier.to_string());
+
+        if degraded {
+            obs.incr(names::SIM_DEGRADED_EPOCHS, 1);
+        }
+        if forced.0 > 0 {
+            obs.incr(names::SIM_FORCED_MIGRATIONS, forced.0 as u64);
+        }
+        if rejected {
+            obs.incr(names::SIM_POLICY_REJECTIONS, 1);
+        }
+        if fallback {
+            obs.incr(names::SIM_FALLBACKS, 1);
+        }
+    }
+}
+
+/// How far `makespan` trails a fresh LPT schedule of `sizes` on the `up`
+/// surviving servers, the unconstrained oracle: `makespan / oracle − 1`,
+/// floored at 0.
+pub(crate) fn oracle_regret(makespan: u64, sizes: &[u64], up: usize) -> f64 {
+    let asg = lrb_core::lpt::schedule(sizes, up);
+    let mut per = vec![0u64; up];
+    for (j, &p) in asg.iter().enumerate() {
+        per[p] = per[p].saturating_add(sizes[j]);
+    }
+    let oracle = per.into_iter().max().unwrap_or(0).max(1);
+    (makespan as f64 / oracle as f64 - 1.0).max(0.0)
+}
+
 /// A full simulation trace plus aggregates.
 ///
 /// Wall-clock data lives here rather than in [`EpochMetrics`] so that
@@ -99,7 +226,9 @@ pub struct SimReport {
     /// Per-epoch metrics.
     pub epochs: Vec<EpochMetrics>,
     /// Wall-clock nanoseconds each epoch spent in the policy + bookkeeping
-    /// (parallel to `epochs`; empty in reports predating this field).
+    /// (parallel to `epochs`; empty in reports predating this field). An
+    /// online farm records the engine's solve time of its epoch item
+    /// instead, floored at 1 ns, so an epoch whose solve was skipped reads 1.
     #[serde(default)]
     pub epoch_wall_nanos: Vec<u64>,
     /// Rebalance-vs-no-op decision counts across the run.

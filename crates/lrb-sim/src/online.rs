@@ -4,33 +4,28 @@
 //! The batch simulators ([`crate::farm`]) refresh a *fixed* site population
 //! each epoch; here the population itself churns. An [`OnlineWorkload`]
 //! generates a seeded event stream — Poisson-ish arrivals with heavy-tailed
-//! sizes, geometric departure lifetimes — and [`run_farm_online`] drives an
-//! [`OnlineRebalancer`] through it: each epoch applies the churn, then
-//! issues one `Rebalance` event whose effective budget is clamped by the
-//! rebalancer's amortized move bank.
+//! sizes, geometric departure lifetimes — and each epoch an
+//! [`OnlineRebalancer`] applies the churn, then issues one rebalance whose
+//! effective budget is clamped by the rebalancer's amortized move bank.
 //!
-//! Three drivers share the same per-epoch accounting:
+//! One driver runs every online farm: [`run_online_fleet_in`] streams a
+//! fleet of farms in lockstep epochs through one [`StreamEngine`], each farm
+//! under its own `lrb-faults` plan. A single farm is a fleet of one, and a
+//! clean run is a fault-free plan ([`run_online_fleet`]). Per-farm traces
+//! are bit-identical at any engine thread count and to the farm's run as a
+//! fleet of one (the engine changes wall-clock, never answers).
 //!
-//! * [`run_farm_online`] / [`run_farm_online_in`] — one farm, solved
-//!   inline by the rebalancer in its own warm scratch.
-//! * [`run_farm_online_faulty`] — the same, under an `lrb-faults` plan:
-//!   crashed servers are evacuated (billed to the bank) and solves are
-//!   projected onto surviving servers. The event stream is authoritative —
-//!   the online controller knows its own state — so report-corruption
-//!   faults (stale / dropped / perturbed loads) do not apply; outages and
-//!   solver exhaustion do. A fault-free plan takes the clean code path and
-//!   is bit-identical to [`run_farm_online`].
-//! * [`run_online_fleet`] — many farms in lockstep epochs through a
-//!   [`StreamEngine`]; per-farm traces are bit-identical to the solo runs
-//!   at any engine thread count (the engine changes wall-clock, never
-//!   answers).
+//! Under faults, crashed servers are evacuated (billed to the bank) and
+//! solves are projected onto surviving servers. The event stream is
+//! authoritative — the online controller knows its own state — so
+//! report-corruption faults (stale / dropped / perturbed loads) do not
+//! apply; outages and solver exhaustion do.
 
 use std::time::Instant;
 
-use lrb_core::deadline::{DeadlineSolver, SolverKind};
-use lrb_core::model::{Budget, Instance, Job};
+use lrb_core::model::{Budget, Job};
 use lrb_core::online::{BankConfig, Event, JobKey, OnlineRebalancer, OnlineStats};
-use lrb_core::Ctx;
+use lrb_core::outcome::RebalanceOutcome;
 use lrb_engine::{BatchItem, BatchSolver, EngineConfig, StreamEngine};
 use lrb_faults::FaultPlan;
 use lrb_instances::SizeDistribution;
@@ -38,7 +33,8 @@ use lrb_obs::{names, NoopTracer, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::{DecisionCounters, DegradationMetrics, EpochMetrics, SimReport};
+use crate::farm::project;
+use crate::metrics::{oracle_regret, EpochMetrics, RunLog, SimReport};
 
 /// Parameters of one online farm: its churn model, budget, and bank.
 #[derive(Debug, Clone, Copy)]
@@ -145,11 +141,6 @@ impl OnlineWorkload {
         events
     }
 
-    /// Keys currently live from the generator's point of view.
-    pub fn live_keys(&self) -> &[JobKey] {
-        &self.live
-    }
-
     fn one_arrival(&mut self) -> Event {
         let key = self.next_key;
         self.next_key += 1;
@@ -199,62 +190,6 @@ pub struct OnlineRunReport {
     pub final_loads: Vec<u64>,
 }
 
-/// Per-epoch record book shared by the three drivers.
-#[derive(Debug, Default)]
-struct OnlineTrace {
-    epochs: Vec<EpochMetrics>,
-    epoch_wall_nanos: Vec<u64>,
-    decisions: DecisionCounters,
-    banked_per_epoch: Vec<u64>,
-    arrivals_per_epoch: Vec<usize>,
-    departures_per_epoch: Vec<usize>,
-}
-
-impl OnlineTrace {
-    fn with_capacity(epochs: usize) -> Self {
-        OnlineTrace {
-            epochs: Vec::with_capacity(epochs),
-            epoch_wall_nanos: Vec::with_capacity(epochs),
-            decisions: DecisionCounters::default(),
-            banked_per_epoch: Vec::with_capacity(epochs),
-            arrivals_per_epoch: Vec::with_capacity(epochs),
-            departures_per_epoch: Vec::with_capacity(epochs),
-        }
-    }
-
-    fn into_report(
-        self,
-        policy: &str,
-        degradation: DegradationMetrics,
-        provenance: Vec<String>,
-        rebalancer: &OnlineRebalancer,
-    ) -> OnlineRunReport {
-        OnlineRunReport {
-            sim: SimReport {
-                policy: policy.to_string(),
-                epochs: self.epochs,
-                epoch_wall_nanos: self.epoch_wall_nanos,
-                decisions: self.decisions,
-                degradation,
-                provenance,
-            },
-            stats: *rebalancer.stats(),
-            banked_per_epoch: self.banked_per_epoch,
-            arrivals_per_epoch: self.arrivals_per_epoch,
-            departures_per_epoch: self.departures_per_epoch,
-            final_loads: rebalancer.loads().to_vec(),
-        }
-    }
-}
-
-/// Policy label for a budget kind.
-fn policy_name(budget: Budget) -> &'static str {
-    match budget {
-        Budget::Moves(_) => "online-mpartition",
-        Budget::Cost(_) => "online-cost-partition",
-    }
-}
-
 /// Apply a slice of churn events to the rebalancer, counting churn and
 /// (when enabled) per-event latencies.
 fn apply_churn<T: Tracer>(
@@ -284,234 +219,6 @@ fn apply_churn<T: Tracer>(
     (arrivals, departures)
 }
 
-/// Flush the rebalancer's counters to the `online.*` metrics.
-fn record_stats<T: Tracer>(stats: &OnlineStats, obs: &T) {
-    obs.incr(names::ONLINE_EVENTS, stats.events);
-    obs.incr(names::ONLINE_ARRIVALS, stats.arrivals);
-    obs.incr(names::ONLINE_DEPARTURES, stats.departures);
-    obs.incr(names::ONLINE_REBALANCES, stats.rebalances);
-    obs.incr(names::ONLINE_MOVES, stats.moves_performed);
-}
-
-/// Run one online farm with no observer.
-pub fn run_farm_online(cfg: &OnlineWorkloadConfig) -> OnlineRunReport {
-    run_farm_online_in(cfg, &NoopTracer)
-}
-
-/// [`run_farm_online`] observed by `obs`: a `sim.epoch` span per epoch and
-/// the `online.*` counters and histograms named in [`lrb_obs::names`]
-/// alongside the usual `sim.*` epoch counters.
-pub fn run_farm_online_in<T: Tracer>(cfg: &OnlineWorkloadConfig, obs: &T) -> OnlineRunReport {
-    let mut rebalancer =
-        OnlineRebalancer::new(cfg.num_procs, cfg.bank).expect("online farm has servers");
-    let mut workload = OnlineWorkload::new(*cfg);
-    apply_churn(&mut rebalancer, &workload.initial_events(), obs);
-    let mut trace = OnlineTrace::with_capacity(cfg.epochs);
-
-    for epoch in 0..cfg.epochs {
-        let started = Instant::now();
-        let _epoch = obs.span(names::SIM_EPOCH);
-        let (arrivals, departures) = apply_churn(&mut rebalancer, &workload.epoch_events(), obs);
-        let inst = rebalancer.instance();
-        let step = rebalancer
-            .rebalance(cfg.budget)
-            .expect("online rebalance over a valid snapshot");
-        debug_assert!(step.effective.allows(&inst, rebalancer.assignment()));
-
-        trace.epochs.push(EpochMetrics {
-            epoch,
-            makespan: step.outcome.makespan(),
-            avg_load: inst.avg_load_ceil(),
-            migrations: step.outcome.moves(),
-            migration_cost: step.outcome.cost(),
-        });
-        trace.decisions.record(step.outcome.moves());
-        trace.banked_per_epoch.push(step.banked_after);
-        trace.arrivals_per_epoch.push(arrivals);
-        trace.departures_per_epoch.push(departures);
-
-        let nanos = (started.elapsed().as_nanos() as u64).max(1);
-        trace.epoch_wall_nanos.push(nanos);
-        obs.incr(names::SIM_EPOCHS, 1);
-        obs.incr(
-            if step.outcome.moves() > 0 {
-                names::SIM_REBALANCED
-            } else {
-                names::SIM_UNCHANGED
-            },
-            1,
-        );
-        obs.observe(names::SIM_EPOCH_NANOS, nanos);
-        obs.observe(names::ONLINE_BANKED, step.banked_after);
-    }
-
-    record_stats(rebalancer.stats(), obs);
-    trace.into_report(
-        policy_name(cfg.budget),
-        DegradationMetrics::default(),
-        Vec::new(),
-        &rebalancer,
-    )
-}
-
-/// Run one online farm under a fault plan.
-///
-/// Each epoch: churn is applied, jobs stranded on crashed servers are
-/// force-moved to the least-loaded surviving server (each evacuation billed
-/// to the move bank), the solve is projected onto the surviving servers,
-/// and the answer is committed only if well-formed and within the effective
-/// budget — otherwise the evacuated placement stands and the epoch counts
-/// as a policy rejection. Epochs whose plan declares the solver budget
-/// exhausted skip the solve entirely (no rebalance event, no accrual). A
-/// fault-free plan takes the exact clean code path, so its report is
-/// bit-identical to [`run_farm_online`].
-pub fn run_farm_online_faulty(cfg: &OnlineWorkloadConfig, plan: &FaultPlan) -> OnlineRunReport {
-    if plan.is_fault_free() {
-        return run_farm_online(cfg);
-    }
-    assert_eq!(
-        plan.num_procs(),
-        cfg.num_procs,
-        "fault plan covers {} processors but the farm has {} servers",
-        plan.num_procs(),
-        cfg.num_procs
-    );
-
-    let mut rebalancer =
-        OnlineRebalancer::new(cfg.num_procs, cfg.bank).expect("online farm has servers");
-    let mut workload = OnlineWorkload::new(*cfg);
-    apply_churn(&mut rebalancer, &workload.initial_events(), &NoopTracer);
-    let mut trace = OnlineTrace::with_capacity(cfg.epochs);
-    let mut degradation = DegradationMetrics::default();
-    let mut provenance = Vec::with_capacity(cfg.epochs);
-    let mut regret_sum = 0.0f64;
-
-    for epoch in 0..cfg.epochs {
-        let started = Instant::now();
-        let (arrivals, departures) =
-            apply_churn(&mut rebalancer, &workload.epoch_events(), &NoopTracer);
-        let faults = plan.epoch(epoch);
-        let up: Vec<usize> = (0..cfg.num_procs).filter(|&p| !faults.down[p]).collect();
-
-        // 1) Evacuate jobs off crashed servers, billing the bank per job.
-        let stranded: Vec<JobKey> = rebalancer
-            .keys()
-            .iter()
-            .copied()
-            .filter(|&key| faults.down[rebalancer.proc_of(key).expect("live key")])
-            .collect();
-        let mut forced_cost = 0u64;
-        for key in &stranded {
-            let &to = up
-                .iter()
-                .min_by_key(|&&p| rebalancer.loads()[p])
-                .expect("fault plans keep at least one processor up");
-            let job = *rebalancer.job(*key).expect("live key");
-            rebalancer.force_move(*key, to).expect("valid evacuation");
-            let units = match cfg.budget {
-                Budget::Moves(_) => 1,
-                Budget::Cost(_) => job.cost,
-            };
-            rebalancer.bill(units);
-            forced_cost = forced_cost.saturating_add(job.cost);
-        }
-        let forced_moves = stranded.len();
-
-        // 2) Solve projected onto surviving servers (unless exhausted).
-        let mut policy_moves = 0usize;
-        let mut policy_cost = 0u64;
-        let mut rejected = false;
-        let mut banked_after = rebalancer.bank().balance();
-        if !faults.solver_exhausted {
-            let effective = rebalancer.begin_rebalance(cfg.budget);
-            let mut up_index = vec![usize::MAX; cfg.num_procs];
-            for (q, &p) in up.iter().enumerate() {
-                up_index[p] = q;
-            }
-            let keys = rebalancer.keys().to_vec();
-            let proj_jobs: Vec<Job> = keys
-                .iter()
-                .map(|&k| *rebalancer.job(k).expect("live key"))
-                .collect();
-            let proj_init: Vec<usize> = keys
-                .iter()
-                .map(|&k| up_index[rebalancer.proc_of(k).expect("live key")])
-                .collect();
-            let proj_inst = Instance::new(proj_jobs, proj_init, up.len())
-                .expect("evacuated placement lives on up servers");
-            let solved = DeadlineSolver::new(SolverKind::MPartition)
-                .solve(&proj_inst, effective, &mut Ctx::default())
-                .map(|out| out.into_assignment());
-            match solved {
-                Ok(proj_asg) => {
-                    let mapped: Vec<usize> = proj_asg.iter().map(|&q| up[q]).collect();
-                    match rebalancer.commit_assignment(&mapped, effective) {
-                        Ok(commit) => {
-                            policy_moves = commit.moves as usize;
-                            policy_cost = commit.cost;
-                        }
-                        Err(_) => rejected = true,
-                    }
-                }
-                Err(_) => rejected = true,
-            }
-            banked_after = rebalancer.bank().balance();
-        }
-
-        // 3) Metrics over the true state.
-        let live_sizes: Vec<u64> = rebalancer
-            .keys()
-            .iter()
-            .map(|&k| rebalancer.job(k).expect("live key").size)
-            .collect();
-        let total: u64 = live_sizes.iter().fold(0u64, |a, &s| a.saturating_add(s));
-        let avg_load = total.div_ceil(up.len() as u64).max(1);
-        let makespan = rebalancer.makespan();
-        let oracle = crate::farm::lpt_makespan(&live_sizes, up.len()).max(1);
-        regret_sum += (makespan as f64 / oracle as f64 - 1.0).max(0.0);
-
-        let tier = if rejected { "rejected" } else { "policy" };
-        let degraded = forced_moves > 0 || rejected || faults.solver_exhausted;
-        degradation.epochs_degraded += u64::from(degraded);
-        degradation.forced_migrations += forced_moves as u64;
-        degradation.forced_migration_cost = degradation
-            .forced_migration_cost
-            .saturating_add(forced_cost);
-        degradation.policy_rejections += u64::from(rejected);
-        degradation.budget_exhausted_epochs += u64::from(faults.solver_exhausted);
-        provenance.push(tier.to_string());
-
-        let migrations = forced_moves + policy_moves;
-        trace.epochs.push(EpochMetrics {
-            epoch,
-            makespan,
-            avg_load,
-            migrations,
-            migration_cost: forced_cost.saturating_add(policy_cost),
-        });
-        trace.decisions.record(migrations);
-        trace.banked_per_epoch.push(banked_after);
-        trace.arrivals_per_epoch.push(arrivals);
-        trace.departures_per_epoch.push(departures);
-
-        trace
-            .epoch_wall_nanos
-            .push((started.elapsed().as_nanos() as u64).max(1));
-    }
-
-    degradation.mean_oracle_regret = if cfg.epochs > 0 {
-        regret_sum / cfg.epochs as f64
-    } else {
-        0.0
-    };
-    trace.into_report(
-        policy_name(cfg.budget),
-        degradation,
-        provenance,
-        &rebalancer,
-    )
-}
-
 /// A set of online farms streamed in lockstep through a [`StreamEngine`].
 #[derive(Debug, Clone)]
 pub struct OnlineFleetConfig {
@@ -522,40 +229,55 @@ pub struct OnlineFleetConfig {
     pub threads: usize,
 }
 
-/// Run every online farm in lockstep epochs through the streaming engine.
-///
-/// Each global epoch gathers every still-running farm's post-churn snapshot
-/// (with its bank-clamped effective budget) into one engine batch. Because
-/// the engine is bit-identical to the sequential solvers at any thread
-/// count, and the bank accounting runs through the same
-/// `begin_rebalance` / `commit_assignment` pair the solo driver uses, each
-/// farm's trace — epoch metrics, banked balances, counters, final loads —
-/// matches its [`run_farm_online`] run exactly. Per-farm epoch indices are
-/// the farm's own contiguous `0..epochs` count (asserted below), regardless
-/// of how farms interleave in the global loop.
+/// Run every online farm fault-free and unobserved:
+/// [`run_online_fleet_in`] under [`FaultPlan::none`] plans.
 pub fn run_online_fleet(cfg: &OnlineFleetConfig) -> Vec<OnlineRunReport> {
-    struct FarmState {
-        rebalancer: OnlineRebalancer,
-        workload: OnlineWorkload,
-        trace: OnlineTrace,
-    }
-
-    let mut farms: Vec<FarmState> = cfg
+    let plans: Vec<FaultPlan> = cfg
         .farms
         .iter()
-        .map(|fc| {
-            let mut rebalancer =
-                OnlineRebalancer::new(fc.num_procs, fc.bank).expect("online farm has servers");
-            let mut workload = OnlineWorkload::new(*fc);
-            apply_churn(&mut rebalancer, &workload.initial_events(), &NoopTracer);
-            FarmState {
-                rebalancer,
-                workload,
-                trace: OnlineTrace::with_capacity(fc.epochs),
-            }
-        })
+        .map(|fc| FaultPlan::none(fc.num_procs))
         .collect();
+    run_online_fleet_in(cfg, &plans, &NoopTracer)
+}
 
+/// Run every online farm in lockstep epochs through the streaming engine,
+/// farm `i` under `plans[i]`.
+///
+/// Each epoch, every still-running farm applies its churn, evacuates jobs
+/// stranded on crashed servers to the least-loaded surviving server (each
+/// evacuation billed to the bank in the budget's units), and — unless its
+/// plan declares the solver budget exhausted, which skips the rebalance
+/// (no event, no accrual) — contributes its snapshot, projected onto the
+/// surviving servers, with its bank-clamped effective budget to one engine
+/// batch. The engine turns a solver error or an over-budget answer into the
+/// unchanged placement, and each answer is billed through
+/// `begin_rebalance` / `commit_assignment`. A commit that fails anyway is a
+/// policy rejection under faults (the evacuated placement stands) and a
+/// panic under a fault-free plan.
+///
+/// A fault-free plan reports no degradation, no provenance and no regret.
+/// `epoch_wall_nanos` and `sim.epoch_nanos` hold the engine's solve time of
+/// the farm's item, floored at 1 ns: an epoch whose solve was skipped
+/// records that floor. The engine gives every farm the answer its fleet of
+/// one would get, at any thread count.
+///
+/// `obs` sees one `sim.epoch` span per lockstep epoch, an
+/// `online.event_nanos` observation per event; per farm-epoch,
+/// `sim.epochs`, `sim.rebalanced` or `sim.unchanged`, `sim.epoch_nanos`,
+/// `online.banked_balance` and, under faults, the degradation counters;
+/// and each farm's `online.*` totals at the end.
+pub fn run_online_fleet_in<T: Tracer>(
+    cfg: &OnlineFleetConfig,
+    plans: &[FaultPlan],
+    obs: &T,
+) -> Vec<OnlineRunReport> {
+    assert_eq!(plans.len(), cfg.farms.len(), "one fault plan per farm");
+    let mut farms: Vec<Farm> = cfg
+        .farms
+        .iter()
+        .zip(plans)
+        .map(|(fc, plan)| Farm::new(fc, plan, obs))
+        .collect();
     let max_epochs = cfg.farms.iter().map(|f| f.epochs).max().unwrap_or(0);
     let mut engine = StreamEngine::new(
         BatchSolver::MPartition,
@@ -563,87 +285,202 @@ pub fn run_online_fleet(cfg: &OnlineFleetConfig) -> Vec<OnlineRunReport> {
     );
 
     for epoch in 0..max_epochs {
-        let mut active: Vec<usize> = Vec::new();
-        let mut items: Vec<BatchItem> = Vec::new();
-        let mut effectives: Vec<Budget> = Vec::new();
-        let mut churn: Vec<(usize, usize)> = Vec::new();
-        for (i, fc) in cfg.farms.iter().enumerate() {
-            if epoch >= fc.epochs {
-                continue;
+        let _epoch = obs.span(names::SIM_EPOCH);
+        let mut items = Vec::new();
+        let mut pending = Vec::new();
+        for (i, farm) in farms.iter_mut().enumerate() {
+            if epoch < farm.cfg.epochs {
+                pending.push((i, farm.begin_epoch(epoch, &mut items, obs)));
             }
-            let state = &mut farms[i];
-            churn.push(apply_churn(
-                &mut state.rebalancer,
-                &state.workload.epoch_events(),
-                &NoopTracer,
-            ));
-            let effective = state.rebalancer.begin_rebalance(fc.budget);
-            items.push(BatchItem {
-                instance: state.rebalancer.instance(),
-                budget: effective,
-            });
-            effectives.push(effective);
-            active.push(i);
         }
-        if items.is_empty() {
-            break;
-        }
-
         let batch = engine.solve_epoch(&items);
-
-        for (slot, &i) in active.iter().enumerate() {
-            let state = &mut farms[i];
-            let inst = &items[slot].instance;
-            let commit = state
-                .rebalancer
-                .commit_assignment(batch.outcomes[slot].assignment(), effectives[slot])
-                .expect("engine answers respect the effective budget");
-
-            // Per-farm epoch indices are this farm's own count, contiguous
-            // from 0 — not the global loop index (they coincide only
-            // because every farm starts at the same tick).
-            let farm_epoch = state.trace.epochs.len();
-            debug_assert_eq!(farm_epoch, epoch);
-            state.trace.epochs.push(EpochMetrics {
-                epoch: farm_epoch,
-                makespan: batch.outcomes[slot].makespan(),
-                avg_load: inst.avg_load_ceil(),
-                migrations: commit.moves as usize,
-                migration_cost: commit.cost,
+        let mut answers = batch.outcomes.iter().zip(&batch.solve_nanos);
+        for (i, step) in pending {
+            let answer = step.effective.map(|budget| {
+                let (outcome, &nanos) = answers.next().expect("one answer per solving farm");
+                (outcome, budget, nanos)
             });
-            state.trace.decisions.record(commit.moves as usize);
-            state
-                .trace
-                .banked_per_epoch
-                .push(state.rebalancer.bank().balance());
-            state.trace.arrivals_per_epoch.push(churn[slot].0);
-            state.trace.departures_per_epoch.push(churn[slot].1);
-
-            state
-                .trace
-                .epoch_wall_nanos
-                .push(batch.solve_nanos[slot].max(1));
+            farms[i].end_epoch(epoch, step, answer, obs);
         }
     }
 
-    for state in &farms {
-        for (e, m) in state.trace.epochs.iter().enumerate() {
-            assert_eq!(m.epoch, e, "per-farm epoch indices must be contiguous");
-        }
-    }
     farms
         .into_iter()
-        .zip(&cfg.farms)
-        .map(|(state, fc)| {
-            let rebalancer = state.rebalancer;
-            state.trace.into_report(
-                policy_name(fc.budget),
-                DegradationMetrics::default(),
-                Vec::new(),
-                &rebalancer,
-            )
+        .map(|farm| {
+            let stats = *farm.rebalancer.stats();
+            obs.incr(names::ONLINE_EVENTS, stats.events);
+            obs.incr(names::ONLINE_ARRIVALS, stats.arrivals);
+            obs.incr(names::ONLINE_DEPARTURES, stats.departures);
+            obs.incr(names::ONLINE_REBALANCES, stats.rebalances);
+            obs.incr(names::ONLINE_MOVES, stats.moves_performed);
+            let policy = match farm.cfg.budget {
+                Budget::Moves(_) => "online-mpartition",
+                Budget::Cost(_) => "online-cost-partition",
+            };
+            OnlineRunReport {
+                sim: farm.log.into_report(policy),
+                stats,
+                banked_per_epoch: farm.banked,
+                arrivals_per_epoch: farm.arrivals,
+                departures_per_epoch: farm.departures,
+                final_loads: farm.rebalancer.loads().to_vec(),
+            }
         })
         .collect()
+}
+
+/// One farm of a fleet: its rebalancer, churn stream, fault plan and the
+/// per-epoch records of its [`OnlineRunReport`].
+struct Farm<'a> {
+    cfg: &'a OnlineWorkloadConfig,
+    plan: &'a FaultPlan,
+    rebalancer: OnlineRebalancer,
+    workload: OnlineWorkload,
+    log: RunLog,
+    banked: Vec<u64>,
+    arrivals: Vec<usize>,
+    departures: Vec<usize>,
+}
+
+/// A farm's epoch between its churn and its commit.
+struct EpochStep {
+    churn: (usize, usize),
+    /// Surviving servers, ascending.
+    up: Vec<usize>,
+    /// Evacuations off crashed servers and their relocation cost.
+    forced: (usize, u64),
+    /// The bank-clamped budget of the epoch's solve; `None` when the plan
+    /// exhausted the solver and the rebalance was skipped.
+    effective: Option<Budget>,
+}
+
+impl<'a> Farm<'a> {
+    fn new<T: Tracer>(cfg: &'a OnlineWorkloadConfig, plan: &'a FaultPlan, obs: &T) -> Self {
+        assert_eq!(
+            plan.num_procs(),
+            cfg.num_procs,
+            "fault plan covers {} processors but the farm has {} servers",
+            plan.num_procs(),
+            cfg.num_procs
+        );
+        let mut rebalancer =
+            OnlineRebalancer::new(cfg.num_procs, cfg.bank).expect("online farm has servers");
+        let mut workload = OnlineWorkload::new(*cfg);
+        apply_churn(&mut rebalancer, &workload.initial_events(), obs);
+        Farm {
+            cfg,
+            plan,
+            rebalancer,
+            workload,
+            log: RunLog::new(cfg.epochs, !plan.is_fault_free()),
+            banked: Vec::with_capacity(cfg.epochs),
+            arrivals: Vec::with_capacity(cfg.epochs),
+            departures: Vec::with_capacity(cfg.epochs),
+        }
+    }
+
+    /// Apply the epoch's churn and evacuations and, unless the plan
+    /// exhausted the solver, open the rebalance and push its item.
+    fn begin_epoch<T: Tracer>(
+        &mut self,
+        epoch: usize,
+        items: &mut Vec<BatchItem>,
+        obs: &T,
+    ) -> EpochStep {
+        let churn = apply_churn(&mut self.rebalancer, &self.workload.epoch_events(), obs);
+        let faults = self.plan.epoch(epoch);
+        let up: Vec<usize> = (0..self.cfg.num_procs)
+            .filter(|&p| !faults.down[p])
+            .collect();
+
+        let r = &mut self.rebalancer;
+        let stranded: Vec<JobKey> = r
+            .keys()
+            .iter()
+            .zip(r.assignment())
+            .filter(|&(_, &p)| faults.down[p])
+            .map(|(&key, _)| key)
+            .collect();
+        let mut forced_cost = 0u64;
+        for &key in &stranded {
+            let &to = up
+                .iter()
+                .min_by_key(|&&p| r.loads()[p])
+                .expect("fault plans keep at least one processor up");
+            let job = *r.job(key).expect("live key");
+            r.force_move(key, to).expect("valid evacuation");
+            r.bill(match self.cfg.budget {
+                Budget::Moves(_) => 1,
+                Budget::Cost(_) => job.cost,
+            });
+            forced_cost = forced_cost.saturating_add(job.cost);
+        }
+
+        let effective = (!faults.solver_exhausted).then(|| {
+            let budget = r.begin_rebalance(self.cfg.budget);
+            items.push(BatchItem {
+                instance: project(r.instance(), &up),
+                budget,
+            });
+            budget
+        });
+        EpochStep {
+            churn,
+            up,
+            forced: (stranded.len(), forced_cost),
+            effective,
+        }
+    }
+
+    /// Commit the engine's `answer` (its outcome over the projected
+    /// snapshot, the budget it billed, and its solve time) and record the
+    /// epoch over the true state.
+    fn end_epoch<T: Tracer>(
+        &mut self,
+        epoch: usize,
+        step: EpochStep,
+        answer: Option<(&RebalanceOutcome, Budget, u64)>,
+        obs: &T,
+    ) {
+        let r = &mut self.rebalancer;
+        let log = &mut self.log;
+        let committed = answer.map(|(outcome, budget, _)| {
+            let mapped: Vec<usize> = outcome.assignment().iter().map(|&q| step.up[q]).collect();
+            r.commit_assignment(&mapped, budget)
+        });
+        let (moves, cost, rejected) = match committed {
+            None => (0, 0, false),
+            Some(Ok(commit)) => (commit.moves as usize, commit.cost, false),
+            Some(Err(e)) => {
+                assert!(log.faults.is_some(), "fault-free commit failed: {e}");
+                (0, 0, true)
+            }
+        };
+
+        let makespan = r.makespan();
+        let total = r.loads().iter().fold(0u64, |a, &l| a.saturating_add(l));
+        if let Some(tally) = log.faults.as_mut() {
+            let sizes: Vec<u64> = r.instance().jobs().iter().map(|j| j.size).collect();
+            let tier = if rejected { "rejected" } else { "policy" };
+            let regret = oracle_regret(makespan, &sizes, step.up.len());
+            tally.record_faults(tier, step.forced, step.effective.is_none(), regret, obs);
+        }
+        let migrations = step.forced.0 + moves;
+        let metrics = EpochMetrics {
+            epoch,
+            makespan,
+            avg_load: total.div_ceil(step.up.len() as u64),
+            migrations,
+            migration_cost: step.forced.1.saturating_add(cost),
+        };
+        let nanos = answer.map_or(0, |(_, _, nanos)| nanos).max(1);
+        log.record_epoch(metrics, nanos, obs);
+        let banked = r.bank().balance();
+        obs.observe(names::ONLINE_BANKED, banked);
+        self.banked.push(banked);
+        self.arrivals.push(step.churn.0);
+        self.departures.push(step.churn.1);
+    }
 }
 
 #[cfg(test)]
@@ -658,6 +495,20 @@ mod tests {
             r
         };
         assert_eq!(strip(a), strip(b));
+    }
+
+    /// `cfg` run as a fleet of one under `plan`.
+    fn solo_under(cfg: &OnlineWorkloadConfig, plan: &FaultPlan) -> OnlineRunReport {
+        let fleet = OnlineFleetConfig {
+            farms: vec![*cfg],
+            threads: 1,
+        };
+        run_online_fleet_in(&fleet, std::slice::from_ref(plan), &NoopTracer).remove(0)
+    }
+
+    /// `cfg` run as a fault-free fleet of one.
+    fn solo(cfg: &OnlineWorkloadConfig) -> OnlineRunReport {
+        solo_under(cfg, &FaultPlan::none(cfg.num_procs))
     }
 
     fn cfg() -> OnlineWorkloadConfig {
@@ -697,8 +548,8 @@ mod tests {
     #[test]
     fn online_run_is_deterministic_and_respects_effective_budgets() {
         let c = cfg();
-        let a = run_farm_online(&c);
-        let b = run_farm_online(&c);
+        let a = solo(&c);
+        let b = solo(&c);
         assert_eq!(a.sim.epochs, b.sim.epochs);
         assert_eq!(a.banked_per_epoch, b.banked_per_epoch);
         assert_eq!(a.final_loads, b.final_loads);
@@ -774,7 +625,7 @@ mod tests {
             ..lrb_faults::FaultConfig::none(9)
         };
         let plan = FaultPlan::generate(&fc, c.num_procs, c.epochs);
-        let r = run_farm_online_faulty(&c, &plan);
+        let r = solo_under(&c, &plan);
         assert_eq!(r.banked_per_epoch.len(), c.epochs);
         for (e, &b) in r.banked_per_epoch.iter().enumerate() {
             assert!(b <= bank.cap, "epoch {e}: banked {b} above cap");
@@ -785,7 +636,11 @@ mod tests {
     fn online_counters_are_emitted() {
         let rec = lrb_obs::AtomicRecorder::new();
         let c = cfg();
-        let r = run_farm_online_in(&c, &rec);
+        let fleet = OnlineFleetConfig {
+            farms: vec![c],
+            threads: 1,
+        };
+        let r = run_online_fleet_in(&fleet, &[FaultPlan::none(c.num_procs)], &rec).remove(0);
         let snap = rec.snapshot();
         assert_eq!(snap.counter(names::ONLINE_EVENTS), Some(r.stats.events));
         assert_eq!(
@@ -802,8 +657,8 @@ mod tests {
     #[test]
     fn fault_free_plan_is_bit_identical_to_clean_run() {
         let c = cfg();
-        let clean = run_farm_online(&c);
-        let faulty = run_farm_online_faulty(&c, &FaultPlan::none(c.num_procs));
+        let clean = solo(&c);
+        let faulty = solo_under(&c, &FaultPlan::none(c.num_procs));
         assert_same_trace(&clean, &faulty);
     }
 
@@ -816,7 +671,7 @@ mod tests {
             c.epochs,
         );
         assert!(!plan.is_fault_free());
-        let r = run_farm_online_faulty(&c, &plan);
+        let r = solo_under(&c, &plan);
         assert_eq!(r.sim.epochs.len(), c.epochs);
         assert_eq!(r.sim.provenance.len(), c.epochs);
         assert!(
@@ -826,7 +681,7 @@ mod tests {
         );
         assert!(r.sim.degradation.epochs_degraded > 0);
         assert!(r.sim.degradation.mean_oracle_regret.is_finite());
-        let deterministic = run_farm_online_faulty(&c, &plan);
+        let deterministic = solo_under(&c, &plan);
         assert_same_trace(&r, &deterministic);
     }
 
@@ -841,7 +696,7 @@ mod tests {
             c.num_procs,
             c.epochs,
         );
-        let r = run_farm_online_faulty(&c, &plan);
+        let r = solo_under(&c, &plan);
         assert_eq!(r.sim.degradation.budget_exhausted_epochs, c.epochs as u64);
         assert_eq!(r.stats.rebalances, 0);
     }
@@ -868,7 +723,7 @@ mod tests {
         });
         assert_eq!(fleet.len(), farms.len());
         for (fc, fleet_report) in farms.iter().zip(&fleet) {
-            let solo = run_farm_online(fc);
+            let solo = solo(fc);
             assert_eq!(fleet_report.sim.policy, solo.sim.policy);
             assert_eq!(fleet_report.sim.epochs, solo.sim.epochs);
             assert_eq!(fleet_report.sim.decisions, solo.sim.decisions);
@@ -877,6 +732,73 @@ mod tests {
             assert_eq!(fleet_report.departures_per_epoch, solo.departures_per_epoch);
             assert_eq!(fleet_report.stats, solo.stats);
             assert_eq!(fleet_report.final_loads, solo.final_loads);
+        }
+    }
+
+    #[test]
+    fn faulty_farms_in_a_fleet_match_their_fleets_of_one() {
+        let crashes = |m: usize, epochs: usize, seed: u64| {
+            FaultPlan::generate(
+                &lrb_faults::FaultConfig::crashes(0.25, 0.5, seed),
+                m,
+                epochs,
+            )
+        };
+        let mut farms = Vec::new();
+        let mut plans = Vec::new();
+        for (m, seed) in [(4usize, 1u64), (6, 2), (3, 3), (5, 4)] {
+            let mut fc = OnlineWorkloadConfig::default_online(m);
+            fc.epochs = 20;
+            fc.seed = seed;
+            farms.push(fc);
+        }
+        plans.push(crashes(4, 20, 7));
+        plans.push(FaultPlan::generate(
+            &lrb_faults::FaultConfig {
+                exhaust_rate: 0.4,
+                ..lrb_faults::FaultConfig::none(8)
+            },
+            6,
+            20,
+        ));
+        plans.push(FaultPlan::none(3));
+        plans.push(FaultPlan::generate(
+            &lrb_faults::FaultConfig {
+                exhaust_rate: 0.3,
+                ..lrb_faults::FaultConfig::crashes(0.2, 0.5, 9)
+            },
+            5,
+            20,
+        ));
+        // A shorter cost-budget farm under crashes finishes early.
+        let mut fc = OnlineWorkloadConfig::default_online(4);
+        fc.epochs = 12;
+        fc.budget = Budget::Cost(5);
+        fc.seed = 9;
+        farms.push(fc);
+        plans.push(crashes(4, 12, 10));
+
+        let solos: Vec<OnlineRunReport> = farms
+            .iter()
+            .zip(&plans)
+            .map(|(fc, plan)| solo_under(fc, plan))
+            .collect();
+        assert!(solos[0].sim.degradation.forced_migrations > 0);
+        assert!(solos[1].sim.degradation.budget_exhausted_epochs > 0);
+        assert!(solos[2].sim.degradation.is_clean() && solos[2].sim.provenance.is_empty());
+        assert!(solos[3].sim.degradation.forced_migrations > 0);
+        assert!(solos[3].sim.degradation.budget_exhausted_epochs > 0);
+        assert!(solos[4].sim.degradation.forced_migrations > 0);
+        for threads in [1, 2, 4] {
+            let fleet = OnlineFleetConfig {
+                farms: farms.clone(),
+                threads,
+            };
+            let reports = run_online_fleet_in(&fleet, &plans, &NoopTracer);
+            assert_eq!(reports.len(), solos.len());
+            for (report, solo) in reports.iter().zip(&solos) {
+                assert_same_trace(report, solo);
+            }
         }
     }
 

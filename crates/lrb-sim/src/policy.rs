@@ -9,6 +9,7 @@
 use lrb_core::deadline::{DeadlineSolver, FallbackChain, SolverKind, WorkBudget};
 use lrb_core::lpt;
 use lrb_core::model::{Assignment, Budget, Instance};
+use lrb_core::mpartition::ThresholdSearch;
 use lrb_core::Ctx;
 
 /// A per-epoch rebalancing policy.
@@ -80,7 +81,11 @@ impl Policy for MPartitionPolicy {
     }
 
     fn rebalance(&mut self, inst: &Instance, budget: Budget) -> Assignment {
-        solve_or_stay(SolverKind::MPartition, inst, budget)
+        solve_or_stay(
+            SolverKind::MPartition(ThresholdSearch::Binary),
+            inst,
+            budget,
+        )
     }
 }
 

@@ -123,8 +123,9 @@ run cargo run -q --release --offline -p lrb-lint --bin lrb-lint -- \
 
 # Zero-cost observer gate: a hot loop making every call of the Tracer
 # trait (counter, histogram, span with a payload, instant), monomorphized
-# over NoopTracer, must keep its median within 2% plus 20 µs of the plain
-# loop's (the bench asserts and aborts otherwise).
+# over NoopTracer, runs against the plain loop in 201 interleaved pairs;
+# the median per-pair ratio instrumented / plain must be at most 1.02, with
+# no absolute floor (the bench asserts and aborts otherwise).
 run cargo bench -q -p lrb-bench --bench noop_overhead --offline
 
 run cargo fmt --all --check
