@@ -3,7 +3,8 @@
 use lrb_core::cost_partition;
 use lrb_core::model::Instance;
 use lrb_core::ptas::{self, Precision};
-use lrb_harness::{run_parallel, seed_for, Summary, Table};
+use lrb_engine::{run_all, EngineConfig};
+use lrb_harness::{seed_for, Summary, Table};
 use lrb_instances::generators::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
 
 use crate::common::{ratio, Scale};
@@ -40,7 +41,7 @@ fn cost_cells(scale: Scale, master_seed: u64, n_max: usize) -> Vec<(Instance, u6
 /// the exact budgeted optimum.
 pub fn t7_cost_partition(scale: Scale) -> Table {
     let cells = cost_cells(scale, 0xA7, 10);
-    let rows = run_parallel(cells, lrb_harness::default_threads(), |(inst, budget)| {
+    let rows = run_all(&cells, &EngineConfig::default(), |(inst, budget)| {
         let opt = lrb_exact::optimal_makespan_cost(inst, *budget);
         let run = cost_partition::rebalance(inst, *budget).expect("cost partition runs");
         let budget_ok = run.outcome.cost() <= *budget;
@@ -90,7 +91,7 @@ pub fn t8_ptas_quality(scale: Scale) -> Table {
     );
     for q in [2u64, 5, 8] {
         let cells = cost_cells(scale, 0xA8 + q, 8);
-        let rows = run_parallel(cells, lrb_harness::default_threads(), |(inst, budget)| {
+        let rows = run_all(&cells, &EngineConfig::default(), |(inst, budget)| {
             let opt = lrb_exact::optimal_makespan_cost(inst, *budget);
             let run = ptas::rebalance(inst, *budget, Precision::from_q(q)).expect("ptas runs");
             let ms = run.outcome.makespan();

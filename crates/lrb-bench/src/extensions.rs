@@ -3,7 +3,8 @@
 
 use lrb_core::constrained::{self, ConstrainedInstance};
 use lrb_core::model::Budget;
-use lrb_harness::{run_parallel, seed_for, Summary, Table};
+use lrb_engine::{run_all, EngineConfig};
+use lrb_harness::{seed_for, Summary, Table};
 use lrb_instances::generators::{GeneratorConfig, PlacementModel, SizeDistribution};
 use lrb_sim::{run_process, MPartitionPolicy, NoRebalance, ProcessSimConfig};
 use rand::rngs::StdRng;
@@ -56,7 +57,7 @@ pub fn t15_constrained(scale: Scale) -> Table {
         let cells: Vec<u64> = (0..scale.trials() as u64 * 3)
             .map(|t| seed_for(0xB5, t * 7 + (density * 100.0) as u64))
             .collect();
-        let rows = run_parallel(cells, lrb_harness::default_threads(), |&seed| {
+        let rows = run_all(&cells, &EngineConfig::default(), |&seed| {
             let c = random_constrained(8, 3, density, seed);
             let k = 3usize;
             let (opt, _) = lrb_exact::constrained::solve(&c, Budget::Moves(k));
@@ -143,7 +144,7 @@ pub fn t17_greedy_order(scale: Scale) -> Table {
         ("removal", ReinsertOrder::RemovalOrder),
         ("ascending", ReinsertOrder::Ascending),
     ] {
-        let rows = run_parallel(cells.clone(), lrb_harness::default_threads(), |&seed| {
+        let rows = run_all(&cells, &EngineConfig::default(), |&seed| {
             let inst = GeneratorConfig {
                 n: 10,
                 m: 3,
@@ -196,7 +197,7 @@ pub fn t18_conflict_quality(scale: Scale) -> Table {
         let cells: Vec<u64> = (0..scale.trials() as u64 * 6)
             .map(|t| seed_for(0xB8, t * 3 + (density * 100.0) as u64))
             .collect();
-        let rows = run_parallel(cells, lrb_harness::default_threads(), |&seed| {
+        let rows = run_all(&cells, &EngineConfig::default(), |&seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = 8usize;
             let m = 3usize;

@@ -5,7 +5,8 @@ use lrb_core::bounds::within_ratio;
 use lrb_core::greedy::{self, ReinsertOrder};
 use lrb_core::model::Instance;
 use lrb_core::{mpartition, partition, Ctx};
-use lrb_harness::{run_parallel, seed_for, Summary, Table};
+use lrb_engine::{run_all, EngineConfig};
+use lrb_harness::{seed_for, Summary, Table};
 use lrb_instances::adversarial;
 
 use crate::common::{ratio, small_config, standard_distributions, Scale};
@@ -44,7 +45,7 @@ fn sweep_cells(scale: Scale, master_seed: u64) -> Vec<(String, Cell)> {
 /// instances, ratio measured against the exact oracle.
 pub fn t1_greedy_ratio(scale: Scale) -> Table {
     let cells = sweep_cells(scale, 0xA1);
-    let rows = run_parallel(cells, lrb_harness::default_threads(), |(_, cell)| {
+    let rows = run_all(&cells, &EngineConfig::default(), |(_, cell)| {
         let opt = lrb_exact::optimal_makespan_moves(&cell.inst, cell.k);
         let g = greedy::rebalance(&cell.inst, cell.k)
             .expect("greedy runs")
@@ -103,7 +104,7 @@ pub fn t2_greedy_tight(_scale: Scale) -> Table {
 /// T3 — Lemma 1: the removal-phase makespan `G1` never exceeds `OPT`.
 pub fn t3_g1_bound(scale: Scale) -> Table {
     let cells = sweep_cells(scale, 0xA3);
-    let rows = run_parallel(cells, lrb_harness::default_threads(), |(_, cell)| {
+    let rows = run_all(&cells, &EngineConfig::default(), |(_, cell)| {
         let opt = lrb_exact::optimal_makespan_moves(&cell.inst, cell.k);
         let g1 = greedy::g1_lower_bound(&cell.inst, cell.k);
         (ratio(g1, opt), g1 <= opt)
@@ -128,7 +129,7 @@ pub fn t3_g1_bound(scale: Scale) -> Table {
 /// budget.
 pub fn t4_partition_ratio(scale: Scale) -> Table {
     let cells = sweep_cells(scale, 0xA4);
-    let rows = run_parallel(cells, lrb_harness::default_threads(), |(_, cell)| {
+    let rows = run_all(&cells, &EngineConfig::default(), |(_, cell)| {
         let opt = lrb_exact::optimal_makespan_moves(&cell.inst, cell.k);
         let run = mpartition::rebalance(&cell.inst, cell.k).expect("m-partition runs");
         let ms = run.outcome.makespan();
@@ -181,7 +182,7 @@ pub fn t5_partition_tight(_scale: Scale) -> Table {
 pub fn t6_partition_moves(scale: Scale) -> Table {
     use lrb_core::profiles::Profiles;
     let cells = sweep_cells(scale, 0xA6);
-    let rows = run_parallel(cells, lrb_harness::default_threads(), |(_, cell)| {
+    let rows = run_all(&cells, &EngineConfig::default(), |(_, cell)| {
         let opt = lrb_exact::optimal_makespan_moves(&cell.inst, cell.k);
         // Minimum moves any algorithm needs to reach makespan <= opt.
         let opt_moves = lrb_exact::move_min::min_moves_to_achieve(&cell.inst, opt)

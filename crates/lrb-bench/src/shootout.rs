@@ -6,7 +6,8 @@ use lrb_core::bounds;
 use lrb_core::model::{Budget, Instance};
 use lrb_core::mpartition::{self, ThresholdSearch};
 use lrb_core::{greedy, lpt, Ctx};
-use lrb_harness::{geo_mean, run_parallel, seed_for, Table};
+use lrb_engine::{run_all, EngineConfig};
+use lrb_harness::{geo_mean, seed_for, Table};
 use lrb_instances::generators::{GeneratorConfig, PlacementModel, SizeDistribution};
 
 use crate::common::{ratio, Scale};
@@ -46,7 +47,7 @@ pub fn t9_shootout(scale: Scale) -> Table {
             let seeds: Vec<u64> = (0..scale.trials() as u64)
                 .map(|t| seed_for(0xA9, t * 100 + n as u64 + k as u64))
                 .collect();
-            let rows = run_parallel(seeds, lrb_harness::default_threads(), |&seed| {
+            let rows = run_all(&seeds, &EngineConfig::default(), |&seed| {
                 let inst = medium_instance(n, m, seed);
                 let lb = bounds::lower_bound(&inst, Budget::Moves(k)).max(1);
 
@@ -107,7 +108,7 @@ pub fn t13_crossover(scale: Scale) -> Table {
         let seeds: Vec<u64> = (0..scale.trials() as u64)
             .map(|t| seed_for(0xB3, t * 31 + n as u64))
             .collect();
-        let rows = run_parallel(seeds, lrb_harness::default_threads(), |&seed| {
+        let rows = run_all(&seeds, &EngineConfig::default(), |&seed| {
             let inst = medium_instance(n, m, seed);
             let full = lpt::full_rebalance(&inst).expect("lpt").makespan();
             // Smallest k with makespan <= full * (1 + pct/100), per pct.
@@ -168,7 +169,7 @@ pub fn t14_threshold_ablation(scale: Scale) -> Table {
             let seeds: Vec<u64> = (0..scale.trials() as u64)
                 .map(|t| seed_for(0xB4, t * 17 + n as u64 + k as u64))
                 .collect();
-            let rows = run_parallel(seeds, lrb_harness::default_threads(), |&seed| {
+            let rows = run_all(&seeds, &EngineConfig::default(), |&seed| {
                 let inst = medium_instance(n, 8, seed);
                 let mut ctx = Ctx::default();
                 let scan = mpartition::rebalance_in(&inst, k, ThresholdSearch::Scan, &mut ctx)

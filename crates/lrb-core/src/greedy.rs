@@ -15,8 +15,14 @@
 //! via [`ReinsertOrder`] because the tightness construction (experiment T2)
 //! needs the adversarial order, while descending order behaves like LPT and
 //! is the better practical default.
+//!
+//! The same code runs on processors of any integer speeds
+//! ([`crate::hetero::rebalance_greedy`]): "loaded" means the scaled load
+//! `L_p / v_p` (reinsertion: `(L_p + s_j) / v_p`), ties broken by `(L_p, p)`.
+//! Each phase keeps one `(load, proc)` heap per distinct speed and compares
+//! the heads exactly; identical machines are the one-heap case.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering::{Equal, Greater, Less};
 use std::collections::BinaryHeap;
 
 use lrb_obs::{names, NoopTracer, Tracer};
@@ -24,7 +30,8 @@ use lrb_obs::{names, NoopTracer, Tracer};
 use crate::ctx::Ctx;
 use crate::deadline::WorkBudget;
 use crate::error::{Error, Result};
-use crate::model::{Instance, Size};
+use crate::hetero::{cmp_scaled, Speeds};
+use crate::model::{Instance, ProcId, Size};
 use crate::outcome::RebalanceOutcome;
 use crate::scratch::GreedyScratch;
 
@@ -82,25 +89,27 @@ pub fn rebalance_in<R: Tracer>(
     order: ReinsertOrder,
     ctx: &mut Ctx<'_, R>,
 ) -> Result<GreedyRun> {
-    rebalance_impl(inst, k, order, ctx.rec, &ctx.work, &mut ctx.scratch.greedy)
+    rebalance_impl(inst, None, k, order, ctx)
 }
 
-fn rebalance_impl<R: Tracer>(
+/// GREEDY on processors of the given speeds (`None`: identical machines,
+/// every speed 1), leaving the final loads in `ctx.scratch.greedy.loads`.
+pub(crate) fn rebalance_impl<R: Tracer>(
     inst: &Instance,
+    speeds: Option<&Speeds>,
     k: usize,
     order: ReinsertOrder,
-    rec: &R,
-    work: &WorkBudget,
-    s: &mut GreedyScratch,
+    ctx: &mut Ctx<'_, R>,
 ) -> Result<GreedyRun> {
+    let (rec, work, s) = (ctx.rec, &ctx.work, &mut ctx.scratch.greedy);
     let mut assignment = inst.initial().clone();
     let g1 = {
         let _t = rec.span(names::GREEDY_REMOVAL);
-        removal_phase(inst, k, rec, work, s)?
+        removal_phase(inst, speeds, k, rec, work, s)?
     };
 
-    // Phase 2: reinsert each removed job on the current minimum-loaded
-    // processor, via a min-heap keyed on (load, proc). The order keys are
+    // Phase 2: reinsert each removed job on the processor that finishes it
+    // first, the best head of the per-speed min-heaps. The order keys are
     // (size key, removal position) pairs, so an unstable sort keeps equal
     // sizes in removal order without a merge buffer; `!size` orders sizes
     // descending.
@@ -116,25 +125,22 @@ fn rebalance_impl<R: Tracer>(
         s.order_keys.sort_unstable();
     }
 
-    let mut heap_buf = std::mem::take(&mut s.min_heap);
-    heap_buf.clear();
-    heap_buf.extend(s.loads.iter().enumerate().map(|(p, &l)| Reverse((l, p))));
-    let mut heap = BinaryHeap::from(heap_buf);
+    s.heaps.fill(true, speeds, &s.loads);
     for &(_, pos) in &s.order_keys {
         let j = s.removed[pos];
+        let size = inst.size(j);
         work.charge(names::GREEDY_REINSERT, 1)?;
-        let Reverse((load, p)) = heap.pop().ok_or(Error::NoProcessors)?;
-        let new_load = load.saturating_add(inst.size(j));
+        let (c, (load, p)) = s.heaps.first(size).ok_or(Error::NoProcessors)?;
+        let new_load = load.saturating_add(size);
         assignment[j] = p;
         s.loads[p] = new_load;
-        heap.push(Reverse((new_load, p)));
+        s.heaps.replace_head(c, (new_load, p));
         rec.incr(names::GREEDY_JOBS_REINSERTED, 1);
         if p != inst.initial()[j] {
             rec.incr(names::GREEDY_MOVES, 1);
-            rec.observe(names::GREEDY_MOVE_SIZE, inst.size(j));
+            rec.observe(names::GREEDY_MOVE_SIZE, size);
         }
     }
-    s.min_heap = heap.into_vec();
 
     let g2 = s.loads.iter().copied().max().unwrap_or(0);
     let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
@@ -142,12 +148,13 @@ fn rebalance_impl<R: Tracer>(
     Ok(GreedyRun { outcome, g1, g2 })
 }
 
-/// Phase 1 of `GREEDY`: remove the largest job from the max-loaded processor
+/// Phase 1 of `GREEDY`: remove the largest job from the heaviest processor
 /// `k` times (stopping early once all loads are zero). Leaves the removed
 /// jobs (in removal order) in `s.removed` and the residual per-processor
 /// loads in `s.loads`; returns the resulting makespan `G1`.
 fn removal_phase<R: Tracer>(
     inst: &Instance,
+    speeds: Option<&Speeds>,
     k: usize,
     rec: &R,
     work: &WorkBudget,
@@ -173,26 +180,16 @@ fn removal_phase<R: Tracer>(
         jobs.sort_unstable();
     }
 
-    // Lazy max-heap over (load, proc): stale entries are skipped when the
-    // recorded load no longer matches the live load.
-    let mut heap_buf = std::mem::take(&mut s.max_heap);
-    heap_buf.clear();
-    heap_buf.extend(s.loads.iter().enumerate().map(|(p, &l)| (l, p)));
-    let mut heap = BinaryHeap::from(heap_buf);
-
+    s.heaps.fill(false, speeds, &s.loads);
     s.removed.clear();
     for _ in 0..k {
         work.charge(names::GREEDY_REMOVAL, 1)?;
-        let p = loop {
-            match heap.pop() {
-                Some((l, p)) if s.loads[p] == l => break Some(p),
-                Some(_) => continue,
-                None => break None,
-            }
+        let Some((c, (load, p))) = s.heaps.first(0) else {
+            break;
         };
-        let Some(p) = p else { break };
-        if s.loads[p] == 0 {
-            // All processors are empty; removing more jobs is pointless.
+        if load == 0 {
+            // The heaviest processor is empty, so all are; removing more
+            // jobs is pointless.
             break;
         }
         // A nonzero load implies a job on the stack; treat a mismatch (an
@@ -201,22 +198,105 @@ fn removal_phase<R: Tracer>(
         let Some((size, j)) = s.per_proc[p].pop() else {
             break;
         };
-        s.loads[p] = s.loads[p].saturating_sub(size);
+        s.loads[p] = load.saturating_sub(size);
         s.removed.push(j);
         rec.incr(names::GREEDY_JOBS_REMOVED, 1);
-        heap.push((s.loads[p], p));
+        s.heaps.replace_head(c, (s.loads[p], p));
     }
-    s.max_heap = heap.into_vec();
 
     Ok(s.loads.iter().copied().max().unwrap_or(0))
+}
+
+/// One GREEDY phase's processor queue: per distinct speed, a max-heap with
+/// one `(load, proc)` entry per processor (stored negated in reinsertion,
+/// which makes it a min-heap), and every heap's head in one array.
+#[derive(Debug, Default)]
+pub(crate) struct SpeedHeaps {
+    /// Min-heaps (reinsertion) rather than max-heaps (removal).
+    min: bool,
+    /// The distinct speeds, ascending: one heap each.
+    speeds: Vec<u64>,
+    heaps: Vec<BinaryHeap<(Size, ProcId)>>,
+    heads: Vec<(Size, ProcId)>,
+}
+
+impl SpeedHeaps {
+    /// Refill for one phase with `(loads[p], p)` for every processor `p`.
+    fn fill(&mut self, min: bool, speeds: Option<&Speeds>, loads: &[Size]) {
+        self.min = min;
+        self.speeds.clear();
+        self.speeds
+            .extend_from_slice(speeds.map_or(&[1][..], Speeds::as_slice));
+        self.speeds.sort_unstable();
+        self.speeds.dedup();
+        self.heaps.truncate(self.speeds.len());
+        self.heaps.resize_with(self.speeds.len(), BinaryHeap::new);
+        for heap in &mut self.heaps {
+            heap.clear();
+        }
+        for (p, &load) in loads.iter().enumerate() {
+            let speed = speeds.map_or(1, |v| v.get(p));
+            let c = self.speeds.binary_search(&speed).unwrap_or(0);
+            self.heaps[c].push(flip(min, (load, p)));
+        }
+        // No heap is empty unless there are no processors at all.
+        self.heads.clear();
+        let heads = self.heaps.iter().filter_map(|h| h.peek());
+        self.heads.extend(heads.map(|&e| flip(min, e)));
+    }
+
+    /// The class whose head `(load, proc)` ranks first — the greatest in
+    /// max-heaps, the least in min-heaps — with that head. Heads rank by
+    /// scaled load `(load + extra) / v`, compared exactly, ties broken by
+    /// `(load, proc)`; at one speed that is the `(load, proc)` order.
+    fn first(&self, extra: Size) -> Option<(usize, (Size, ProcId))> {
+        let want = if self.min { Less } else { Greater };
+        let heads = &self.heads;
+        let mut best = 0;
+        let mut best_load = heads.first()?.0.saturating_add(extra);
+        let mut best_v = self.speeds[0];
+        for c in 1..heads.len() {
+            let (head, v) = (heads[c], self.speeds[c]);
+            let load = head.0.saturating_add(extra);
+            let order = match cmp_scaled(load, v, best_load, best_v) {
+                Equal => head.cmp(&heads[best]),
+                order => order,
+            };
+            if order == want {
+                (best, best_load, best_v) = (c, load, v);
+            }
+        }
+        Some((best, heads[best]))
+    }
+
+    /// Replace class `c`'s head with `key`, restoring its heap order.
+    fn replace_head(&mut self, c: usize, key: (Size, ProcId)) {
+        let heap = &mut self.heaps[c];
+        if let Some(mut head) = heap.peek_mut() {
+            *head = flip(self.min, key);
+        }
+        if let Some(&head) = heap.peek() {
+            self.heads[c] = flip(self.min, head);
+        }
+    }
+}
+
+/// A `(load, proc)` heap entry as stored: unchanged in a max-heap, bitwise
+/// negated in a min-heap, which reverses its order. Its own inverse.
+fn flip(min: bool, (load, p): (Size, ProcId)) -> (Size, ProcId) {
+    if min {
+        (!load, !p)
+    } else {
+        (load, p)
+    }
 }
 
 /// Lemma 1 as a lower bound: the makespan after removing the largest job
 /// from the max-loaded processor `k` times. Any rebalancing that moves at
 /// most `k` jobs has makespan at least this value.
 pub fn g1_lower_bound(inst: &Instance, k: usize) -> Size {
-    let mut scratch = GreedyScratch::default();
-    removal_phase(inst, k, &NoopTracer, &WorkBudget::unlimited(), &mut scratch)
+    let (mut scratch, unlimited) = (GreedyScratch::default(), WorkBudget::unlimited());
+    removal_phase(inst, None, k, &NoopTracer, &unlimited, &mut scratch)
         // lint: allow(no-panic-core, WorkBudget::unlimited() makes cancellation unreachable)
         .expect("unlimited work budget never cancels")
 }

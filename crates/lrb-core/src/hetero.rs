@@ -16,10 +16,11 @@
 //!   all speeds are equal every comparison degenerates to the raw-load
 //!   comparison the identical-machine solvers make — the basis of the
 //!   bit-identity guarantee below.
-//! * [`rebalance_greedy`] — GREEDY with removal ordered by scaled load and
-//!   reinsertion by scaled finishing time. With all speeds equal it is
-//!   **bit-identical** to [`crate::greedy::rebalance`] (same assignment,
-//!   not just the same makespan); `tests/metamorphic_hetero.rs` enforces it.
+//! * [`rebalance_greedy`] — [`crate::greedy`] with removal ordered by
+//!   scaled load and reinsertion by scaled finishing time. With all speeds
+//!   equal it is **bit-identical** to [`crate::greedy::rebalance`] (same
+//!   assignment, not just the same makespan); `tests/metamorphic_hetero.rs`
+//!   enforces it.
 //! * [`rebalance_mpartition`] — the threshold ladder generalized to rational
 //!   thresholds `x / v`: at each candidate, every processor gets the raw
 //!   capacity `⌊x·v_q / v⌋` (scale-invariant by construction), overfull
@@ -34,6 +35,7 @@ use lrb_obs::{names, NoopTracer, Tracer};
 
 use crate::ctx::Ctx;
 use crate::error::{Error, Result};
+use crate::greedy::{self, ReinsertOrder};
 use crate::model::{Assignment, Instance, ProcId, Size};
 use crate::mpartition::{self, ThresholdSearch};
 use crate::outcome::RebalanceOutcome;
@@ -197,14 +199,10 @@ pub struct HeteroMPartitionRun {
     pub probes: usize,
 }
 
-/// Speed-scaled GREEDY with at most `k` moves.
-///
-/// Phase 1 removes, `k` times, the largest job from the processor with the
-/// largest *scaled* load (ties: larger raw load, then larger index — exactly
-/// the base solver's max-heap order when speeds are equal). Phase 2 reinserts
-/// the removed jobs largest-first, each on the processor minimizing its
-/// scaled *finishing time* (ties: smaller raw load, then smaller index —
-/// exactly the base min-heap order when speeds are equal).
+/// Speed-scaled GREEDY with at most `k` moves: [`crate::greedy`] on these
+/// speeds, reinserting largest-first. Removal takes from the greatest
+/// *scaled* load, reinsertion places on the least scaled *finishing time*,
+/// ties broken by `(raw load, index)` — the base order at equal speeds.
 ///
 /// ```
 /// use lrb_core::hetero::{rebalance_greedy, Speeds};
@@ -221,9 +219,9 @@ pub fn rebalance_greedy(inst: &Instance, speeds: &Speeds, k: usize) -> Result<He
     rebalance_greedy_in(inst, speeds, k, &mut Ctx::default())
 }
 
-/// [`rebalance_greedy`] in `ctx`: the scratch keeps every buffer warm, and
-/// the observer times the run (`hetero.greedy`) and counts cross-processor
-/// moves (`hetero.moves`). Speed-scaled GREEDY charges no work ticks.
+/// [`rebalance_greedy`] in `ctx`, as [`crate::greedy::rebalance_in`]: one
+/// work tick per removal and per reinsertion step, and the `greedy.*`
+/// telemetry inside a `hetero.greedy` span, plus the `hetero.moves` total.
 pub fn rebalance_greedy_in<R: Tracer>(
     inst: &Instance,
     speeds: &Speeds,
@@ -233,88 +231,11 @@ pub fn rebalance_greedy_in<R: Tracer>(
     let rec = ctx.rec;
     speeds.matches(inst)?;
     let _t = rec.span(names::HETERO_GREEDY);
-    let s = &mut ctx.scratch.hetero;
-    let m = inst.num_procs();
-    let mut assignment = inst.initial().clone();
-
-    // Phase 1: removal. Live loads plus per-processor job stacks sorted
-    // ascending by size (stable), so the largest job pops from the back and
-    // equal sizes pop in descending job-id order — byte-for-byte the base
-    // removal order.
-    s.loads.clear();
-    s.loads.extend_from_slice(inst.initial_loads());
-    s.per_proc.truncate(m);
-    s.per_proc.resize_with(m, Vec::new);
-    for jobs in &mut s.per_proc {
-        jobs.clear();
-    }
-    for (j, &p) in inst.initial().iter().enumerate() {
-        s.per_proc[p].push(j);
-    }
-    for jobs in &mut s.per_proc {
-        jobs.sort_by_key(|&j| inst.size(j));
-    }
-
-    s.removed.clear();
-    for _ in 0..k {
-        // Max scaled load; ties broken by (raw load, index) descending so an
-        // all-equal-speed run picks exactly the base max-heap's (load, proc).
-        let mut p = 0;
-        for q in 1..m {
-            match cmp_scaled(s.loads[q], speeds.get(q), s.loads[p], speeds.get(p)) {
-                Ordering::Greater => p = q,
-                Ordering::Equal if (s.loads[q], q) > (s.loads[p], p) => p = q,
-                _ => {}
-            }
-        }
-        if s.loads[p] == 0 {
-            // The max scaled load is zero, so every processor is empty.
-            break;
-        }
-        // A nonzero load implies a job on the stack; treat a mismatch (an
-        // internal-invariant breach, not user input) as "nothing to remove"
-        // rather than panicking.
-        let Some(j) = s.per_proc[p].pop() else { break };
-        s.loads[p] = s.loads[p].saturating_sub(inst.size(j));
-        s.removed.push(j);
-    }
-
-    // Phase 2: reinsert largest-first (stable sort keeps removal order among
-    // equal sizes, as in the base solver), each job on the processor with
-    // the minimum scaled finishing time.
-    s.order_buf.clear();
-    s.order_buf.extend_from_slice(&s.removed);
-    s.order_buf.sort_by_key(|&j| Reverse(inst.size(j)));
-    for &j in &s.order_buf {
-        let size = inst.size(j);
-        let mut best = 0;
-        let mut best_load = s.loads[0].saturating_add(size);
-        for q in 1..m {
-            let new_load = s.loads[q].saturating_add(size);
-            match cmp_scaled(new_load, speeds.get(q), best_load, speeds.get(best)) {
-                Ordering::Less => {
-                    best = q;
-                    best_load = new_load;
-                }
-                Ordering::Equal if (s.loads[q], q) < (s.loads[best], best) => {
-                    best = q;
-                    best_load = new_load;
-                }
-                _ => {}
-            }
-        }
-        assignment[j] = best;
-        s.loads[best] = best_load;
-        if best != inst.initial()[j] {
-            rec.incr(names::HETERO_MOVES, 1);
-        }
-    }
-
-    let scaled = scaled_makespan_of(&s.loads, speeds);
-    let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
+    let run = greedy::rebalance_impl(inst, Some(speeds), k, ReinsertOrder::Descending, ctx)?;
+    rec.incr(names::HETERO_MOVES, run.outcome.moves() as u64);
     Ok(HeteroRun {
-        outcome,
-        scaled_makespan: scaled,
+        outcome: run.outcome,
+        scaled_makespan: scaled_makespan_of(&ctx.scratch.greedy.loads, speeds),
     })
 }
 
@@ -627,6 +548,22 @@ mod tests {
             let run = rebalance_greedy(&i, &speeds, k).unwrap();
             assert_eq!(run.outcome.assignment(), base.assignment(), "k={k}");
             assert_eq!(run.scaled_makespan, base.makespan(), "k={k}");
+        }
+    }
+
+    #[test]
+    fn a_one_tick_budget_cancels_speed_scaled_greedy() {
+        // GREEDY charges a tick per removal and per reinsertion at any
+        // speeds, so two moves cannot fit in one tick.
+        let i = inst(&[6, 5, 4, 3], &[0, 0, 0, 0], 2);
+        let speeds = Speeds::new(vec![1, 2]).unwrap();
+        for k in 2..=4 {
+            let mut tiny = Ctx {
+                work: crate::deadline::WorkBudget::new(1),
+                ..Ctx::default()
+            };
+            let err = rebalance_greedy_in(&i, &speeds, k, &mut tiny).unwrap_err();
+            assert!(matches!(err, Error::Cancelled { .. }), "k={k}: {err:?}");
         }
     }
 

@@ -17,6 +17,7 @@
 use std::cmp::Reverse;
 
 use crate::cost_partition::ProcPlan;
+use crate::greedy::SpeedHeaps;
 use crate::knapsack::{Item, KeepScratch};
 use crate::model::{JobId, ProcId, Size};
 use crate::profiles::{ProcCounts, Profiles};
@@ -43,36 +44,29 @@ impl Scratch {
     }
 }
 
-/// Buffers for GREEDY's removal and reinsertion phases.
+/// Buffers for GREEDY's removal and reinsertion phases, at any speeds.
 #[derive(Debug, Default)]
 pub(crate) struct GreedyScratch {
     /// Live per-processor loads.
     pub loads: Vec<Size>,
     /// Per-processor `(size, id)` stacks, ascending (largest popped first).
     pub per_proc: Vec<Vec<(Size, JobId)>>,
-    /// Backing storage for the removal-phase lazy max-heap.
-    pub max_heap: Vec<(Size, ProcId)>,
-    /// Backing storage for the reinsertion min-heap.
-    pub min_heap: Vec<Reverse<(Size, ProcId)>>,
+    /// Each phase's per-speed processor heaps.
+    pub heaps: SpeedHeaps,
     /// Jobs removed in phase 1, in removal order.
     pub removed: Vec<JobId>,
     /// `(size key, removal position)` pairs in the reinsertion order.
     pub order_keys: Vec<(Size, usize)>,
 }
 
-/// Buffers for the speed-scaled (uniform-machine) solvers in
-/// [`crate::hetero`]: GREEDY's removal/reinsertion state plus the
-/// threshold-probe capacities and shed list.
+/// Buffers for speed-scaled M-PARTITION's threshold probes in
+/// [`crate::hetero`].
 #[derive(Debug, Default)]
 pub(crate) struct HeteroScratch {
     /// Live per-processor raw loads.
     pub loads: Vec<Size>,
-    /// Per-processor job stacks, ascending by size (largest popped first).
+    /// Per-processor job stacks, ascending by size (largest shed first).
     pub per_proc: Vec<Vec<JobId>>,
-    /// Jobs removed by GREEDY phase 1, in removal order.
-    pub removed: Vec<JobId>,
-    /// Removed jobs re-sorted into reinsertion order.
-    pub order_buf: Vec<JobId>,
     /// Per-processor raw capacities `⌊x·v_q / v⌋` at the probed threshold.
     pub caps: Vec<Size>,
     /// Jobs shed by overfull processors at the probed threshold.

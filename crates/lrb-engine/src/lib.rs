@@ -16,6 +16,9 @@
 //!   when empty, steals from the victim with the most remaining items,
 //!   absorbing skewed per-item solve times.
 //!
+//! The same runner backs [`run_all`], the workspace's one compute pool: any
+//! closure over any items, outputs in input order, no scratch or observer.
+//!
 //! One observer serves metrics and timelines alike: [`solve_batch_in`]
 //! takes any [`Tracer`], hands each worker its own [`Tracer::fork`] lane,
 //! and folds the lanes back after the join. Under an
@@ -153,9 +156,9 @@ impl EngineConfig {
 /// Result of a batch run: per-item outcomes in input order plus engine
 /// telemetry for the bench pipeline.
 #[derive(Debug, Clone)]
-pub struct BatchReport {
+pub struct BatchReport<O = RebalanceOutcome> {
     /// One outcome per input item, in input order.
-    pub outcomes: Vec<RebalanceOutcome>,
+    pub outcomes: Vec<O>,
     /// Per-item solve wall time in nanoseconds, in input order.
     pub solve_nanos: Vec<u64>,
     /// Worker threads used.
@@ -167,6 +170,39 @@ pub struct BatchReport {
     pub ladder_hits: u64,
     /// Always 0, as [`BatchReport::ladder_hits`].
     pub ladder_misses: u64,
+}
+
+/// Run `f` on every item across `cfg.threads` workers and return the
+/// outputs in input order.
+///
+/// This is the batch runner with a plain closure for a solve: the calling
+/// thread is worker 0, stripes are claimed and stolen as in
+/// [`solve_batch`], and each output lands in its item's slot, so the result
+/// is the sequential `items.iter().map(f)` at any thread count.
+///
+/// ```
+/// use lrb_engine::{run_all, EngineConfig};
+///
+/// let squares = run_all(&[1u64, 2, 3], &EngineConfig::with_threads(2), |&x| x * x);
+/// assert_eq!(squares, [1, 4, 9]);
+/// ```
+pub fn run_all<I, O, F>(items: &[I], cfg: &EngineConfig, f: F) -> Vec<O>
+where
+    I: Sync,
+    O: Send,
+    F: Fn(&I) -> O + Sync,
+{
+    let threads = cfg.resolved_threads(items.len());
+    let mut scratches: Vec<Scratch> = (0..threads).map(|_| Scratch::new()).collect();
+    run_batch_with(
+        items,
+        threads,
+        &mut scratches,
+        &NoopShim,
+        &NoopTracer,
+        |item: &I, _: &mut Ctx<'_, NoopTracer>| f(item),
+    )
+    .outcomes
 }
 
 /// Solve every item with no observer ([`solve_batch_in`] under
@@ -335,23 +371,25 @@ fn run_batch<T: Tracer + Send>(
 /// telemetry. The lanes fold back into `obs` ([`Tracer::absorb`]) in
 /// worker order after the join.
 ///
-/// Generic over the item type and per-item solve function so the base and
-/// speed-scaled batch paths share one runner — striping, stealing, and
-/// input-order slots are defined exactly once, and any thread-count
-/// bit-identity argument covers both.
-fn run_batch_with<I, S, T, F>(
+/// Generic over the item type, the output type and the per-item solve
+/// function so the base and speed-scaled batch paths and [`run_all`] share
+/// one runner — striping, stealing, and input-order slots are defined
+/// exactly once, and any thread-count bit-identity argument covers all
+/// three.
+fn run_batch_with<I, O, S, T, F>(
     items: &[I],
     threads: usize,
     scratches: &mut [Scratch],
     shim: &S,
     obs: &T,
     solve: F,
-) -> BatchReport
+) -> BatchReport<O>
 where
     I: Sync,
+    O: Send,
     S: ScheduleShim,
     T: Tracer + Send,
-    F: Fn(&I, &mut Ctx<'_, T>) -> RebalanceOutcome + Sync,
+    F: Fn(&I, &mut Ctx<'_, T>) -> O + Sync,
 {
     let n = items.len();
     let _batch = obs.span_with(names::ENGINE_BATCH, n as u64, false);
@@ -375,7 +413,7 @@ where
     // solve's clock reads, telemetry and result slot included), so the
     // worker span's time stays attributed.
     let work = |w: usize, scratch: &mut Scratch, lane: T| {
-        let mut local: Vec<(usize, RebalanceOutcome, u64)> = Vec::new();
+        let mut local: Vec<(usize, O, u64)> = Vec::new();
         let mut ctx = worker_ctx(scratch, &lane);
         {
             let _worker = lane.span_with(names::ENGINE_WORKER, w as u64, true);
@@ -462,7 +500,7 @@ where
         done
     });
 
-    let mut slots: Vec<Option<(RebalanceOutcome, u64)>> = (0..n).map(|_| None).collect();
+    let mut slots: Vec<Option<(O, u64)>> = (0..n).map(|_| None).collect();
     for (local, lane) in done {
         for (i, out, nanos) in local {
             slots[i] = Some((out, nanos));
@@ -674,6 +712,27 @@ mod tests {
                 for (i, (a, b)) in seq.iter().zip(&report.outcomes).enumerate() {
                     assert_eq!(a, b, "threads {threads} epoch {epoch} item {i}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn run_all_returns_outputs_in_input_order() {
+        // Every third item yields and works longer, so workers finish out of
+        // order and steal; the outputs must still come back in input order.
+        let f = |&x: &u64| {
+            if x % 3 == 0 {
+                std::thread::yield_now();
+            }
+            (0..x % 3 * 500).fold(x, |acc, i| acc.wrapping_mul(31) ^ i)
+        };
+        // No items, one item, fewer items than threads, and many items.
+        for n in [0, 1, 3, 257] {
+            let items: Vec<u64> = (0..n).collect();
+            let want: Vec<u64> = items.iter().map(f).collect();
+            for threads in [1, 2, 4, 8] {
+                let got = run_all(&items, &EngineConfig::with_threads(threads), f);
+                assert_eq!(got, want, "{n} items at {threads} threads");
             }
         }
     }

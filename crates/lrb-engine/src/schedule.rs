@@ -16,6 +16,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use lrb_obs::splitmix64;
+
 /// Where in the worker loop a yield point sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum YieldPoint {
@@ -69,14 +71,6 @@ impl ScheduleShim for NoopShim {
 /// Maximum workers the adversarial shim tracks (matches the engine's cap).
 const MAX_WORKERS: usize = 16;
 
-/// splitmix64: the workspace's standard cheap deterministic mixer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A seeded pathological scheduler.
 #[derive(Debug)]
 pub struct AdversarialShim {
@@ -109,7 +103,9 @@ impl AdversarialShim {
 
     fn roll(&self, worker: usize, salt: u64) -> u64 {
         let t = self.ticks[worker % MAX_WORKERS].fetch_add(1, Ordering::Relaxed);
-        mix(self.seed ^ (worker as u64).wrapping_mul(0x1000_0001) ^ salt.wrapping_mul(0x51) ^ t)
+        splitmix64(
+            self.seed ^ (worker as u64).wrapping_mul(0x1000_0001) ^ salt.wrapping_mul(0x51) ^ t,
+        )
     }
 }
 

@@ -6,8 +6,8 @@
 //!   aggregation;
 //! * [`table`] — aligned text tables + CSV, the one output format every
 //!   experiment uses;
-//! * [`runner`] — a crossbeam-scoped parallel sweep runner with
-//!   deterministic per-cell seeding;
+//! * [`runner`] — deterministic per-cell seeding for sweeps, which run
+//!   across threads on `lrb_engine::run_all`;
 //! * [`scenarios`] — the named fault-scenario table for chaos sweeps;
 //! * [`loadgen`] — a retrying/backoff client, a concurrent tenant load
 //!   generator, and the SIGKILL chaos drill for the `lrb-serve` daemon.
@@ -24,7 +24,7 @@ pub use loadgen::{
     run_chaos_drill, run_loadgen, Client, ClientConfig, DrillConfig, DrillReport, LoadGenConfig,
     LoadGenReport, ServerProc,
 };
-pub use runner::{default_threads, run_parallel, seed_for};
-pub use scenarios::{crash_sweep, standard_ladder, FaultScenario};
+pub use runner::seed_for;
+pub use scenarios::{crash_sweep, FaultScenario};
 pub use stats::{geo_mean, Summary};
 pub use table::Table;

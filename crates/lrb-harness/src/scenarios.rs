@@ -38,48 +38,6 @@ pub fn crash_sweep(base: &FaultConfig) -> Vec<FaultScenario> {
         .collect()
 }
 
-/// A ladder of qualitatively distinct scenarios at representative rates:
-/// fault-free baseline, unreliable telemetry, processor churn, a starved
-/// solver, and everything at once.
-pub fn standard_ladder(seed: u64) -> Vec<FaultScenario> {
-    let named = |name: &str, config: FaultConfig| FaultScenario {
-        name: name.to_string(),
-        config,
-    };
-    vec![
-        named("baseline", FaultConfig::none(seed)),
-        named(
-            "flaky-reports",
-            FaultConfig {
-                perturb_pct: 10,
-                stale_rate: 0.2,
-                drop_rate: 0.05,
-                ..FaultConfig::none(seed)
-            },
-        ),
-        named("crashes", FaultConfig::crashes(0.1, 0.5, seed)),
-        named(
-            "starved-solver",
-            FaultConfig {
-                exhaust_rate: 0.5,
-                ..FaultConfig::none(seed)
-            },
-        ),
-        named(
-            "hostile",
-            FaultConfig {
-                crash_rate: 0.2,
-                recovery_rate: 0.4,
-                perturb_pct: 20,
-                stale_rate: 0.2,
-                drop_rate: 0.1,
-                exhaust_rate: 0.3,
-                seed,
-            },
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,25 +54,5 @@ mod tests {
             assert!(w[0].config.crash_rate <= w[1].config.crash_rate);
         }
         assert!(sweep.iter().all(|s| s.config.crash_rate <= 0.9));
-    }
-
-    #[test]
-    fn standard_ladder_is_seeded_and_distinct() {
-        let a = standard_ladder(3);
-        let b = standard_ladder(3);
-        assert_eq!(a, b);
-        let names: Vec<&str> = a.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "baseline",
-                "flaky-reports",
-                "crashes",
-                "starved-solver",
-                "hostile"
-            ]
-        );
-        assert!(FaultPlan::generate(&a[0].config, 4, 30).is_fault_free());
-        assert!(!FaultPlan::generate(&a[4].config, 4, 30).is_fault_free());
     }
 }

@@ -4,6 +4,9 @@
 //! Resolution is name-based and deliberately over-approximate: a method
 //! call `.solve(x)` draws an edge to *every* non-test method named `solve`
 //! in the caller's crate or its (transitively) mentioned workspace crates.
+//! A bare call `solve(x)` resolves as Rust does when the caller's own
+//! module (same file, same inline `mod` path) defines a free `solve`: to
+//! that fn alone. Otherwise it too fans out to every free `solve` in reach.
 //! The crate-dependency filter — derived from `lrb_*` identifier mentions,
 //! so it works for real manifests and virtual fixture workspaces alike —
 //! keeps unrelated same-name items in sibling crates from short-circuiting
@@ -94,6 +97,8 @@ impl Graph {
 
 type NameIdx = BTreeMap<(String, String), Vec<usize>>;
 type QualIdx = BTreeMap<(String, String, String), Vec<usize>>;
+/// `(file, module path, name)` → the free fns a bare call there names.
+type LocalIdx<'a> = BTreeMap<(&'a str, &'a [String], &'a str), Vec<usize>>;
 
 /// Build the call graph from per-file parse facts.
 pub fn build(files: Vec<FileFacts>) -> Graph {
@@ -151,6 +156,7 @@ pub fn build(files: Vec<FileFacts>) -> Graph {
     let mut method: NameIdx = BTreeMap::new();
     let mut by_qual: QualIdx = BTreeMap::new();
     let mut by_mod: QualIdx = BTreeMap::new();
+    let mut local: LocalIdx = BTreeMap::new();
     for (i, n) in nodes.iter().enumerate() {
         if n.fact.is_test {
             continue;
@@ -159,6 +165,10 @@ pub fn build(files: Vec<FileFacts>) -> Graph {
         let name = n.fact.name.clone();
         match &n.fact.qualifier {
             None => {
+                local
+                    .entry((&n.file, &n.fact.modules, &n.fact.name))
+                    .or_default()
+                    .push(i);
                 free.entry((c.clone(), name.clone())).or_default().push(i);
                 for m in &n.fact.modules {
                     by_mod
@@ -196,9 +206,19 @@ pub fn build(files: Vec<FileFacts>) -> Graph {
             let mut cands: BTreeSet<usize> = BTreeSet::new();
             match &call.kind {
                 CallKind::Bare => {
-                    for &c in &allowed {
-                        if let Some(v) = free.get(&(c.clone(), call.name.clone())) {
-                            cands.extend(v.iter().copied());
+                    let own = (
+                        nodes[i].file.as_str(),
+                        nodes[i].fact.modules.as_slice(),
+                        call.name.as_str(),
+                    );
+                    match local.get(&own) {
+                        Some(v) => cands.extend(v.iter().copied()),
+                        None => {
+                            for &c in &allowed {
+                                if let Some(v) = free.get(&(c.clone(), call.name.clone())) {
+                                    cands.extend(v.iter().copied());
+                                }
+                            }
                         }
                     }
                 }

@@ -262,6 +262,25 @@ fn arith_flow_tracks_loads_through_lets_and_call_slots() {
 }
 
 #[test]
+fn bare_calls_resolve_in_the_callers_own_module_first() {
+    // Both files define a private `helper`. The load passed to the first
+    // file's `helper` must not make the second file's parameter
+    // load-typed: a bare call names the caller's own module's fn when
+    // there is one, so `scale * 2` is no finding.
+    let findings = lrb_lint::lint_sources(&[
+        (
+            "crates/lrb-core/src/caller.rs",
+            include_str!("../fixtures/local_helper.rs"),
+        ),
+        (
+            "crates/lrb-core/src/other.rs",
+            include_str!("../fixtures/other_helper.rs"),
+        ),
+    ]);
+    assert_eq!(triples(&findings), vec![], "{findings:#?}");
+}
+
+#[test]
 fn stale_and_malformed_suppressions_are_hard_errors() {
     let findings = lrb_lint::lint_sources(&[(
         "crates/lrb-harness/src/fixture.rs",

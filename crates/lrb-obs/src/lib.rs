@@ -29,6 +29,17 @@ pub use trace::{
     Tracer, TRACE_SCHEMA_VERSION,
 };
 
+/// One splitmix64 step: the workspace's one small deterministic mixer. It
+/// hashes trace timelines, checksums lrb-serve's WAL records, digests its
+/// state, and seeds schedule exploration and generated workloads; every
+/// pinned hash and checksum depends on these exact constants.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

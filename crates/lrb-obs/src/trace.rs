@@ -16,6 +16,8 @@
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
+use crate::splitmix64;
+
 /// Version of the trace event model exported as `TRACE_1.json`. Bump when
 /// event fields change meaning.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
@@ -341,13 +343,6 @@ pub struct Trace {
     pub solver: String,
     /// All events from all lanes, main lane first.
     pub events: Vec<SpanEvent>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {

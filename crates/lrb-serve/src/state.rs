@@ -140,14 +140,9 @@ pub enum ApplyOutcome {
     },
 }
 
-/// Splitmix64 step — the workspace's standard small mixer. Public so
-/// drills and load generators can derive deterministic workloads.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// The workspace's splitmix64 step, re-exported here so drills and load
+/// generators can derive deterministic workloads.
+pub use lrb_obs::splitmix64;
 
 /// The daemon's single-threaded state machine.
 #[derive(Debug)]

@@ -25,6 +25,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use lrb_core::model::Budget;
+use lrb_obs::splitmix64;
 
 use crate::wire::{BudgetSpec, WireError};
 
@@ -194,14 +195,6 @@ pub fn decode_event(payload: &[u8]) -> Result<LoggedEvent, WireError> {
         });
     }
     Ok(ev)
-}
-
-/// Splitmix64 step — the workspace's standard small hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Checksum of a record payload.

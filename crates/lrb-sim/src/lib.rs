@@ -25,7 +25,6 @@
 
 pub mod adversary;
 pub mod farm;
-pub mod fleet;
 pub mod metrics;
 pub mod online;
 pub mod policy;
@@ -38,7 +37,6 @@ pub use adversary::{AdaptiveAdversary, Adversary, GreedyPunisher, RandomOrderAdv
 pub use farm::{
     run as run_farm, run_in as run_farm_in, FarmConfig, MigrationCost, EXHAUSTED_EPOCH_WORK_TICKS,
 };
-pub use fleet::{run_fleet, FleetConfig};
 /// The observer that records nothing, for unobserved [`run_farm_in`] and
 /// [`run_online_fleet_in`] runs.
 pub use lrb_obs::NoopTracer;
