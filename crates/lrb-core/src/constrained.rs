@@ -8,11 +8,16 @@
 //! the 2-approximation lives in `lrb-lp::constrained` (it needs the LP) and
 //! the exact oracle in `lrb-exact::constrained`.
 
-use crate::error::{Error, Result};
-use crate::model::{Instance, JobId, ProcId, Size};
-use crate::outcome::RebalanceOutcome;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+use lrb_obs::NoopTracer;
+
+use crate::deadline::WorkBudget;
+use crate::error::{Error, Result};
+use crate::greedy;
+use crate::model::{Instance, JobId, ProcId};
+use crate::outcome::RebalanceOutcome;
+use crate::scratch::GreedyScratch;
 
 /// A load-rebalancing instance where each job carries an eligibility list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,42 +100,17 @@ impl ConstrainedInstance {
 ///
 /// This is a heuristic (the unconstrained ratio proof does not survive
 /// eligibility lists — consistent with the Corollary 1 lower bound), but
-/// it keeps GREEDY's shape: removal of the largest job from the max-loaded
-/// processor `k` times, then eligible min-load reinsertion. Jobs always
-/// may return home, so the algorithm is total.
+/// it keeps GREEDY's shape: GREEDY's own removal phase (the largest job
+/// from the max-loaded processor, `k` times), then eligible min-load
+/// reinsertion. Jobs always may return home, so the algorithm is total.
 pub fn greedy(cinst: &ConstrainedInstance, k: usize) -> Result<RebalanceOutcome> {
     let inst = cinst.base();
-    let mut assignment = inst.initial().clone();
-    let mut loads = inst.initial_loads().to_vec();
-
-    // Removal phase (identical to unconstrained GREEDY).
-    let mut per_proc = inst.jobs_by_proc();
-    for jobs in &mut per_proc {
-        jobs.sort_by_key(|&j| inst.size(j));
-    }
-    let mut heap: BinaryHeap<(Size, ProcId)> =
-        loads.iter().enumerate().map(|(p, &l)| (l, p)).collect();
-    let mut removed = Vec::new();
-    for _ in 0..k {
-        let p = loop {
-            match heap.pop() {
-                Some((l, p)) if loads[p] == l => break Some(p),
-                Some(_) => continue,
-                None => break None,
-            }
-        };
-        let Some(p) = p else { break };
-        if loads[p] == 0 {
-            break;
-        }
-        // lint: allow(no-panic-core, loads[p] > 0 is checked above, so the stack is non-empty)
-        let j = per_proc[p].pop().expect("nonzero load implies a job");
-        loads[p] -= inst.size(j);
-        removed.push(j);
-        heap.push((loads[p], p));
-    }
+    let mut s = GreedyScratch::default();
+    greedy::removal_phase(inst, None, k, &NoopTracer, &WorkBudget::unlimited(), &mut s)?;
+    let (mut loads, mut removed) = (s.loads, s.removed);
 
     // Eligible min-load reinsertion, largest job first.
+    let mut assignment = inst.initial().clone();
     removed.sort_by_key(|&j| Reverse(inst.size(j)));
     for j in removed {
         let p = cinst

@@ -152,7 +152,7 @@ pub(crate) fn rebalance_impl<R: Tracer>(
 /// `k` times (stopping early once all loads are zero). Leaves the removed
 /// jobs (in removal order) in `s.removed` and the residual per-processor
 /// loads in `s.loads`; returns the resulting makespan `G1`.
-fn removal_phase<R: Tracer>(
+pub(crate) fn removal_phase<R: Tracer>(
     inst: &Instance,
     speeds: Option<&Speeds>,
     k: usize,

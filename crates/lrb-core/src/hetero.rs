@@ -257,7 +257,7 @@ pub fn partition_at_threshold(
         return Err(Error::ZeroSpeed { proc: 0 });
     }
     let mut scratch = Scratch::new();
-    prepare_stacks(inst, &mut scratch);
+    scratch.profiles.rebuild(inst);
     Ok(probe_threshold(
         inst,
         speeds,
@@ -352,7 +352,7 @@ pub fn rebalance_mpartition_in<R: Tracer>(
     candidates.sort_by(|a, b| cmp_scaled(a.0, a.1, b.0, b.1));
     candidates.dedup_by(|a, b| cmp_scaled(a.0, a.1, b.0, b.1) == Ordering::Equal);
 
-    prepare_stacks(inst, &mut ctx.scratch);
+    ctx.scratch.profiles.rebuild(inst);
     let mut probes = 0;
     let mut accepted = None;
     for &(x, v) in &candidates {
@@ -392,28 +392,11 @@ pub fn rebalance_mpartition_in<R: Tracer>(
     })
 }
 
-/// Build the per-processor job stacks (ascending by size, stable) used by
-/// the threshold probes. Stacks are never mutated by a probe — each probe
-/// tracks a per-processor cursor instead — so one build serves the scan.
-fn prepare_stacks(inst: &Instance, scratch: &mut Scratch) {
-    let s = &mut scratch.hetero;
-    let m = inst.num_procs();
-    s.per_proc.truncate(m);
-    s.per_proc.resize_with(m, Vec::new);
-    for jobs in &mut s.per_proc {
-        jobs.clear();
-    }
-    for (j, &p) in inst.initial().iter().enumerate() {
-        s.per_proc[p].push(j);
-    }
-    for jobs in &mut s.per_proc {
-        jobs.sort_by_key(|&j| inst.size(j));
-    }
-}
-
 /// One threshold probe: capacities `⌊x·v_q / v⌋`, shed largest-first, place
 /// by minimum scaled finishing time. Returns the assignment and move count
-/// when every shed job fits and the move budget holds.
+/// when every shed job fits and the move budget holds. Sheds from the
+/// `(size, id)`-ascending job lists of `scratch.profiles`, which it never
+/// mutates, so one `Profiles::rebuild` serves a whole scan.
 fn probe_threshold(
     inst: &Instance,
     speeds: &Speeds,
@@ -422,7 +405,7 @@ fn probe_threshold(
     k: usize,
     scratch: &mut Scratch,
 ) -> Option<(Assignment, usize)> {
-    let s = &mut scratch.hetero;
+    let (s, profiles) = (&mut scratch.hetero, &scratch.profiles);
     let m = inst.num_procs();
 
     s.caps.clear();
@@ -435,7 +418,7 @@ fn probe_threshold(
     s.loads.extend_from_slice(inst.initial_loads());
     s.shed.clear();
     for q in 0..m {
-        let stack = &s.per_proc[q];
+        let stack = &profiles.proc(q).jobs_asc;
         let mut keep = stack.len();
         while s.loads[q] > s.caps[q] && keep > 0 {
             keep -= 1;

@@ -65,8 +65,6 @@ pub(crate) struct GreedyScratch {
 pub(crate) struct HeteroScratch {
     /// Live per-processor raw loads.
     pub loads: Vec<Size>,
-    /// Per-processor job stacks, ascending by size (largest shed first).
-    pub per_proc: Vec<Vec<JobId>>,
     /// Per-processor raw capacities `⌊x·v_q / v⌋` at the probed threshold.
     pub caps: Vec<Size>,
     /// Jobs shed by overfull processors at the probed threshold.

@@ -9,75 +9,27 @@
 //! eligible `(job, processor)` pairs; the rounding then never leaves the
 //! eligibility sets because it only follows fractional edges.
 
-use lrb_core::bounds;
 use lrb_core::constrained::ConstrainedInstance;
 use lrb_core::error::Result;
-use lrb_core::model::{Budget, Cost, Size};
-use lrb_core::outcome::RebalanceOutcome;
+use lrb_core::model::Cost;
 
-use crate::gap::{solve_relaxation_filtered, FractionalAssignment};
-use crate::shmoys_tardos::{round, StRun};
+use crate::shmoys_tardos::{rebalance_filtered, StRun};
 
 /// Minimize makespan subject to relocation cost at most `budget` and every
 /// job staying within its eligibility list; makespan `≤ 2·OPT`.
 pub fn rebalance(cinst: &ConstrainedInstance, budget: Cost) -> Result<StRun> {
-    let inst = cinst.base();
-    if inst.num_jobs() == 0 {
-        return Ok(StRun {
-            outcome: RebalanceOutcome::unchanged(inst),
-            guess: 0,
-            lp_cost: 0.0,
-        });
-    }
-
-    let lb = bounds::lower_bound(inst, Budget::Cost(budget)).max(1);
-    let ub = inst.initial_makespan().max(lb);
-    let fits = |t: Size| -> Option<FractionalAssignment> {
-        solve_relaxation_filtered(inst, t, |j, p| cinst.is_allowed(j, p))
-            .filter(|f| f.cost <= budget as f64 + 1e-6)
-    };
-    let (mut lo, mut hi) = (lb, ub);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if fits(mid).is_some() {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let mut t = lo;
-    loop {
-        if let Some(frac) = fits(t) {
-            let assignment = round(inst, &frac);
-            debug_assert!(
-                cinst.respects(&assignment),
-                "rounding left the eligibility sets"
-            );
-            let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
-            if outcome.cost() <= budget {
-                let outcome = outcome.better(RebalanceOutcome::unchanged(inst));
-                return Ok(StRun {
-                    outcome,
-                    guess: t,
-                    lp_cost: frac.cost,
-                });
-            }
-        }
-        if t >= ub {
-            return Ok(StRun {
-                outcome: RebalanceOutcome::unchanged(inst),
-                guess: ub,
-                lp_cost: 0.0,
-            });
-        }
-        t = (t + t.div_ceil(8)).min(ub);
-    }
+    let run = rebalance_filtered(cinst.base(), budget, |j, p| cinst.is_allowed(j, p))?;
+    debug_assert!(
+        cinst.respects(run.outcome.assignment()),
+        "rounding left the eligibility sets"
+    );
+    Ok(run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrb_core::model::Instance;
+    use lrb_core::model::{Budget, Instance};
 
     fn locked_pile() -> ConstrainedInstance {
         // {6,6,4} on proc 0 of 3; job 0 locked home, job 1 may use {0,1},

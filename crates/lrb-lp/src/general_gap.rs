@@ -3,17 +3,20 @@
 //!
 //! Load rebalancing is the special case `c_{jp} ∈ {0, c_j}` (§2); the
 //! Theorem 6 hardness gadget is the special case `c_{jp} ∈ {p, q}`. This
-//! module handles the general cost matrix: minimize assignment cost subject
-//! to makespan at most `T`, solved fractionally and rounded to an integral
-//! assignment of cost at most the fractional optimum and makespan at most
-//! `2T`.
+//! module hands the general cost matrix to [`crate::gap`]'s LP and
+//! rounding: minimize assignment cost subject to makespan at most `T`,
+//! solved fractionally and rounded to an integral assignment of makespan at
+//! most `T + max_j s_j ≤ 2T`. The rounded cost is that of the integral jobs
+//! plus a min-cost matching of the fractional ones, and it can exceed the
+//! fractional optimum; `lrb_lp::rebalance` climbs its guess until the
+//! rounded cost fits its budget.
 //!
 //! Experiment T19 uses this on the Theorem 6 gadgets to *demonstrate* the
 //! hardness result: the rounding's factor-2 makespan blowup is exactly why
 //! a polynomial 2-approximation cannot decide 3-Dimensional Matching, and
 //! why the paper's `ρ < 3/2` lower bound leaves real room.
 
-use crate::simplex::{LinearProgram, LpResult, Relation};
+use crate::gap::{relax, round};
 
 /// A general GAP instance: jobs with sizes and a full per-machine cost
 /// matrix. (Sizes are machine-independent, matching the paper's §5 focus;
@@ -72,10 +75,10 @@ impl GapInstance {
 pub struct GapSolution {
     /// The integral assignment.
     pub assignment: Vec<usize>,
-    /// Its cost (at most the fractional optimum by the rounding theorem;
-    /// asserted in tests, reported here).
+    /// Its cost: the integral jobs' plus a min-cost matching of the
+    /// fractional ones, which can exceed `lp_cost`.
     pub cost: u64,
-    /// Its makespan (at most `2T`).
+    /// Its makespan (at most `T + max_j s_j ≤ 2T`).
     pub makespan: u64,
     /// The fractional optimum the LP found.
     pub lp_cost: f64,
@@ -85,86 +88,9 @@ pub struct GapSolution {
 /// round (Lenstra–Shmoys–Tardos): `None` when the LP is infeasible (a job
 /// exceeds `t`, or volume exceeds `m·t`).
 pub fn solve_at(inst: &GapInstance, t: u64) -> Option<GapSolution> {
-    let n = inst.num_jobs();
-    let m = inst.num_machines;
-    if inst.sizes.iter().any(|&s| s > t) {
-        return None;
-    }
-
-    let mut lp = LinearProgram::new();
-    let mut var = vec![vec![usize::MAX; m]; n];
-    for (j, row) in var.iter_mut().enumerate() {
-        for (p, v) in row.iter_mut().enumerate() {
-            *v = lp.add_var(inst.costs[j][p] as f64);
-        }
-    }
-    for row in &var {
-        let terms: Vec<(usize, f64)> = row.iter().map(|&v| (v, 1.0)).collect();
-        lp.add_constraint(&terms, Relation::Eq, 1.0);
-    }
-    #[allow(clippy::needless_range_loop)] // p indexes the 2-d var table
-    for p in 0..m {
-        let terms: Vec<(usize, f64)> = (0..n).map(|j| (var[j][p], inst.sizes[j] as f64)).collect();
-        lp.add_constraint(&terms, Relation::Le, t as f64);
-    }
-
-    let (lp_cost, values) = match lp.solve() {
-        LpResult::Optimal { objective, values } => (objective, values),
-        LpResult::Infeasible => return None,
-        LpResult::Unbounded => unreachable!("costs are nonnegative"),
-    };
-
-    // Round: integral jobs stay; fractional jobs get min-cost-matched to
-    // their fractional machines, one extra job per machine.
-    let mut assignment = vec![usize::MAX; n];
-    let mut fractional: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (j, row) in var.iter().enumerate() {
-        let frac_machines: Vec<usize> = (0..m).filter(|&p| values[row[p]] > 1e-7).collect();
-        if let Some(&p) = frac_machines.iter().find(|&&p| values[row[p]] > 1.0 - 1e-6) {
-            assignment[j] = p;
-        } else {
-            fractional.push((j, frac_machines));
-        }
-    }
-    // Cheapest-edge-first greedy matching with augmentation fallback: the
-    // graphs are tiny (≤ m+1 fractional jobs in a vertex solution), so a
-    // simple Hungarian-style DFS suffices.
-    let mut taken = vec![false; m];
-    let mut matched: Vec<Option<usize>> = vec![None; m];
-    // Sort fractional jobs by their cheapest available option descending
-    // (most constrained last is fine at this scale; order only affects
-    // which optimal matching is found).
-    for &(j, ref machines) in &fractional {
-        let mut order = machines.clone();
-        order.sort_by_key(|&p| inst.costs[j][p]);
-        let mut visited = vec![false; m];
-        if !augment(j, &order, &fractional, inst, &mut matched, &mut visited) {
-            // Vertex structure guarantees a saturating matching exists;
-            // fall back to the cheapest machine outright if numerics say
-            // otherwise.
-            let &p = order.first().expect("fractional job has an edge");
-            matched[p] = Some(j);
-        }
-        taken.fill(false);
-    }
-    for (p, job) in matched.iter().enumerate() {
-        if let Some(j) = *job {
-            assignment[j] = p;
-        }
-    }
-    // Any fractional job still unplaced (fallback overwrote a machine):
-    // place on its cheapest machine.
-    for &(j, ref machines) in &fractional {
-        if assignment[j] == usize::MAX {
-            let &p = machines
-                .iter()
-                .min_by_key(|&&p| inst.costs[j][p])
-                .expect("fractional job has an edge");
-            assignment[j] = p;
-        }
-    }
-
-    let cost = inst.cost_of(&assignment);
+    let cost = |j: usize, p: usize| inst.costs[j][p];
+    let frac = relax(&inst.sizes, inst.num_machines, t, |j, p| Some(cost(j, p)))?;
+    let assignment = round(&frac, inst.num_machines, cost);
     let makespan = inst.makespan_of(&assignment);
     debug_assert!(
         makespan <= 2 * t,
@@ -172,75 +98,11 @@ pub fn solve_at(inst: &GapInstance, t: u64) -> Option<GapSolution> {
         2 * t
     );
     Some(GapSolution {
+        cost: inst.cost_of(&assignment),
         assignment,
-        cost,
         makespan,
-        lp_cost,
+        lp_cost: frac.cost,
     })
-}
-
-/// Alternating-path augmentation for the fractional matching.
-fn augment(
-    j: usize,
-    order: &[usize],
-    fractional: &[(usize, Vec<usize>)],
-    inst: &GapInstance,
-    matched: &mut Vec<Option<usize>>,
-    visited: &mut Vec<bool>,
-) -> bool {
-    for &p in order {
-        if visited[p] {
-            continue;
-        }
-        visited[p] = true;
-        match matched[p] {
-            None => {
-                matched[p] = Some(j);
-                return true;
-            }
-            Some(j2) => {
-                let machines2 = &fractional
-                    .iter()
-                    .find(|&&(jj, _)| jj == j2)
-                    .expect("matched jobs are fractional")
-                    .1;
-                let mut order2 = machines2.clone();
-                order2.sort_by_key(|&q| inst.costs[j2][q]);
-                if augment(j2, &order2, fractional, inst, matched, visited) {
-                    matched[p] = Some(j);
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Minimize the makespan subject to a cost budget via binary search on `t`,
-/// the standard way to use [`solve_at`].
-pub fn min_makespan_under_budget(inst: &GapInstance, budget: u64) -> Option<GapSolution> {
-    let total: u64 = inst.sizes.iter().sum();
-    let lb = inst
-        .sizes
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(total.div_ceil(inst.num_machines as u64));
-    let ub = total.max(1);
-    let fits = |t: u64| solve_at(inst, t).filter(|s| s.lp_cost <= budget as f64 + 1e-6);
-    let (mut lo, mut hi) = (lb.max(1), ub);
-    // Even the loosest makespan must meet the budget for any answer to exist.
-    fits(hi)?;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if fits(mid).is_some() {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    fits(lo)
 }
 
 #[cfg(test)]
@@ -289,8 +151,8 @@ mod tests {
             if let Some(sol) = solve_at(&inst, t) {
                 assert!(sol.makespan <= 2 * t, "makespan {} > 2*{t}", sol.makespan);
                 assert_eq!(sol.cost, inst.cost_of(&sol.assignment));
-                // Rounded cost should not exceed the fractional optimum by
-                // much; the theory says not at all, allow numerics.
+                // The min-cost matching of the fractional jobs can cost
+                // more than their LP share; 9.0 is one job's largest cost.
                 assert!(
                     sol.cost as f64 <= sol.lp_cost + 1e-3 + 9.0,
                     "cost {} vs lp {}",
@@ -302,15 +164,32 @@ mod tests {
     }
 
     #[test]
-    fn budget_search_finds_tradeoff() {
-        let inst = diag_instance();
-        // Budget 3 affords all-diagonal (makespan 5); budget 2 cannot.
-        let sol = min_makespan_under_budget(&inst, 3).unwrap();
-        assert_eq!(sol.makespan, 5);
-        // With a tiny budget the LP is still feasible at large T only if
-        // cost fits — diagonal is the cheapest at ANY T, so min cost is 3
-        // regardless; budget 2 is infeasible outright.
-        assert!(min_makespan_under_budget(&inst, 2).is_none());
+    fn section_2_costs_round_like_load_rebalancing() {
+        use crate::gap::{relocation_cost, round, solve_relaxation};
+        use lrb_core::model::{Instance, Job};
+        use rand::{Rng, SeedableRng};
+        for seed in 0..2000u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..=8);
+            let m = rng.gen_range(2..=4);
+            let jobs: Vec<Job> = (0..n)
+                .map(|_| Job::with_cost(rng.gen_range(1..=9), rng.gen_range(0..=9)))
+                .collect();
+            let initial: Vec<usize> = (0..n).map(|_| rng.gen_range(0..m)).collect();
+            let inst = Instance::new(jobs, initial, m).unwrap();
+            let costs: Vec<Vec<u64>> = (0..n)
+                .map(|j| (0..m).map(|p| relocation_cost(&inst, j, p)).collect())
+                .collect();
+            let sizes: Vec<u64> = inst.jobs().iter().map(|job| job.size).collect();
+            let gap = GapInstance::new(m, sizes, costs);
+            let t0 = inst.max_job_size().max(inst.avg_load_ceil());
+            for t in [t0, t0 + 1, inst.initial_makespan()] {
+                let rebalancing = solve_relaxation(&inst, t)
+                    .map(|frac| round(&frac, m, |j, p| relocation_cost(&inst, j, p)));
+                let general = solve_at(&gap, t).map(|sol| sol.assignment);
+                assert_eq!(general, rebalancing, "seed {seed}, t = {t}");
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //! * [`matrix`] — a minimal dense matrix;
 //! * [`simplex`] — a two-phase dense primal simplex with Bland's rule,
 //!   returning *vertex* solutions;
-//! * [`gap`] — the generalized-assignment LP relaxation with the
-//!   job-too-big pruning;
-//! * [`shmoys_tardos`] — binary search on the makespan plus the bipartite
-//!   rounding, giving makespan `≤ 2·OPT_B` at cost `≤ B`.
+//! * [`gap`] — the one generalized-assignment LP relaxation (with the
+//!   job-too-big pruning) and the one min-cost rounding, both driven by a
+//!   cost function;
+//! * [`shmoys_tardos`] — binary search on the makespan plus the rounding,
+//!   giving makespan `≤ 2·OPT_B` at cost `≤ B`;
+//! * [`constrained`] — the same search over the eligible pairs only
+//!   (Constrained Load Rebalancing, Corollary 1);
+//! * [`general_gap`] — the LP and rounding over a full cost matrix `c_{jp}`
+//!   (the Theorem 6 gadgets of experiment T19).
 
 pub mod constrained;
 pub mod gap;

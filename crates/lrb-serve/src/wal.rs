@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use lrb_core::model::Budget;
 use lrb_obs::splitmix64;
 
-use crate::wire::{BudgetSpec, WireError};
+use crate::wire::{put_budget, put_u64, take_budget, BudgetSpec, Cursor, WireError};
 
 /// Ceiling on one WAL record's payload; mirrors the wire frame cap.
 pub const MAX_RECORD: usize = crate::wire::MAX_FRAME;
@@ -93,7 +93,8 @@ const EV_ARRIVE: u8 = 1;
 const EV_DEPART: u8 = 2;
 const EV_REBALANCE: u8 = 3;
 
-/// Encode one event as a WAL payload.
+/// Encode one event as a WAL payload: the tag, then big-endian `u64`s,
+/// with a rebalance's budget in its wire form (kind byte, then amount).
 pub fn encode_event(ev: &LoggedEvent) -> Vec<u8> {
     let mut out = Vec::with_capacity(48);
     match *ev {
@@ -106,13 +107,13 @@ pub fn encode_event(ev: &LoggedEvent) -> Vec<u8> {
         } => {
             out.push(EV_ARRIVE);
             for v in [tenant, key, size, cost, proc] {
-                out.extend_from_slice(&v.to_be_bytes());
+                put_u64(&mut out, v);
             }
         }
         LoggedEvent::Depart { tenant, key } => {
             out.push(EV_DEPART);
-            out.extend_from_slice(&tenant.to_be_bytes());
-            out.extend_from_slice(&key.to_be_bytes());
+            put_u64(&mut out, tenant);
+            put_u64(&mut out, key);
         }
         LoggedEvent::Rebalance {
             tenant,
@@ -120,80 +121,37 @@ pub fn encode_event(ev: &LoggedEvent) -> Vec<u8> {
             work_limit,
         } => {
             out.push(EV_REBALANCE);
-            out.extend_from_slice(&tenant.to_be_bytes());
-            let (kind, amount) = match budget {
-                BudgetSpec::Moves(k) => (0u8, k),
-                BudgetSpec::Cost(c) => (1u8, c),
-            };
-            out.push(kind);
-            out.extend_from_slice(&amount.to_be_bytes());
-            out.extend_from_slice(&work_limit.to_be_bytes());
+            put_u64(&mut out, tenant);
+            put_budget(&mut out, budget);
+            put_u64(&mut out, work_limit);
         }
     }
     out
 }
 
-fn take_u64(buf: &[u8], at: &mut usize, field: &'static str) -> Result<u64, WireError> {
-    let end = *at + 8;
-    if end > buf.len() {
-        return Err(WireError::Truncated { field });
-    }
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&buf[*at..end]);
-    *at = end;
-    Ok(u64::from_be_bytes(a))
-}
-
 /// Decode one WAL payload.
 pub fn decode_event(payload: &[u8]) -> Result<LoggedEvent, WireError> {
-    let Some((&tag, rest)) = payload.split_first() else {
-        return Err(WireError::Truncated { field: "event.tag" });
-    };
-    let mut at = 0usize;
-    let ev = match tag {
+    let mut c = Cursor::new(payload);
+    let ev = match c.u8("event.tag")? {
         EV_ARRIVE => LoggedEvent::Arrive {
-            tenant: take_u64(rest, &mut at, "tenant")?,
-            key: take_u64(rest, &mut at, "key")?,
-            size: take_u64(rest, &mut at, "size")?,
-            cost: take_u64(rest, &mut at, "cost")?,
-            proc: take_u64(rest, &mut at, "proc")?,
+            tenant: c.u64("tenant")?,
+            key: c.u64("key")?,
+            size: c.u64("size")?,
+            cost: c.u64("cost")?,
+            proc: c.u64("proc")?,
         },
         EV_DEPART => LoggedEvent::Depart {
-            tenant: take_u64(rest, &mut at, "tenant")?,
-            key: take_u64(rest, &mut at, "key")?,
+            tenant: c.u64("tenant")?,
+            key: c.u64("key")?,
         },
-        EV_REBALANCE => {
-            let tenant = take_u64(rest, &mut at, "tenant")?;
-            if at >= rest.len() {
-                return Err(WireError::Truncated {
-                    field: "budget.kind",
-                });
-            }
-            let kind = rest[at];
-            at += 1;
-            let amount = take_u64(rest, &mut at, "budget.amount")?;
-            let budget = match kind {
-                0 => BudgetSpec::Moves(amount),
-                1 => BudgetSpec::Cost(amount),
-                _ => {
-                    return Err(WireError::BadValue {
-                        field: "budget.kind",
-                    })
-                }
-            };
-            LoggedEvent::Rebalance {
-                tenant,
-                budget,
-                work_limit: take_u64(rest, &mut at, "work_limit")?,
-            }
-        }
+        EV_REBALANCE => LoggedEvent::Rebalance {
+            tenant: c.u64("tenant")?,
+            budget: take_budget(&mut c)?,
+            work_limit: c.u64("work_limit")?,
+        },
         tag => return Err(WireError::BadTag { tag }),
     };
-    if at != rest.len() {
-        return Err(WireError::Trailing {
-            extra: rest.len() - at,
-        });
-    }
+    c.finish()?;
     Ok(ev)
 }
 

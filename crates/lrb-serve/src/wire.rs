@@ -324,14 +324,14 @@ const TAG_ERROR: u8 = 0x88;
 const BUDGET_MOVES: u8 = 0;
 const BUDGET_COST: u8 = 1;
 
-/// Bounds-checked cursor over a payload.
-struct Cursor<'a> {
+/// Bounds-checked cursor over a payload (wire messages and WAL records).
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, at: 0 }
     }
 
@@ -348,7 +348,7 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self, field: &'static str) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self, field: &'static str) -> Result<u8, WireError> {
         Ok(self.take(1, field)?[0])
     }
 
@@ -357,7 +357,7 @@ impl<'a> Cursor<'a> {
         Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
-    fn u64(&mut self, field: &'static str) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self, field: &'static str) -> Result<u64, WireError> {
         let b = self.take(8, field)?;
         let mut a = [0u8; 8];
         a.copy_from_slice(b);
@@ -370,7 +370,7 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
 
-    fn finish(self) -> Result<(), WireError> {
+    pub(crate) fn finish(self) -> Result<(), WireError> {
         let extra = self.buf.len() - self.at;
         if extra != 0 {
             Err(WireError::Trailing { extra })
@@ -380,7 +380,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
@@ -397,7 +397,7 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&bytes[..cut]);
 }
 
-fn put_budget(out: &mut Vec<u8>, b: BudgetSpec) {
+pub(crate) fn put_budget(out: &mut Vec<u8>, b: BudgetSpec) {
     match b {
         BudgetSpec::Moves(k) => {
             out.push(BUDGET_MOVES);
@@ -410,7 +410,7 @@ fn put_budget(out: &mut Vec<u8>, b: BudgetSpec) {
     }
 }
 
-fn take_budget(c: &mut Cursor<'_>) -> Result<BudgetSpec, WireError> {
+pub(crate) fn take_budget(c: &mut Cursor<'_>) -> Result<BudgetSpec, WireError> {
     let kind = c.u8("budget.kind")?;
     let amount = c.u64("budget.amount")?;
     match kind {

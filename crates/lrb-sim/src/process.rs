@@ -12,10 +12,11 @@
 use std::time::Instant;
 
 use lrb_core::model::{Budget, Instance, Job};
+use lrb_obs::NoopTracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::{DecisionCounters, EpochMetrics, SimReport};
+use crate::metrics::{EpochMetrics, RunLog, SimReport};
 use crate::policy::Policy;
 
 /// Parameters of the process-migration simulation.
@@ -71,9 +72,7 @@ struct Process {
 pub fn run(cfg: &ProcessSimConfig, policy: &mut dyn Policy) -> SimReport {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut procs: Vec<Process> = Vec::new();
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut epoch_wall_nanos = Vec::with_capacity(cfg.epochs);
-    let mut decisions = DecisionCounters::default();
+    let mut log = RunLog::new(cfg.epochs, false);
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
@@ -125,25 +124,17 @@ pub fn run(cfg: &ProcessSimConfig, policy: &mut dyn Policy) -> SimReport {
             p.cpu = cpu;
         }
 
-        epochs.push(EpochMetrics {
+        let metrics = EpochMetrics {
             epoch,
             makespan,
             avg_load: inst.avg_load_ceil(),
             migrations,
             migration_cost,
-        });
-        decisions.record(migrations);
-        epoch_wall_nanos.push((started.elapsed().as_nanos() as u64).max(1));
+        };
+        let nanos = (started.elapsed().as_nanos() as u64).max(1);
+        log.record_epoch(metrics, nanos, &NoopTracer);
     }
-
-    SimReport {
-        policy: policy.name().to_string(),
-        epochs,
-        epoch_wall_nanos,
-        decisions,
-        degradation: Default::default(),
-        provenance: Vec::new(),
-    }
+    log.into_report(policy.name())
 }
 
 #[cfg(test)]

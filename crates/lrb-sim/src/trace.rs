@@ -18,9 +18,11 @@
 
 use std::time::Instant;
 
-use crate::metrics::{DecisionCounters, EpochMetrics, SimReport};
-use crate::policy::Policy;
 use lrb_core::model::{Budget, Instance, Job};
+use lrb_obs::NoopTracer;
+
+use crate::metrics::{EpochMetrics, RunLog, SimReport};
+use crate::policy::Policy;
 
 /// A recorded workload: per-epoch load vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,9 +149,7 @@ pub fn replay(
 ) -> SimReport {
     assert!(num_servers > 0, "need at least one server");
     let mut placement = lrb_core::lpt::schedule(trace.loads(0), num_servers);
-    let mut epochs = Vec::with_capacity(trace.num_epochs());
-    let mut epoch_wall_nanos = Vec::with_capacity(trace.num_epochs());
-    let mut decisions = DecisionCounters::default();
+    let mut log = RunLog::new(trace.num_epochs(), false);
 
     for epoch in 0..trace.num_epochs() {
         let started = Instant::now();
@@ -167,27 +167,18 @@ pub fn replay(
             "policy {} exceeded the budget",
             policy.name()
         );
-        let migrations = inst.move_count(&new_assignment);
-        epochs.push(EpochMetrics {
+        let metrics = EpochMetrics {
             epoch,
             makespan,
             avg_load: inst.avg_load_ceil(),
-            migrations,
+            migrations: inst.move_count(&new_assignment),
             migration_cost: inst.move_cost(&new_assignment),
-        });
+        };
         placement = new_assignment;
-        decisions.record(migrations);
-        epoch_wall_nanos.push((started.elapsed().as_nanos() as u64).max(1));
+        let nanos = (started.elapsed().as_nanos() as u64).max(1);
+        log.record_epoch(metrics, nanos, &NoopTracer);
     }
-
-    SimReport {
-        policy: policy.name().to_string(),
-        epochs,
-        epoch_wall_nanos,
-        decisions,
-        degradation: Default::default(),
-        provenance: Vec::new(),
-    }
+    log.into_report(policy.name())
 }
 
 #[cfg(test)]

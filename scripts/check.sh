@@ -70,9 +70,12 @@ run cargo test -q --release --offline --test metamorphic_online_policies
 # (Lemma 5), a warm solve may allocate only its outcome, and
 # cost-PARTITION's guesses and knapsack nodes (section 3.2) on fixed farms
 # are pinned. Any increase fails; a change that earns a decrease records
-# the new counts. The workspace run above ran all three in debug; this
-# runs them in release.
+# the new counts. The Shmoys–Tardos pipeline's answers (lrb-lp's one LP and
+# one rounding, under all three of its entry points) are pinned the same
+# way. The workspace run above ran all of these in debug; this runs them
+# in release.
 run cargo test -q --release --offline --test mpartition_digest
+run cargo test -q --release --offline --test lp_digest
 run cargo test -q --release --offline -p lrb-core --test warm_alloc
 run cargo test -q --release --offline -p lrb-core --lib knapsack_work_matches_the_recorded_counts
 
