@@ -198,6 +198,12 @@ pub fn solve(args: &Args, path: &str) -> CmdResult {
                 ));
             }
             let sol = lrb_exact::solve(&inst, budget_enum);
+            if !sol.exact {
+                return Err(format!(
+                    "exact search hit its node cap after {} nodes; optimality is not proven",
+                    sol.nodes
+                ));
+            }
             lrb_core::outcome::RebalanceOutcome::from_assignment(&inst, sol.assignment)
                 .map_err(|e| e.to_string())?
         }

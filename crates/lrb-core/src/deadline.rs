@@ -284,11 +284,6 @@ impl FallbackChain {
         ])
     }
 
-    /// Tier names in order, for display.
-    pub fn tier_names(&self) -> Vec<&'static str> {
-        self.tiers.iter().map(|t| t.name()).collect()
-    }
-
     /// Run the chain in `ctx`. Every tier spends from the context's one
     /// work budget. Infallible: if every tier fails (cancellation,
     /// infeasibility, budget violation), the no-move assignment answers.

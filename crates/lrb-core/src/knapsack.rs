@@ -352,27 +352,6 @@ pub fn max_cost_keep_fptas_in<R: Tracer>(
     }
 }
 
-/// Brute-force reference solver (exponential; tests only, also used by the
-/// exact crate on tiny inputs).
-pub fn max_cost_keep_bruteforce(items: &[Item], cap: u64) -> u64 {
-    assert!(items.len() <= 24, "brute force limited to 24 items");
-    let mut best = 0u64;
-    for mask in 0u32..(1 << items.len()) {
-        let mut size = 0u64;
-        let mut cost = 0u64;
-        for (i, it) in items.iter().enumerate() {
-            if mask >> i & 1 == 1 {
-                size += it.size;
-                cost += it.cost;
-            }
-        }
-        if size <= cap {
-            best = best.max(cost);
-        }
-    }
-    best
-}
-
 /// Cheapest removal formulation: total cost of all items minus the best
 /// keepable cost under `cap`. This is the `a_i`/`b_i` quantity of §3.2.
 pub fn min_cost_removal(items: &[Item], cap: u64) -> (u64, Vec<usize>) {
@@ -396,6 +375,26 @@ mod tests {
 
     fn items(v: &[(u64, u64)]) -> Vec<Item> {
         v.iter().map(|&(size, cost)| Item { size, cost }).collect()
+    }
+
+    /// Brute-force reference solver (exponential).
+    fn max_cost_keep_bruteforce(items: &[Item], cap: u64) -> u64 {
+        assert!(items.len() <= 24, "brute force limited to 24 items");
+        let mut best = 0u64;
+        for mask in 0u32..(1 << items.len()) {
+            let mut size = 0u64;
+            let mut cost = 0u64;
+            for (i, it) in items.iter().enumerate() {
+                if mask >> i & 1 == 1 {
+                    size += it.size;
+                    cost += it.cost;
+                }
+            }
+            if size <= cap {
+                best = best.max(cost);
+            }
+        }
+        best
     }
 
     #[test]

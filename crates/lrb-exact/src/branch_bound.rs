@@ -5,18 +5,26 @@
 //! enough to solve exactly (roughly `n ≤ 20`, depending on structure).
 //!
 //! The search assigns jobs (largest first) to processors, preferring the
-//! free stay-home branch, with three prunings:
+//! free stay-home branch, with four prunings:
 //!
 //! * **makespan bound** — a placement that reaches the incumbent makespan is
 //!   cut;
 //! * **largest-remaining bound** — the next job must land somewhere, so
 //!   `min_p load_p + size_next` bounds the final makespan from below;
 //! * **budget fast-path** — once the relocation budget is exhausted, all
-//!   remaining jobs stay home and the leaf value is computed directly.
+//!   remaining jobs stay home and the leaf value is computed directly;
+//! * **symmetry** — two non-home processors at equal load that are no
+//!   remaining job's home are interchangeable, so only one is tried.
 //!
 //! The incumbent is seeded with the best of GREEDY, M-PARTITION, and the
 //! cost variant, which typically prunes most of the tree immediately.
+//!
+//! [`crate::constrained`] runs the same search under eligibility lists: a
+//! job moves only to an eligible processor, and the symmetry cut is off, as
+//! eligibility can tell equal-load processors apart (a job's home is always
+//! eligible, so the other prunings hold).
 
+use lrb_core::constrained::ConstrainedInstance;
 use lrb_core::model::{Budget, Instance, ProcId, Size};
 use lrb_core::outcome::RebalanceOutcome;
 use lrb_core::{cost_partition, greedy, mpartition};
@@ -73,7 +81,18 @@ pub fn solve_capped(inst: &Instance, budget: Budget, node_cap: u64) -> ExactSolu
             }
         }
     }
+    search(inst, budget, None, best, node_cap)
+}
 
+/// The search from a within-budget `incumbent`, which it replaces only by
+/// a strictly better leaf; with `allowed`, only eligible moves are tried.
+pub(crate) fn search(
+    inst: &Instance,
+    budget: Budget,
+    allowed: Option<&ConstrainedInstance>,
+    incumbent: RebalanceOutcome,
+    node_cap: u64,
+) -> ExactSolution {
     // Order jobs by descending size (big rocks first).
     let mut order: Vec<usize> = (0..inst.num_jobs()).collect();
     order.sort_by_key(|&j| std::cmp::Reverse(inst.size(j)));
@@ -107,8 +126,9 @@ pub fn solve_capped(inst: &Instance, budget: Budget, node_cap: u64) -> ExactSolu
         home_suffix: &home_suffix,
         price_suffix_min: &price_suffix_min,
         move_price: &move_price,
-        best_makespan: best.makespan(),
-        best_assignment: best.assignment().clone(),
+        allowed,
+        best_makespan: incumbent.makespan(),
+        best_assignment: incumbent.into_assignment(),
         current: inst.initial().clone(),
         nodes: 0,
         node_cap,
@@ -131,6 +151,7 @@ struct Bb<'a> {
     home_suffix: &'a [Vec<Size>],
     price_suffix_min: &'a [u64],
     move_price: &'a dyn Fn(usize) -> u64,
+    allowed: Option<&'a ConstrainedInstance>,
     best_makespan: Size,
     best_assignment: Vec<ProcId>,
     current: Vec<ProcId>,
@@ -187,8 +208,12 @@ impl Bb<'_> {
         let size = self.inst.size(j);
         let price = (self.move_price)(j);
 
-        // Candidate processors: home first (free), then others by load.
-        let mut procs: Vec<ProcId> = (0..loads.len()).collect();
+        // Candidate processors: home first (free), then the other
+        // (eligible) ones by load.
+        let mut procs: Vec<ProcId> = match self.allowed {
+            None => (0..loads.len()).collect(),
+            Some(cinst) => cinst.allowed(j).to_vec(),
+        };
         procs.sort_by_key(|&p| (p != home, loads[p], p));
         let mut seen_loads: Vec<Size> = Vec::with_capacity(loads.len());
         for p in procs {
@@ -201,10 +226,10 @@ impl Bb<'_> {
                 // interchangeable for this job if neither is the home of a
                 // remaining job; conservatively require zero future home
                 // load on both, which the suffix sums tell us.
-                if self.home_suffix[idx + 1][p] == 0 && seen_loads.contains(&loads[p]) {
-                    continue;
-                }
-                if self.home_suffix[idx + 1][p] == 0 {
+                if self.allowed.is_none() && self.home_suffix[idx + 1][p] == 0 {
+                    if seen_loads.contains(&loads[p]) {
+                        continue;
+                    }
                     seen_loads.push(loads[p]);
                 }
             }
@@ -269,6 +294,18 @@ mod tests {
                 "k={k}"
             );
         }
+    }
+
+    #[test]
+    fn node_cap_returns_the_incumbent_unproven() {
+        // The seeded incumbent (7) does not cut the root, so proving it
+        // optimal needs a second node.
+        let inst = Instance::from_sizes(&[5, 4, 3], vec![0, 0, 0], 2).unwrap();
+        let sol = solve_capped(&inst, Budget::Moves(1), 1);
+        assert!(!sol.exact);
+        assert_eq!(sol.nodes, 1);
+        assert!(inst.move_count(&sol.assignment) <= 1);
+        assert_eq!(inst.makespan_of(&sol.assignment).unwrap(), sol.makespan);
     }
 
     #[test]

@@ -1,116 +1,26 @@
 //! Exact solver for Constrained Load Rebalancing (§5, Corollary 1):
-//! branch and bound over eligible processors only.
+//! [`crate::branch_bound`]'s search over eligible processors only.
 
 use lrb_core::constrained::ConstrainedInstance;
 use lrb_core::model::{Budget, ProcId, Size};
+use lrb_core::outcome::RebalanceOutcome;
+
+use crate::branch_bound;
 
 /// Exact optimal makespan under the budget, respecting eligibility lists.
 /// Returns the makespan and a witnessing assignment.
 pub fn solve(cinst: &ConstrainedInstance, budget: Budget) -> (Size, Vec<ProcId>) {
     let inst = cinst.base();
-    let mut order: Vec<usize> = (0..inst.num_jobs()).collect();
-    order.sort_by_key(|&j| std::cmp::Reverse(inst.size(j)));
-
-    let budget_left = match budget {
-        Budget::Moves(k) => k as u64,
-        Budget::Cost(b) => b,
-    };
-
-    // Incumbent: stay-home (always feasible and within any budget).
-    let mut best_makespan = inst.initial_makespan();
-    let mut best_assignment = inst.initial().clone();
-    // Improve the incumbent with the constrained greedy when the budget is
-    // a move count.
+    // Incumbent: stay-home (always feasible and within any budget),
+    // improved by the constrained greedy when the budget is a move count.
+    let mut incumbent = RebalanceOutcome::unchanged(inst);
     if let Budget::Moves(k) = budget {
         if let Ok(out) = lrb_core::constrained::greedy(cinst, k) {
-            if out.makespan() < best_makespan {
-                best_makespan = out.makespan();
-                best_assignment = out.assignment().clone();
-            }
+            incumbent = incumbent.better(out);
         }
     }
-
-    let mut current = inst.initial().clone();
-    let mut loads = vec![0u64; inst.num_procs()];
-    dfs(
-        cinst,
-        &budget,
-        &order,
-        0,
-        &mut loads,
-        budget_left,
-        0,
-        &mut current,
-        &mut best_makespan,
-        &mut best_assignment,
-    );
-    (best_makespan, best_assignment)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    cinst: &ConstrainedInstance,
-    budget: &Budget,
-    order: &[usize],
-    idx: usize,
-    loads: &mut Vec<Size>,
-    budget_left: u64,
-    cur_max: Size,
-    current: &mut Vec<ProcId>,
-    best_makespan: &mut Size,
-    best_assignment: &mut Vec<ProcId>,
-) {
-    if cur_max >= *best_makespan {
-        return;
-    }
-    if idx == order.len() {
-        *best_makespan = cur_max;
-        *best_assignment = current.clone();
-        return;
-    }
-    let inst = cinst.base();
-    let j = order[idx];
-    let home = inst.initial_proc(j);
-    let size = inst.size(j);
-    let price = match budget {
-        Budget::Moves(_) => 1u64,
-        Budget::Cost(_) => inst.cost(j),
-    };
-
-    // Home first (free), then eligible others by load.
-    let mut procs: Vec<ProcId> = cinst.allowed(j).to_vec();
-    procs.sort_by_key(|&p| (p != home, loads[p], p));
-    for p in procs {
-        let is_home = p == home;
-        if !is_home && price > budget_left {
-            continue;
-        }
-        let new_load = loads[p] + size;
-        if new_load >= *best_makespan {
-            continue;
-        }
-        loads[p] = new_load;
-        current[j] = p;
-        let left = if is_home {
-            budget_left
-        } else {
-            budget_left - price
-        };
-        dfs(
-            cinst,
-            budget,
-            order,
-            idx + 1,
-            loads,
-            left,
-            cur_max.max(new_load),
-            current,
-            best_makespan,
-            best_assignment,
-        );
-        loads[p] = new_load - size;
-    }
-    current[j] = home;
+    let sol = branch_bound::search(inst, budget, Some(cinst), incumbent, u64::MAX);
+    (sol.makespan, sol.assignment)
 }
 
 #[cfg(test)]

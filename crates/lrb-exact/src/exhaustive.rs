@@ -1,81 +1,103 @@
-//! Subset-enumeration exact solver for the unit-cost (move budget) problem.
+//! lrb-exact's one placement search, and the subset-enumeration oracle.
 //!
-//! Enumerates every set `S` of at most `k` jobs to relocate, then finds the
-//! optimal reassignment of `S` onto the fixed residual loads by a small
-//! depth-first search. Complexity is `Σ_{i≤k} C(n,i) · m^i` — practical for
-//! small `k` even at moderate `n`, which complements
-//! [`crate::branch_bound`] (practical for small `n` at any `k`).
-//!
-//! Used as an independent cross-check of the branch-and-bound oracle.
+//! The oracle enumerates every set `S` of at most `k` jobs to relocate and
+//! places `S` onto the residual loads by a largest-first depth-first
+//! search, on identical machines (`speeds = None`) or speed-scaled ones
+//! ([`crate::hetero`]); [`crate::incremental`] runs the same search over
+//! empty machines. Complexity is `Σ_{i≤k} C(n,i) · m^i` — practical for
+//! small `k` even at moderate `n`, which complements [`crate::branch_bound`]
+//! (practical for small `n` at any `k`), and cross-checks it.
 
+use lrb_core::hetero::{scaled_makespan_of, Speeds};
 use lrb_core::model::{Instance, Size};
 
 /// Optimal makespan over all rebalancings moving at most `k` jobs.
 pub fn optimal_makespan(inst: &Instance, k: usize) -> Size {
-    let n = inst.num_jobs();
-    let k = k.min(n);
-    let mut best = inst.initial_makespan();
+    optimal(inst, None, k)
+}
+
+/// Optimal makespan, speed-scaled when `speeds` is given, over all
+/// rebalancings moving at most `k` jobs.
+pub(crate) fn optimal(inst: &Instance, speeds: Option<&Speeds>, k: usize) -> Size {
+    let k = k.min(inst.num_jobs());
+    let mut best = makespan(inst.initial_loads(), speeds);
     let mut subset: Vec<usize> = Vec::with_capacity(k);
-    enumerate_subsets(inst, 0, k, &mut subset, &mut best);
+    enumerate_subsets(inst, speeds, 0, k, &mut subset, &mut best);
     best
 }
 
+/// Lift each subset of at most `slots` more jobs (from `from` on) off its
+/// processors and place it back onto the residual loads, against the
+/// running `best`. Jobs returning home count as "not moved" for makespan
+/// purposes, which only helps.
 fn enumerate_subsets(
     inst: &Instance,
+    speeds: Option<&Speeds>,
     from: usize,
     slots: usize,
     subset: &mut Vec<usize>,
     best: &mut Size,
 ) {
-    // Evaluate the current subset (including the empty one at the root).
-    *best = (*best).min(best_reassignment(inst, subset));
+    // Place the current subset (including the empty one at the root).
+    let mut loads = inst.initial_loads().to_vec();
+    for &j in subset.iter() {
+        loads[inst.initial_proc(j)] -= inst.size(j);
+    }
+    let mut sizes: Vec<Size> = subset.iter().map(|&j| inst.size(j)).collect();
+    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    place(&sizes, &mut loads, speeds, 0, best);
     if slots == 0 {
         return;
     }
     for j in from..inst.num_jobs() {
         subset.push(j);
-        enumerate_subsets(inst, j + 1, slots - 1, subset, best);
+        enumerate_subsets(inst, speeds, j + 1, slots - 1, subset, best);
         subset.pop();
     }
 }
 
-/// Optimal makespan after removing `subset` from their processors and
-/// reassigning them anywhere (jobs returning home count as "not moved" for
-/// makespan purposes, which only helps).
-fn best_reassignment(inst: &Instance, subset: &[usize]) -> Size {
-    let mut loads = inst.initial_loads().to_vec();
-    for &j in subset {
-        loads[inst.initial_proc(j)] -= inst.size(j);
+/// Largest-first depth-first search placing `sizes` (descending) onto
+/// `loads`: lowers `best` to the least makespan below it that a placement
+/// reaches, and stops once `best` reaches the lower bound `lb`.
+pub(crate) fn place(
+    sizes: &[Size],
+    loads: &mut [Size],
+    speeds: Option<&Speeds>,
+    lb: Size,
+    best: &mut Size,
+) {
+    if *best <= lb {
+        return;
     }
-    // Largest-first DFS over the removed jobs.
-    let mut order = subset.to_vec();
-    order.sort_by_key(|&j| std::cmp::Reverse(inst.size(j)));
-    let mut best = Size::MAX;
-    place(inst, &order, 0, &mut loads, &mut best);
-    best
-}
-
-fn place(inst: &Instance, order: &[usize], idx: usize, loads: &mut Vec<Size>, best: &mut Size) {
-    let cur = loads.iter().copied().max().unwrap_or(0);
+    let cur = makespan(loads, speeds);
     if cur >= *best {
         return;
     }
-    if idx == order.len() {
+    let Some((&size, rest)) = sizes.split_first() else {
         *best = cur;
         return;
-    }
-    let size = inst.size(order[idx]);
-    let mut seen: Vec<Size> = Vec::with_capacity(loads.len());
+    };
+    let mut seen: Vec<(Size, u64)> = Vec::with_capacity(loads.len());
     for p in 0..loads.len() {
-        // Equal-load processors are interchangeable here (the removed jobs
-        // have no home preference for makespan).
-        if seen.contains(&loads[p]) {
+        // Processors are interchangeable for the remaining jobs when both
+        // their load and their speed agree; deduping on load alone would
+        // skip genuinely different finishing times on uniform machines.
+        let key = (loads[p], speeds.map_or(1, |s| s.get(p)));
+        if seen.contains(&key) {
             continue;
         }
-        seen.push(loads[p]);
+        seen.push(key);
         loads[p] += size;
-        place(inst, order, idx + 1, loads, best);
+        place(rest, loads, speeds, lb, best);
         loads[p] -= size;
+    }
+}
+
+/// The largest load, speed-scaled when `speeds` is given.
+fn makespan(loads: &[Size], speeds: Option<&Speeds>) -> Size {
+    match speeds {
+        None => loads.iter().copied().max().unwrap_or(0),
+        Some(speeds) => scaled_makespan_of(loads, speeds),
     }
 }
 

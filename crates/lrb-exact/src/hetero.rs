@@ -1,16 +1,13 @@
 //! Subset-enumeration exact oracle for the *uniform-machine* (speed-scaled)
-//! move-budget problem.
-//!
-//! The same shape as [`crate::exhaustive`]: enumerate every set `S` of at
-//! most `k` jobs to relocate, then optimally reassign `S` onto the fixed
-//! residual loads by depth-first search — but makespans are speed-scaled via
-//! [`lrb_core::hetero::scaled_load`], and the equal-processor dedup must key
-//! on the `(load, speed)` pair: two processors are interchangeable for a
-//! homeless job only when both their residual load *and* their speed match.
+//! move-budget problem: [`crate::exhaustive`]'s subset search with
+//! makespans scaled through [`lrb_core::hetero::scaled_load`]. Its
+//! placement search keys processor symmetry on the `(load, speed)` pair:
+//! two processors are interchangeable for a homeless job only when both
+//! their residual load *and* their speed match.
 //!
 //! This is the certification oracle for `tests/differential_hetero.rs`.
 
-use lrb_core::hetero::{scaled_load, scaled_makespan_of, Speeds};
+use lrb_core::hetero::Speeds;
 use lrb_core::model::{Instance, Size};
 
 /// Optimal speed-scaled makespan over all rebalancings moving at most `k`
@@ -18,92 +15,7 @@ use lrb_core::model::{Instance, Size};
 /// test callers validate via [`Speeds::matches`] first).
 pub fn optimal_scaled_makespan(inst: &Instance, speeds: &Speeds, k: usize) -> Size {
     debug_assert_eq!(speeds.len(), inst.num_procs());
-    let n = inst.num_jobs();
-    let k = k.min(n);
-    let mut best = scaled_makespan_of(inst.initial_loads(), speeds);
-    let mut subset: Vec<usize> = Vec::with_capacity(k);
-    enumerate_subsets(inst, speeds, 0, k, &mut subset, &mut best);
-    best
-}
-
-fn enumerate_subsets(
-    inst: &Instance,
-    speeds: &Speeds,
-    from: usize,
-    slots: usize,
-    subset: &mut Vec<usize>,
-    best: &mut Size,
-) {
-    // Evaluate the current subset (including the empty one at the root).
-    *best = (*best).min(best_reassignment(inst, speeds, subset));
-    if slots == 0 {
-        return;
-    }
-    for j in from..inst.num_jobs() {
-        subset.push(j);
-        enumerate_subsets(inst, speeds, j + 1, slots - 1, subset, best);
-        subset.pop();
-    }
-}
-
-/// Optimal scaled makespan after removing `subset` from their processors
-/// and reassigning them anywhere (jobs returning home count as "not moved"
-/// for makespan purposes, which only helps).
-fn best_reassignment(inst: &Instance, speeds: &Speeds, subset: &[usize]) -> Size {
-    let mut loads = inst.initial_loads().to_vec();
-    for &j in subset {
-        loads[inst.initial_proc(j)] -= inst.size(j);
-    }
-    // Largest-first DFS over the removed jobs.
-    let mut order = subset.to_vec();
-    order.sort_by_key(|&j| std::cmp::Reverse(inst.size(j)));
-    let mut best = Size::MAX;
-    place(inst, speeds, &order, 0, &mut loads, &mut best);
-    best
-}
-
-fn place(
-    inst: &Instance,
-    speeds: &Speeds,
-    order: &[usize],
-    idx: usize,
-    loads: &mut Vec<Size>,
-    best: &mut Size,
-) {
-    let cur = scaled_makespan_of(loads, speeds);
-    if cur >= *best {
-        return;
-    }
-    if idx == order.len() {
-        *best = cur;
-        return;
-    }
-    let size = inst.size(order[idx]);
-    let mut seen: Vec<(Size, u64)> = Vec::with_capacity(loads.len());
-    for p in 0..loads.len() {
-        // Processors are interchangeable for a homeless job only when both
-        // their residual load and their speed agree; deduping on load alone
-        // (as the identical-machine oracle does) would skip genuinely
-        // different finishing times.
-        let key = (loads[p], speeds.get(p));
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
-        loads[p] += size;
-        place(inst, speeds, order, idx + 1, loads, best);
-        loads[p] -= size;
-    }
-    // Reference the scaled-load pin so the dedup key and the evaluation stay
-    // in the same semantic: cur above is max_p scaled_load(loads[p], v_p).
-    debug_assert_eq!(cur, {
-        loads
-            .iter()
-            .zip(speeds.as_slice())
-            .map(|(&l, &v)| scaled_load(l, v))
-            .max()
-            .unwrap_or(0)
-    });
+    crate::exhaustive::optimal(inst, Some(speeds), k)
 }
 
 #[cfg(test)]

@@ -8,18 +8,20 @@
 //! and departures and answers `OPT` exactly on small instances, so realized
 //! ratios in the compete lab are exact rather than estimated.
 //!
-//! The solver is the same largest-first DFS with equal-load symmetry
-//! pruning as [`crate::exhaustive`], plus a lower-bound early exit
-//! (`max(⌈total/m⌉, max size)`), and results are memoized per multiset in a
-//! `BTreeMap` — epochs of an online run revisit similar multisets, so
-//! per-epoch queries amortize well. A uniform-machine variant scores loads
-//! through [`lrb_core::hetero`]'s speed scaling, mirroring
-//! [`crate::hetero`]'s `(load, speed)` symmetry key.
+//! Each answer is [`crate::exhaustive`]'s placement search over empty
+//! machines — largest first, with `(load, speed)` symmetry pruning, scored
+//! through [`lrb_core::hetero`]'s speed scaling on uniform machines — with
+//! a lower-bound early exit (`max(⌈total/Σv⌉, ⌈max size/v_max⌉)`, which is
+//! `max(⌈total/m⌉, max size)` on identical machines). Results are memoized
+//! per multiset in a `BTreeMap` — epochs of an online run revisit similar
+//! multisets, so per-epoch queries amortize well.
 
 use std::collections::BTreeMap;
 
-use lrb_core::hetero::{self, Speeds};
+use lrb_core::hetero::Speeds;
 use lrb_core::model::Size;
+
+use crate::exhaustive;
 
 /// Exact `OPT` over the live job multiset, maintained incrementally.
 #[derive(Debug, Clone)]
@@ -108,97 +110,22 @@ impl IncrementalOracle {
         if let Some(&v) = self.memo.get(&self.sizes) {
             return v;
         }
-        let v = match &self.speeds {
-            None => solve_identical(&self.sizes, self.num_procs),
-            Some(speeds) => solve_scaled(&self.sizes, speeds),
+        let total: Size = self.sizes.iter().fold(0, |a, &s| a.saturating_add(s));
+        let (v_max, v_total) = match &self.speeds {
+            None => (1, self.num_procs as u64),
+            Some(speeds) => (
+                speeds.as_slice().iter().copied().max().unwrap_or(1),
+                speeds.total().max(1),
+            ),
         };
-        self.memo.insert(self.sizes.clone(), v);
-        v
-    }
-}
-
-/// Unconstrained optimal makespan of `sizes` (descending) on `m` identical
-/// machines.
-fn solve_identical(sizes: &[Size], m: usize) -> Size {
-    let total: Size = sizes.iter().fold(0, |a, &s| a.saturating_add(s));
-    let lb = total.div_ceil(m as u64).max(sizes[0]);
-    let mut loads = vec![0u64; m];
-    let mut best = total; // achievable: every job on one machine
-    place_identical(sizes, 0, &mut loads, &mut best, lb);
-    best
-}
-
-fn place_identical(sizes: &[Size], idx: usize, loads: &mut Vec<Size>, best: &mut Size, lb: Size) {
-    if *best == lb {
-        return; // the lower bound has been met; nothing can improve
-    }
-    let cur = loads.iter().copied().max().unwrap_or(0);
-    if cur >= *best {
-        return;
-    }
-    if idx == sizes.len() {
-        *best = cur;
-        return;
-    }
-    let size = sizes[idx];
-    let mut seen: Vec<Size> = Vec::with_capacity(loads.len());
-    for p in 0..loads.len() {
-        // Equal-load machines are interchangeable for the remaining jobs.
-        if seen.contains(&loads[p]) {
-            continue;
-        }
-        seen.push(loads[p]);
-        loads[p] += size;
-        place_identical(sizes, idx + 1, loads, best, lb);
-        loads[p] -= size;
-    }
-}
-
-/// Unconstrained optimal *speed-scaled* makespan of `sizes` (descending)
-/// on the uniform machines described by `speeds`.
-fn solve_scaled(sizes: &[Size], speeds: &Speeds) -> Size {
-    let total: Size = sizes.iter().fold(0, |a, &s| a.saturating_add(s));
-    let v_max = speeds.as_slice().iter().copied().max().unwrap_or(1);
-    let lb = total
-        .div_ceil(speeds.total().max(1))
-        .max(sizes[0].div_ceil(v_max));
-    let mut loads = vec![0u64; speeds.len()];
-    let mut best = total.div_ceil(v_max); // achievable: all on a fastest machine
-    place_scaled(sizes, 0, &mut loads, speeds, &mut best, lb);
-    best
-}
-
-fn place_scaled(
-    sizes: &[Size],
-    idx: usize,
-    loads: &mut Vec<Size>,
-    speeds: &Speeds,
-    best: &mut Size,
-    lb: Size,
-) {
-    if *best == lb {
-        return;
-    }
-    let cur = hetero::scaled_makespan_of(loads, speeds);
-    if cur >= *best {
-        return;
-    }
-    if idx == sizes.len() {
-        *best = cur;
-        return;
-    }
-    let size = sizes[idx];
-    let mut seen: Vec<(Size, u64)> = Vec::with_capacity(loads.len());
-    for p in 0..loads.len() {
-        // Machines are interchangeable iff both load and speed agree.
-        let key = (loads[p], speeds.get(p));
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
-        loads[p] += size;
-        place_scaled(sizes, idx + 1, loads, speeds, best, lb);
-        loads[p] -= size;
+        // Every job on a fastest machine is achievable; no placement beats
+        // the average scaled load or the largest job on a fastest machine.
+        let mut best = total.div_ceil(v_max);
+        let lb = total.div_ceil(v_total).max(self.sizes[0].div_ceil(v_max));
+        let mut loads = vec![0; self.num_procs];
+        exhaustive::place(&self.sizes, &mut loads, self.speeds.as_ref(), lb, &mut best);
+        self.memo.insert(self.sizes.clone(), best);
+        best
     }
 }
 

@@ -5,21 +5,21 @@
 //! approximation-ratio experiment in the reproduction measures against
 //! them.
 //!
-//! * [`branch_bound`] — general exact solver (moves or cost budget), good to
-//!   `n ≈ 20`;
-//! * [`exhaustive`] — independent subset-enumeration solver, good for small
-//!   move budgets at moderate `n`; cross-checks `branch_bound`;
+//! * [`branch_bound`] — the one home-first branch-and-bound (moves or cost
+//!   budget), good to `n ≈ 20`; [`constrained`] runs it under eligibility
+//!   lists (Corollary 1);
+//! * [`exhaustive`] — the one placement search, on identical or uniform
+//!   machines, and the subset enumeration over it, good for small move
+//!   budgets at moderate `n`; cross-checks `branch_bound`. [`hetero`] runs
+//!   it at per-processor speeds, certifying the speed-scaled solvers, and
+//!   [`incremental`] keeps the unconstrained `OPT` of a live job multiset
+//!   under arrivals/departures, for exact online competitive ratios;
 //! * [`move_min`] — exact *move minimization* for a target makespan
 //!   (the Theorem 5 objective);
 //! * [`unit_jobs`] — closed-form optimum for equal-size jobs (the model of
 //!   the prior work the paper generalizes), usable at any scale;
 //! * [`conflict`] — feasibility oracle for the Conflict Scheduling variant
-//!   (Theorem 7);
-//! * [`hetero`] — uniform-machine (per-processor speed) extension of the
-//!   subset-enumeration oracle, certifying the speed-scaled solvers;
-//! * [`incremental`] — the unconstrained `OPT` of a live job multiset,
-//!   maintained under arrivals/departures for exact online competitive
-//!   ratios (memoized per multiset).
+//!   (Theorem 7).
 
 pub mod branch_bound;
 pub mod conflict;
@@ -37,14 +37,25 @@ pub use incremental::IncrementalOracle;
 use lrb_core::model::{Budget, Instance, Size};
 
 /// Convenience oracle: the optimal makespan with at most `k` moves.
+/// Panics if the search hits its node cap before proving optimality.
 pub fn optimal_makespan_moves(inst: &Instance, k: usize) -> Size {
-    branch_bound::solve(inst, Budget::Moves(k)).makespan
+    proven_optimum(inst, Budget::Moves(k))
 }
 
 /// Convenience oracle: the optimal makespan with relocation cost at most
-/// `b`.
+/// `b`. Panics if the search hits its node cap before proving optimality.
 pub fn optimal_makespan_cost(inst: &Instance, b: u64) -> Size {
-    branch_bound::solve(inst, Budget::Cost(b)).makespan
+    proven_optimum(inst, Budget::Cost(b))
+}
+
+fn proven_optimum(inst: &Instance, budget: Budget) -> Size {
+    let sol = branch_bound::solve(inst, budget);
+    assert!(
+        sol.exact,
+        "exact search hit its node cap after {} nodes; optimality is not proven",
+        sol.nodes
+    );
+    sol.makespan
 }
 
 #[cfg(test)]

@@ -250,8 +250,3 @@ pub fn analyze_workspace<T: Tracer>(root: &Path, obs: &T) -> std::io::Result<Ana
         .collect();
     Ok(analyze_sources(&views, obs))
 }
-
-/// Lint every workspace file under `root` with the full analyzer.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    analyze_workspace(root, &NoopTracer).map(|a| a.findings)
-}

@@ -67,13 +67,13 @@ pub(crate) fn rebalance_filtered(
     let fits = |t: Size| -> Option<FractionalAssignment> {
         solve_relaxation_filtered(inst, t, &eligible).filter(|f| f.cost <= budget as f64 + 1e-6)
     };
-    let (mut lo, mut hi) = (lb, ub);
+    // `at_hi` keeps the LP solved at `hi`, once the search has solved it.
+    let (mut lo, mut hi, mut at_hi) = (lb, ub, None);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if fits(mid).is_some() {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+        match fits(mid) {
+            Some(frac) => (hi, at_hi) = (mid, Some(frac)),
+            None => lo = mid + 1,
         }
     }
     // Round at the found guess; if the rounded cost overshoots the budget,
@@ -81,7 +81,7 @@ pub(crate) fn rebalance_filtered(
     // shrinks to zero by the initial makespan.
     let mut t = lo;
     loop {
-        if let Some(frac) = fits(t) {
+        if let Some(frac) = at_hi.take().or_else(|| fits(t)) {
             let assignment = round(&frac, inst.num_procs(), |j, p| relocation_cost(inst, j, p));
             let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
             if outcome.cost() <= budget {

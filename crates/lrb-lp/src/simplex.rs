@@ -58,11 +58,6 @@ impl LinearProgram {
         self.objective.len() - 1
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.objective.len()
-    }
-
     /// Add a constraint `Σ coeff·x (op) rhs`.
     pub fn add_constraint(&mut self, terms: &[(usize, f64)], op: Relation, rhs: f64) {
         for &(v, _) in terms {

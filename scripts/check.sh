@@ -72,10 +72,12 @@ run cargo test -q --release --offline --test metamorphic_online_policies
 # are pinned. Any increase fails; a change that earns a decrease records
 # the new counts. The Shmoys–Tardos pipeline's answers (lrb-lp's one LP and
 # one rounding, under all three of its entry points) are pinned the same
-# way. The workspace run above ran all of these in debug; this runs them
-# in release.
+# way, and so are lrb-exact's (its one placement search and one
+# branch-and-bound, witnesses and node counts included). The workspace run
+# above ran all of these in debug; this runs them in release.
 run cargo test -q --release --offline --test mpartition_digest
 run cargo test -q --release --offline --test lp_digest
+run cargo test -q --release --offline --test exact_digest
 run cargo test -q --release --offline -p lrb-core --test warm_alloc
 run cargo test -q --release --offline -p lrb-core --lib knapsack_work_matches_the_recorded_counts
 
