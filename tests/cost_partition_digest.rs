@@ -14,11 +14,12 @@ use load_rebalance::core::cost_partition;
 use load_rebalance::instances::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
 
 /// `(n, digest)` recorded before the change.
-const PINNED: [(usize, u64); 4] = [
+const PINNED: [(usize, u64); 5] = [
     (40, 4_035_923_960_313_926_824),
     (120, 130_098_307_288_775_905),
     (400, 15_794_624_308_026_079_518),
     (1000, 8_114_969_290_510_188_871),
+    (4000, 14_233_198_797_225_971_324),
 ];
 
 const BUDGET_DIVISORS: [u64; 5] = [1, 2, 4, 8, 32];
