@@ -957,9 +957,20 @@ pub fn online_cmd(args: &Args) -> CmdResult {
 pub fn dispatch(tokens: Vec<String>) -> CmdResult {
     let args = Args::parse_with_switches(
         tokens,
-        &["verbose", "smoke", "digest", "drill", "inject-frame-errors"],
+        &[
+            "verbose",
+            "smoke",
+            "digest",
+            "drill",
+            "inject-frame-errors",
+            "help",
+        ],
     )
     .map_err(|e| e.to_string())?;
+    // `--help` anywhere asks for the usage, whatever else is on the line.
+    if args.has("help") {
+        return Ok(usage());
+    }
     let pos = args.positionals().to_vec();
     match pos.first().map(String::as_str) {
         Some("generate") => generate(&args),

@@ -22,12 +22,35 @@ fn tmp(name: &str) -> String {
 
 #[test]
 fn help_prints_usage_and_succeeds() {
-    let (ok, stdout, _) = lrb(&["help"]);
-    assert!(ok);
-    assert!(stdout.contains("USAGE"));
-    let (ok, stdout, _) = lrb(&[]);
-    assert!(ok);
-    assert!(stdout.contains("USAGE"));
+    let path = tmp("help.json");
+    for args in [
+        vec!["help"],
+        vec![],
+        vec!["--help"],
+        vec!["generate", "--help"],
+        vec!["solve", path.as_str(), "--help"],
+    ] {
+        let (ok, stdout, stderr) = lrb(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("USAGE"), "{args:?}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_is_not_a_failure() {
+    // The reader goes away before the usage is written, as `head -1` does
+    // once it has its line.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lrb"))
+        .arg("help")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -21,6 +21,22 @@
 //! *over*-estimates removal costs — always safe for budget checks, see the
 //! discussion in `cost_partition`); each fallback is counted as
 //! `knapsack.bb_fallbacks`.
+//!
+//! A node's bound resumes from its parent's greedy fill instead of walking
+//! the items again (the Horowitz–Sahni and Martello–Toth bookkeeping). A
+//! child that takes an item has its parent's fill without that item; a
+//! child that skips an item gives back the room of the skipped copies the
+//! fill took and resumes at the parent's break item. Only a skipping child
+//! walks, and only over the items that newly fit. The fill's cost is kept
+//! exact in `u128` and clamped only in the bound, so every bound, and with
+//! it every node count, equals that of a walk from scratch.
+//!
+//! The same walk at the root brackets the search's answer
+//! (`keep_bracket`): the answer is at least the greedy fill, which the
+//! first path keeps before it branches, and at most the Dantzig bound. That
+//! holds whether or not the search proves optimality, as long as its node
+//! budget covers the first path. cost-PARTITION settles most of its
+//! binary-search guesses from these brackets alone.
 
 use std::cmp::Ordering;
 
@@ -132,6 +148,48 @@ pub(crate) struct KeepScratch {
     pub(crate) best: Vec<usize>,
 }
 
+/// The cost of keeping every item of `sorted`, when their total size fits in
+/// `cap` (both sums saturating, as the search adds them).
+fn keep_all(sorted: &[Item], cap: u64) -> Option<u64> {
+    let total_size = sorted
+        .iter()
+        .fold(0u64, |acc, it| acc.saturating_add(it.size));
+    (total_size <= cap).then(|| {
+        sorted
+            .iter()
+            .fold(0u64, |acc, it| acc.saturating_add(it.cost))
+    })
+}
+
+/// Bounds `(lo, hi)` on the cost [`keep_sorted`] returns for `sorted`, `cap`
+/// and `node_budget`, from one walk of the items. `hi` is the Dantzig bound
+/// at the root: the greedy fill (the items taken in order until the first
+/// that does not fit) plus the floor of that item's fractional share, which
+/// no integer-cost kept set beats. `lo` is the fill, which the search's
+/// first path keeps before it branches, within one node per item it
+/// passes; a budget too short for that path leaves `lo` at 0. When
+/// everything fits, both are the total cost.
+pub(crate) fn keep_bracket(sorted: &[Item], cap: u64, node_budget: u64) -> (u64, u64) {
+    let (mut fill, mut left) = (0u64, cap);
+    for (k, it) in sorted.iter().enumerate() {
+        if it.size > left {
+            // Sizes past `u64::MAX` saturate in `keep_all`'s sum, which can
+            // then fit a cap of `u64::MAX`.
+            if let Some(all) = keep_all(sorted, cap) {
+                return (all, all);
+            }
+            let part = u128::from(it.cost) * u128::from(left) / u128::from(it.size);
+            let hi = u64::try_from(u128::from(fill).saturating_add(part)).unwrap_or(u64::MAX);
+            // The first path keeps the fill at its node k, the (k + 1)-th.
+            let lo = if (k as u64) < node_budget { fill } else { 0 };
+            return (lo, hi);
+        }
+        left = left.saturating_sub(it.size);
+        fill = fill.saturating_add(it.cost);
+    }
+    (fill, fill)
+}
+
 /// The most cost keepable from `sorted` within `cap`, and whether the
 /// search proved it optimal within `node_budget`. `sorted` must be in
 /// [`ratio_cmp`] order with every size in `1..=cap`. With `want_set`,
@@ -147,19 +205,13 @@ pub(crate) fn keep_sorted<R: Tracer>(
     debug_assert!(sorted.iter().all(|it| (1..=cap).contains(&it.size)));
     debug_assert!(sorted.windows(2).all(|w| ratio_cmp(w[0], w[1]).is_le()));
     scratch.best.clear();
-    let total_size = sorted
-        .iter()
-        .fold(0u64, |acc, it| acc.saturating_add(it.size));
-    if total_size <= cap {
+    if let Some(all) = keep_all(sorted, cap) {
         // Everything fits: the search would keep every item on its first
         // path and prune every other branch.
         if want_set {
             scratch.best.extend(0..sorted.len());
         }
-        let total_cost = sorted
-            .iter()
-            .fold(0u64, |acc, it| acc.saturating_add(it.cost));
-        return (total_cost, true);
+        return (all, true);
     }
     let _t = rec.span(names::KNAPSACK_BB);
     scratch.current.clear();
@@ -171,7 +223,12 @@ pub(crate) fn keep_sorted<R: Tracer>(
         want_set,
         scratch,
     };
-    search.dfs(0, cap, 0);
+    let root = Fill {
+        cost: 0,
+        end: 0,
+        left: cap,
+    };
+    search.dfs(0, cap, 0, root);
     rec.incr(
         names::KNAPSACK_BB_NODES,
         node_budget.saturating_sub(search.nodes_left),
@@ -191,27 +248,38 @@ struct Search<'a> {
     scratch: &'a mut KeepScratch,
 }
 
+/// A node's greedy fill: from the node's item on, the items taken in order
+/// up to `end`, the first that does not fit in the room `left` they leave.
+/// Its cost is exact, so a child can take an item's cost back out of it;
+/// only the bound built from it is clamped to `u64`.
+#[derive(Debug, Clone, Copy)]
+struct Fill {
+    cost: u128,
+    end: usize,
+    left: u64,
+}
+
 impl Search<'_> {
-    /// Upper bound on the cost attainable from item `i` onward with `cap`
-    /// capacity left: greedy fill plus the floor of a fractional last item.
-    /// Costs are integers, so no kept set beats the floor of the LP bound.
-    fn fractional_bound(&self, mut i: usize, mut cap: u64) -> u64 {
-        let mut bound = 0u64;
-        while i < self.items.len() {
-            let it = self.items[i];
-            if it.size <= cap {
-                cap -= it.size;
-                bound = bound.saturating_add(it.cost);
-            } else {
-                let part = (it.cost as u128 * cap as u128 / it.size as u128) as u64;
-                return bound.saturating_add(part);
+    /// Upper bound on the cost attainable from the node of `fill` onward:
+    /// the greedy fill plus the floor of the fractional break item, clamped
+    /// to `u64`. Costs are integers, so no kept set beats the floor of the
+    /// LP bound. First extends `fill` by the items from `fill.end` that fit
+    /// in its room, which a child's fill may have newly gained.
+    fn fractional_bound(&self, fill: &mut Fill) -> u64 {
+        let mut part = 0u128;
+        while let Some(&it) = self.items.get(fill.end) {
+            if it.size > fill.left {
+                part = u128::from(it.cost) * u128::from(fill.left) / u128::from(it.size);
+                break;
             }
-            i += 1;
+            fill.left = fill.left.saturating_sub(it.size);
+            fill.cost = fill.cost.saturating_add(u128::from(it.cost));
+            fill.end = fill.end.saturating_add(1);
         }
-        bound
+        u64::try_from(fill.cost.saturating_add(part)).unwrap_or(u64::MAX)
     }
 
-    fn dfs(&mut self, i: usize, cap: u64, cost: u64) {
+    fn dfs(&mut self, i: usize, cap: u64, cost: u64, mut fill: Fill) {
         if self.nodes_left == 0 {
             self.exact = false;
             return;
@@ -228,17 +296,24 @@ impl Search<'_> {
         if i == self.items.len() {
             return;
         }
-        if cost.saturating_add(self.fractional_bound(i, cap)) <= self.best_cost {
+        if cost.saturating_add(self.fractional_bound(&mut fill)) <= self.best_cost {
             return; // cannot improve
         }
         // Branch: take item i (if it fits), then skip it.
         let it = self.items[i];
         if it.size <= cap {
+            // Item i fits, so it heads the fill: the child's fill is the
+            // same without it, with the same break item and room.
+            let rest = Fill {
+                cost: fill.cost.saturating_sub(u128::from(it.cost)),
+                ..fill
+            };
             self.scratch.current.push(i);
             self.dfs(
                 i.saturating_add(1),
                 cap.saturating_sub(it.size),
                 cost.saturating_add(it.cost),
+                rest,
             );
             self.scratch.current.pop();
         }
@@ -249,7 +324,18 @@ impl Search<'_> {
         while self.items.get(next) == Some(&it) {
             next += 1;
         }
-        self.dfs(next, cap, cost);
+        // The child's fill gives back the cost and room of the skipped
+        // copies this fill took, and resumes at its break item (or past
+        // the copies), where only the items that newly fit are walked.
+        let taken = fill.end.min(next).saturating_sub(i) as u64;
+        let rest = Fill {
+            cost: fill
+                .cost
+                .saturating_sub(u128::from(it.cost) * u128::from(taken)),
+            end: fill.end.max(next),
+            left: fill.left.saturating_add(it.size.saturating_mul(taken)),
+        };
+        self.dfs(next, cap, cost, rest);
     }
 }
 

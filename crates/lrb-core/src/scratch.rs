@@ -19,7 +19,7 @@ use std::cmp::Reverse;
 use crate::cost_partition::ProcPlan;
 use crate::greedy::SpeedHeaps;
 use crate::knapsack::{Item, KeepScratch};
-use crate::model::{JobId, ProcId, Size};
+use crate::model::{Cost, JobId, ProcId, Size};
 use crate::profiles::{ProcCounts, Profiles};
 
 /// Per-worker reusable buffers for the core solvers.
@@ -74,24 +74,31 @@ pub(crate) struct HeteroScratch {
 /// Buffers for PARTITION's six steps (shared by the cost variant).
 #[derive(Debug, Default)]
 pub(crate) struct PartitionScratch {
-    /// Cost variant: every positive-size job grouped by processor, each
-    /// group in the knapsack's ratio order; built once per solve.
-    pub by_ratio: Vec<JobId>,
-    /// Cost variant: sort buffer of one group's `(item, id)` keys.
-    pub ratio_keys: Vec<(Item, JobId)>,
+    /// Cost variant: every positive-size job as its knapsack item and id,
+    /// grouped by processor, each group in the knapsack's ratio order;
+    /// built once per solve.
+    pub by_ratio: Vec<(Item, JobId)>,
     /// Cost variant: start of each processor's group in `by_ratio`, and its
     /// length last.
     pub group_start: Vec<usize>,
-    /// Cost variant: per-processor plan costs at the current guess.
+    /// Cost variant: per-processor plans at the current guess, with their
+    /// knapsack values bracketed.
     pub plans: Vec<ProcPlan>,
-    /// Cost variant: one processor's small jobs as knapsack items.
+    /// Cost variant: every processor's small jobs at the current guess as
+    /// knapsack items, grouped by processor in ratio order.
     pub items: Vec<Item>,
+    /// Cost variant: start of each processor's items in `items`, and their
+    /// length last.
+    pub item_start: Vec<usize>,
+    /// Cost variant: the open knapsack brackets at the current guess as
+    /// `(Reverse(width), proc, cap is A)`, widest first.
+    pub open: Vec<(Reverse<Cost>, ProcId, bool)>,
     /// Cost variant: the knapsack search's buffers.
     pub keep: KeepScratch,
     /// Live per-processor loads.
     pub loads: Vec<Size>,
-    /// Threshold probes: every processor's `c_i`, for selecting the `L_T`
-    /// smallest.
+    /// Threshold probes and cost-variant plan costs: every processor's
+    /// `c_i`, for selecting the `L_T` smallest.
     pub probe_cs: Vec<i64>,
     /// Steps 1-4: every processor's counts at the run's guess.
     pub counts: Vec<ProcCounts>,

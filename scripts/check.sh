@@ -70,12 +70,14 @@ run cargo test -q --release --offline --test metamorphic_online_policies
 # (Lemma 5), a warm solve may allocate only its outcome, and
 # cost-PARTITION's guesses and knapsack nodes (section 3.2) on fixed farms
 # are pinned. Any increase fails; a change that earns a decrease records
-# the new counts. The Shmoys–Tardos pipeline's answers (lrb-lp's one LP and
-# one rounding, under all three of its entry points) are pinned the same
-# way, and so are lrb-exact's (its one placement search and one
-# branch-and-bound, witnesses and node counts included). The workspace run
-# above ran all of these in debug; this runs them in release.
+# the new counts. cost-PARTITION's answers (guess, planned cost and
+# assignment, up to n = 4,000) are pinned as digests, and so are the
+# Shmoys–Tardos pipeline's (lrb-lp's one LP and one rounding, under all
+# three of its entry points) and lrb-exact's (its one placement search and
+# one branch-and-bound, witnesses and node counts included). The workspace
+# run above ran all of these in debug; this runs them in release.
 run cargo test -q --release --offline --test mpartition_digest
+run cargo test -q --release --offline --test cost_partition_digest
 run cargo test -q --release --offline --test lp_digest
 run cargo test -q --release --offline --test exact_digest
 run cargo test -q --release --offline -p lrb-core --test warm_alloc
