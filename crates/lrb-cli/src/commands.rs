@@ -765,7 +765,7 @@ USAGE:
              [--lifetime L] [--moves K | --budget B] [--seed S] [--out FILE]
              [--bank-accrual A] [--bank-cap C] [--bank-initial I]
   lrb replay TRACE.csv --servers M [--moves K]
-  lrb serve --data DIR [--addr HOST:PORT] [--digest] [--procs P] [--threads T]
+  lrb serve --data DIR [--addr HOST:PORT] [--digest] [--procs P]
             [--snapshot-every N] [--queue-bound Q] [--tenant-pending Q]
             [--batch-max B] [--max-tenants N] [--max-jobs N] [--seed S]
             [--exhaust-rate R] [--degraded-work W]

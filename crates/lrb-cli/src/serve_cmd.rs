@@ -26,9 +26,6 @@ use crate::commands::CmdResult;
 fn serve_config(args: &Args) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig::default();
     cfg.procs = args.get_or("procs", cfg.procs).map_err(|e| e.to_string())?;
-    cfg.threads = args
-        .get_or("threads", cfg.threads)
-        .map_err(|e| e.to_string())?;
     cfg.queue_bound = args
         .get_or("queue-bound", cfg.queue_bound)
         .map_err(|e| e.to_string())?;
@@ -204,7 +201,6 @@ fn drill_cmd(args: &Args) -> CmdResult {
             .arg("127.0.0.1:0");
         for (flag, value) in [
             ("--procs", serve.procs.to_string()),
-            ("--threads", serve.threads.to_string()),
             ("--queue-bound", serve.queue_bound.to_string()),
             ("--tenant-pending", serve.tenant_pending.to_string()),
             ("--batch-max", serve.batch_max.to_string()),

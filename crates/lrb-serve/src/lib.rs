@@ -3,14 +3,16 @@
 //! A long-running server owning many tenant farms (one
 //! [`lrb_core::online::OnlineRebalancer`] each), driven by Arrive /
 //! Depart / Rebalance events over a hand-rolled length-prefixed wire
-//! protocol ([`wire`]) and sharded across cores through the
-//! [`lrb_engine::StreamEngine`]'s lockstep batching.
+//! protocol ([`wire`]). One state thread admits and applies every event
+//! in queue order; each rebalance runs the `deadline` module's
+//! `FallbackChain` under the work budget its log record names.
 //!
 //! Three pillars:
 //!
 //! * **Durability** ([`wal`], [`snapshot`]): every admitted event is
 //!   appended to a checksummed write-ahead log and acknowledged only
-//!   after the flush; periodic versioned snapshots bound replay length.
+//!   after the flush, and reads and rejects wait for the same flush;
+//!   periodic versioned snapshots bound replay length.
 //!   Recovery ([`server::recover`]) is snapshot + WAL-suffix replay, and
 //!   the state machine ([`state`]) guarantees the result is bit-identical
 //!   to the uninterrupted run — *state ≡ replay-of-survivors*.
@@ -19,8 +21,8 @@
 //!   empty `MoveBank`, or an exhausted epoch work budget answers an
 //!   explicit `Reject` with a Retry-After hint instead of blocking,
 //!   panicking, or silently degrading. Degradation that *is* allowed
-//!   flows through the `deadline` module's `FallbackChain` with tier
-//!   provenance reported to the client.
+//!   happens inside the `FallbackChain`, and the answering tier is
+//!   reported to the client.
 //! * **Recoverability under fire** ([`server`]): the daemon is built to
 //!   be SIGKILLed at arbitrary points — mid-epoch, mid-snapshot — and
 //!   restarted; no acked event is ever lost.

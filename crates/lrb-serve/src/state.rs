@@ -8,28 +8,25 @@
 //! * **Admission before logging.** [`ServeState::admit`] validates a
 //!   request against current state (duplicate keys, processor range,
 //!   tenant/job limits, bank and work exhaustion) and *mutates nothing*.
-//!   Rejected requests are answered immediately and never logged, so every
-//!   logged event applies cleanly on replay.
+//!   Rejected requests are never logged, so every logged event applies
+//!   cleanly on replay.
 //! * **Scheduling decisions are frozen at admission.** A rebalance's
 //!   solver work limit (from the seeded `lrb-faults` plan) is resolved
 //!   when the event is admitted and recorded in the WAL, so replay never
 //!   re-derives it.
-//! * **Application is batch-composition independent.** Consecutive
-//!   undegraded rebalances for distinct tenants are solved together
-//!   through one [`StreamEngine`] epoch; the engine guarantees per-item
-//!   results bit-identical to solo solves, so live batching (driven by
-//!   queue arrival timing) and replay batching (driven by the WAL) reach
-//!   the same state. Degraded rebalances run the `deadline` module's
-//!   [`FallbackChain`] under the recorded [`WorkBudget`], which is
-//!   deterministic by construction.
+//! * **One path applies every logged event.** [`ServeState::apply_events`]
+//!   applies its events one at a time, in order. A rebalance runs the
+//!   `deadline` module's [`FallbackChain`] under the [`WorkBudget`] its log
+//!   record names, unlimited or not, which is deterministic by
+//!   construction. So live application (one event per call) and replay
+//!   (chunks of the WAL) reach the same state however the events are
+//!   chunked.
 
 use std::collections::BTreeMap;
 
 use lrb_core::deadline::{FallbackChain, WorkBudget};
-use lrb_core::model::Budget;
 use lrb_core::online::{BankConfig, OnlineRebalancer};
 use lrb_core::Ctx;
-use lrb_engine::{BatchItem, BatchSolver, EngineConfig, StreamEngine};
 use lrb_faults::{FaultConfig, FaultPlan};
 
 use crate::snapshot::{self, SnapshotDoc, SnapshotError, SERVE_SCHEMA_VERSION};
@@ -44,8 +41,6 @@ const PLAN_EPOCHS: usize = 1024;
 pub struct ServeConfig {
     /// Processors per tenant farm.
     pub procs: usize,
-    /// Engine worker threads (0 = host parallelism).
-    pub threads: usize,
     /// MoveBank policy for every tenant.
     pub bank: BankConfig,
     /// Global event-queue bound (backpressure trips beyond it).
@@ -73,7 +68,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             procs: 4,
-            threads: 0,
             bank: BankConfig::default(),
             queue_bound: 256,
             tenant_pending: 32,
@@ -128,8 +122,9 @@ pub enum ApplyOutcome {
         makespan: u64,
         /// Whether the solve degraded past its first tier.
         degraded: bool,
-        /// Provenance: `"engine"` (undegraded batch path), a
-        /// FallbackChain tier name, or `"empty"` for a jobless farm.
+        /// Provenance: the FallbackChain tier that answered
+        /// (`"m-partition"`, `"greedy"` or `"no-move"`), or `"empty"` for a
+        /// jobless farm.
         tier: &'static str,
     },
     /// The event could not be applied (possible only with a WAL that was
@@ -149,7 +144,6 @@ pub use lrb_obs::splitmix64;
 pub struct ServeState {
     cfg: ServeConfig,
     farms: BTreeMap<u64, OnlineRebalancer>,
-    engine: StreamEngine,
     plan: FaultPlan,
     applied: u64,
     epoch: u64,
@@ -171,10 +165,6 @@ impl ServeState {
             FaultPlan::none(cfg.procs)
         };
         ServeState {
-            engine: StreamEngine::new(
-                BatchSolver::MPartition,
-                &EngineConfig::with_threads(cfg.threads),
-            ),
             plan,
             farms: BTreeMap::new(),
             applied: 0,
@@ -206,7 +196,8 @@ impl ServeState {
         self.applied
     }
 
-    /// Batch epochs executed.
+    /// Fault-plan epochs executed: one per [`ServeState::apply_events`]
+    /// call.
     pub fn epochs(&self) -> u64 {
         self.epoch
     }
@@ -358,125 +349,17 @@ impl ServeState {
         }
     }
 
-    /// Apply a batch of logged events in order, returning one outcome per
-    /// event. Runs as one batch epoch: consecutive undegraded rebalances
-    /// for distinct tenants share a [`StreamEngine`] epoch.
+    /// Apply logged events in order, returning one outcome per event. One
+    /// call is one fault-plan epoch.
     pub fn apply_events(&mut self, events: &[LoggedEvent]) -> Vec<ApplyOutcome> {
         self.epoch += 1;
-        let mut outcomes = Vec::with_capacity(events.len());
-        let mut i = 0;
-        while i < events.len() {
-            match events[i] {
-                LoggedEvent::Rebalance {
-                    work_limit: u64::MAX,
-                    ..
-                } => {
-                    // Extend the engine run: consecutive undegraded
-                    // rebalances for *distinct* tenants.
-                    let mut run = vec![i];
-                    let mut tenants = vec![events[i].tenant()];
-                    let mut j = i + 1;
-                    while j < events.len() {
-                        match events[j] {
-                            LoggedEvent::Rebalance {
-                                tenant,
-                                work_limit: u64::MAX,
-                                ..
-                            } if !tenants.contains(&tenant) => {
-                                run.push(j);
-                                tenants.push(tenant);
-                                j += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    outcomes.extend(self.apply_engine_run(events, &run));
-                    i = j;
-                }
-                _ => {
-                    outcomes.push(self.apply_one(&events[i]));
-                    i += 1;
-                }
-            }
-        }
+        let outcomes = events.iter().map(|ev| self.apply_one(ev)).collect();
         self.applied += events.len() as u64;
         outcomes
     }
 
-    /// Solve an engine run: begin every rebalance (bank accrual + clamp),
-    /// snapshot every farm, solve all snapshots in one engine epoch, and
-    /// commit in order. Per-item results are bit-identical to solo
-    /// solves, so this equals sequential application.
-    fn apply_engine_run(&mut self, events: &[LoggedEvent], run: &[usize]) -> Vec<ApplyOutcome> {
-        struct Pending {
-            tenant: u64,
-            effective: Budget,
-        }
-        let mut items: Vec<BatchItem> = Vec::with_capacity(run.len());
-        let mut pending: Vec<Option<Pending>> = Vec::with_capacity(run.len());
-        let mut outcomes: Vec<ApplyOutcome> = Vec::with_capacity(run.len());
-        for &idx in run {
-            let LoggedEvent::Rebalance { tenant, budget, .. } = events[idx] else {
-                outcomes.push(ApplyOutcome::Failed {
-                    detail: "engine run contains a non-rebalance".into(),
-                });
-                pending.push(None);
-                continue;
-            };
-            let Some(farm) = self.farms.get_mut(&tenant) else {
-                outcomes.push(ApplyOutcome::Failed {
-                    detail: format!("tenant {tenant} missing at replay"),
-                });
-                pending.push(None);
-                continue;
-            };
-            let effective = farm.begin_rebalance(to_budget(budget));
-            if farm.num_jobs() == 0 {
-                outcomes.push(ApplyOutcome::Rebalanced {
-                    moves: 0,
-                    makespan: 0,
-                    degraded: false,
-                    tier: "empty",
-                });
-                pending.push(None);
-                continue;
-            }
-            items.push(BatchItem {
-                instance: farm.instance(),
-                budget: effective,
-            });
-            pending.push(Some(Pending { tenant, effective }));
-            outcomes.push(ApplyOutcome::Applied); // placeholder, patched below
-        }
-        if items.is_empty() {
-            return outcomes;
-        }
-        let report = self.engine.solve_epoch(&items);
-        let mut solved = report.outcomes.iter();
-        for (slot, p) in pending.iter().enumerate() {
-            let Some(p) = p else { continue };
-            let Some(outcome) = solved.next() else { break };
-            outcomes[slot] = match self.farms.get_mut(&p.tenant) {
-                Some(farm) => match farm.commit_assignment(outcome.assignment(), p.effective) {
-                    Ok(commit) => ApplyOutcome::Rebalanced {
-                        moves: commit.moves,
-                        makespan: farm.makespan(),
-                        degraded: false,
-                        tier: "engine",
-                    },
-                    Err(e) => ApplyOutcome::Failed {
-                        detail: format!("commit: {e}"),
-                    },
-                },
-                None => ApplyOutcome::Failed {
-                    detail: "tenant vanished mid-run".into(),
-                },
-            };
-        }
-        outcomes
-    }
-
-    /// Apply one event outside an engine run.
+    /// Apply one logged event: the only place a logged event changes
+    /// state.
     fn apply_one(&mut self, ev: &LoggedEvent) -> ApplyOutcome {
         match *ev {
             LoggedEvent::Arrive {
@@ -635,7 +518,6 @@ mod tests {
     fn cfg() -> ServeConfig {
         ServeConfig {
             procs: 3,
-            threads: 1,
             ..ServeConfig::default()
         }
     }

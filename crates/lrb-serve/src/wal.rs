@@ -63,8 +63,8 @@ pub enum LoggedEvent {
         tenant: u64,
         /// Requested relocation budget (pre-bank-clamp).
         budget: BudgetSpec,
-        /// Solver work budget: `u64::MAX` = undegraded engine path, else
-        /// the FallbackChain runs under `WorkBudget::new(work_limit)`.
+        /// Solver work budget: the FallbackChain runs under
+        /// `WorkBudget::new(work_limit)`; `u64::MAX` is unlimited.
         work_limit: u64,
     },
 }

@@ -244,8 +244,9 @@ pub enum Response {
         makespan: u64,
         /// Whether the solve degraded past its first tier.
         degraded: bool,
-        /// Provenance: which solver tier answered (`"engine"` on the
-        /// batch path, else the FallbackChain tier name).
+        /// Provenance: the FallbackChain tier that answered
+        /// (`"m-partition"`, `"greedy"` or `"no-move"`), or `"empty"` for
+        /// a jobless farm.
         tier: String,
     },
     /// Admission control refused the request; nothing was logged.
@@ -290,11 +291,13 @@ pub enum Response {
         recoveries: u64,
         /// Events replayed from the WAL during the last recovery.
         replayed: u64,
-        /// Batch epochs executed.
+        /// Fault-plan epochs executed: one per applied event, or per WAL
+        /// chunk replayed at recovery.
         epochs: u64,
         /// Admission rejections issued.
         rejects: u64,
-        /// Rebalances that degraded below the engine tier.
+        /// Rebalances that the FallbackChain answered below its first tier
+        /// (M-PARTITION).
         degraded: u64,
     },
     /// The request could not be decoded or is not servable.

@@ -23,7 +23,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn cfg() -> ServeConfig {
     ServeConfig {
         procs: 4,
-        threads: 1,
         ..ServeConfig::default()
     }
 }
