@@ -5,7 +5,9 @@
 //! enough to solve exactly (roughly `n ≤ 20`, depending on structure).
 //!
 //! The search assigns jobs (largest first) to processors, preferring the
-//! free stay-home branch, with four prunings:
+//! free stay-home branch, and stops as soon as the incumbent meets
+//! [`lrb_core::bounds::lower_bound`], which proves it optimal. It has four
+//! prunings:
 //!
 //! * **makespan bound** — a placement that reaches the incumbent makespan is
 //!   cut;
@@ -22,12 +24,13 @@
 //! [`crate::constrained`] runs the same search under eligibility lists: a
 //! job moves only to an eligible processor, and the symmetry cut is off, as
 //! eligibility can tell equal-load processors apart (a job's home is always
-//! eligible, so the other prunings hold).
+//! eligible, so the other prunings hold, and so does the lower bound, as
+//! eligibility only shrinks the feasible set).
 
 use lrb_core::constrained::ConstrainedInstance;
 use lrb_core::model::{Budget, Instance, ProcId, Size};
 use lrb_core::outcome::RebalanceOutcome;
-use lrb_core::{cost_partition, greedy, mpartition};
+use lrb_core::{bounds, cost_partition, greedy, mpartition};
 
 /// An exact solution: the optimal makespan under the budget, a witnessing
 /// assignment, and search diagnostics.
@@ -61,8 +64,8 @@ pub fn solve(inst: &Instance, budget: Budget) -> ExactSolution {
     solve_capped(inst, budget, DEFAULT_NODE_CAP)
 }
 
-/// [`solve`] with an explicit node cap; if the cap is hit the incumbent is
-/// returned with `exact = false`.
+/// [`solve`] with an explicit node cap; if the cap is hit before the
+/// incumbent is proven optimal, it is returned with `exact = false`.
 pub fn solve_capped(inst: &Instance, budget: Budget, node_cap: u64) -> ExactSolution {
     // Seed the incumbent with the approximation algorithms.
     let mut best = RebalanceOutcome::unchanged(inst);
@@ -127,6 +130,7 @@ pub(crate) fn search(
         price_suffix_min: &price_suffix_min,
         move_price: &move_price,
         allowed,
+        lower_bound: bounds::lower_bound(inst, budget),
         best_makespan: incumbent.makespan(),
         best_assignment: incumbent.into_assignment(),
         current: inst.initial().clone(),
@@ -152,6 +156,8 @@ struct Bb<'a> {
     price_suffix_min: &'a [u64],
     move_price: &'a dyn Fn(usize) -> u64,
     allowed: Option<&'a ConstrainedInstance>,
+    /// A lower bound on OPT: an incumbent that meets it is optimal.
+    lower_bound: Size,
     best_makespan: Size,
     best_assignment: Vec<ProcId>,
     current: Vec<ProcId>,
@@ -162,6 +168,9 @@ struct Bb<'a> {
 
 impl Bb<'_> {
     fn dfs(&mut self, idx: usize, loads: &mut Vec<Size>, budget_left: u64, cur_max: Size) {
+        if self.best_makespan <= self.lower_bound {
+            return;
+        }
         if self.nodes >= self.node_cap {
             self.exact = false;
             return;
@@ -298,14 +307,27 @@ mod tests {
 
     #[test]
     fn node_cap_returns_the_incumbent_unproven() {
-        // The seeded incumbent (7) does not cut the root, so proving it
-        // optimal needs a second node.
-        let inst = Instance::from_sizes(&[5, 4, 3], vec![0, 0, 0], 2).unwrap();
-        let sol = solve_capped(&inst, Budget::Moves(1), 1);
+        // {6,5,4,3,2} on proc 0 of 2 with two moves: the seeded incumbent
+        // (11) sits above the lower bound (10 = OPT), so the root does not
+        // prove it, and a second node is over the cap.
+        let inst = Instance::from_sizes(&[6, 5, 4, 3, 2], vec![0; 5], 2).unwrap();
+        let sol = solve_capped(&inst, Budget::Moves(2), 1);
         assert!(!sol.exact);
         assert_eq!(sol.nodes, 1);
-        assert!(inst.move_count(&sol.assignment) <= 1);
+        assert!(inst.move_count(&sol.assignment) <= 2);
         assert_eq!(inst.makespan_of(&sol.assignment).unwrap(), sol.makespan);
+    }
+
+    #[test]
+    fn an_incumbent_at_the_lower_bound_is_proven_without_search() {
+        // {5,4,3} on proc 0 of 2 with one move: the seeded incumbent (7)
+        // equals the lower bound (12 − 5), so no node is expanded.
+        let inst = Instance::from_sizes(&[5, 4, 3], vec![0, 0, 0], 2).unwrap();
+        let sol = solve_capped(&inst, Budget::Moves(1), 1);
+        assert!(sol.exact);
+        assert_eq!(sol.nodes, 0);
+        assert_eq!(sol.makespan, 7);
+        assert_eq!(inst.makespan_of(&sol.assignment).unwrap(), 7);
     }
 
     #[test]
