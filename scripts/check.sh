@@ -73,13 +73,16 @@ run cargo test -q --release --offline --test metamorphic_online_policies
 # the new counts. cost-PARTITION's answers (guess, planned cost and
 # assignment, up to n = 4,000) are pinned as digests, and so are the
 # Shmoys–Tardos pipeline's (lrb-lp's one LP and one rounding, under all
-# three of its entry points) and lrb-exact's (its one placement search and
-# one branch-and-bound, witnesses and node counts included). The workspace
-# run above ran all of these in debug; this runs them in release.
+# three of its entry points), lrb-exact's (its one placement search and
+# one branch-and-bound, witnesses and node counts included) and lrb-serve's
+# (seeded event streams applied in random chunks, under unlimited and small
+# logged work limits). The workspace run above ran all of these in debug;
+# this runs them in release.
 run cargo test -q --release --offline --test mpartition_digest
 run cargo test -q --release --offline --test cost_partition_digest
 run cargo test -q --release --offline --test lp_digest
 run cargo test -q --release --offline --test exact_digest
+run cargo test -q --release --offline -p lrb-serve --test serve_digest
 run cargo test -q --release --offline -p lrb-core --test warm_alloc
 run cargo test -q --release --offline -p lrb-core --lib knapsack_work_matches_the_recorded_counts
 
@@ -113,6 +116,12 @@ if [ "$digest_a" != "$digest_b" ]; then
     echo "serve gate failed: offline digest recovery is not deterministic" >&2
     exit 1
 fi
+# The same drill with a fault plan that exhausts 30% of epochs: their
+# rebalances run under a logged work limit of 40 ticks, and some answer
+# below the chain's first tier, so SIGKILL recovery must replay those too.
+run lrb loadgen --drill --data "$tmp/serve-degraded" --cycles 2 --tenants 5 --events 20 \
+    --workers 2 --snapshot-every 16 --kill-lo 40 --kill-hi 150 --seed 11 \
+    --exhaust-rate 0.3 --degraded-work 40
 
 # Static invariant gate: lrb-lint exits nonzero on any violation of the
 # lexical rules (no-nondeterminism, no-panic-core, checked-arith,
